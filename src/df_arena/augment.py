@@ -277,11 +277,8 @@ def augment_corpus(
         except Exception as e:  # collected per file; the run continues
             return None, (str(p), f"{type(e).__name__}: {e}")
 
-    if jobs == 1:
-        results = [work(p) for p in inputs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, inputs))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        results = list(pool.map(work, inputs))
 
     entries = tuple(outcome for outcome, _ in results if outcome is not None)
     failures = tuple(failure for _, failure in results if failure is not None)

@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     lbp.add_argument("--format", default="markdown", choices=["markdown", "csv", "json"])
     lbp.add_argument("--store", default=None, help="append the run to this store file")
     lbp.add_argument("--out", default=None)
-    lbp.add_argument("--jobs", type=_positive_int, default=_default_jobs())
+    # accepted for older command lines; leaderboard evaluates sequentially
+    lbp.add_argument("--jobs", type=_positive_int, default=_default_jobs(), help=argparse.SUPPRESS)
     lbp.set_defaults(func=cmd_leaderboard)
 
     corrp = sub.add_parser("correlate", help="correlate dataset EER columns with the average")
@@ -178,7 +179,7 @@ _REPORT_SUFFIX = {"markdown": "md", "csv": "csv", "json": "json"}
 
 def cmd_leaderboard(args) -> int:
     manifest = load_manifest(args.manifest)
-    record = evaluate_arena(manifest, tool_version=__version__, jobs=args.jobs)
+    record = evaluate_arena(manifest, tool_version=__version__)
     if args.store:
         store_append(args.store, record)
         log.info("appended run %s to %s", record.run_id, args.store)

@@ -13,7 +13,6 @@ import json
 import os
 import tempfile
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -74,6 +73,8 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
+        if doc["record_version"] > RECORD_VERSION:
+            raise ValueError(f"record_version {doc['record_version']} is newer than {RECORD_VERSION}")
         return cls(
             run_id=doc["run_id"],
             timestamp=doc["timestamp"],
@@ -103,12 +104,14 @@ class RunRecord:
         return EerMatrix.build(ids, self.dataset_ids, np.asarray(rows))
 
 
-def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0", jobs: int = 1) -> RunRecord:
-    """Evaluate every (system, dataset) pair bound by the manifest.
+def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0") -> RunRecord:
+    """Evaluate every (system, dataset) pair bound by the manifest, in one pass.
 
-    Output is deterministic for fixed inputs up to run_id and timestamp;
-    reports are ordered system-major in manifest order regardless of the
-    worker count.
+    Every protocol is parsed and dataset coverage is checked before any
+    score file is read. Pairs are then evaluated one at a time, system-major
+    in manifest order; a system's joined rows are kept only until its pooled
+    EER is computed. Output is deterministic for fixed inputs up to run_id
+    and timestamp.
     """
     trial_sets = {}
     for d in manifest.datasets:
@@ -117,63 +120,37 @@ def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0", jobs: int =
                                                       dataset_id=d.dataset_id)
         except ArenaError as e:
             raise type(e)(f"dataset {d.dataset_id!r}: {e}") from e
-    pairs = []
-    for system in manifest.systems:
-        for dataset in manifest.datasets:
-            if dataset.dataset_id in system.score_paths:
-                pairs.append((system, dataset))
-            elif not manifest.allow_gaps:
-                raise ManifestError(
-                    f"system {system.system_id!r} has no scores for dataset {dataset.dataset_id!r}"
-                )
+    if not manifest.allow_gaps:
+        for system in manifest.systems:
+            missing = [d for d in manifest.dataset_ids() if d not in system.score_paths]
+            if missing:
+                raise ManifestError(f"system {system.system_id!r} has no scores for dataset {missing[0]!r}")
 
-    def work(pair):
-        system, dataset = pair
-        try:
-            scores = parse_scores(
-                system.score_paths[dataset.dataset_id],
-                polarity=system.polarity,
-                system_id=system.system_id,
-                dataset_id=dataset.dataset_id,
-            )
-            joined = join(trial_sets[dataset.dataset_id], scores, mode=manifest.join_mode)
-            report = evaluate(joined.rows, system.system_id, dataset.dataset_id)
-            return report, joined.rows
-        except ArenaError as e:
-            raise type(e)(f"system {system.system_id!r}, dataset {dataset.dataset_id!r}: {e}") from e
-
-    if jobs == 1:
-        results = [work(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, pairs))
-
-    by_pair = {(s.system_id, d.dataset_id): res for (s, d), res in zip(pairs, results)}
     reports = []
     summaries = []
     for system in manifest.systems:
         own_reports = []
         own_rows = []
         gaps = []
-        for dataset in manifest.datasets:
-            key = (system.system_id, dataset.dataset_id)
-            if key in by_pair:
-                report, rows = by_pair[key]
-                own_reports.append(report)
-                own_rows.append(rows)
-            else:
-                gaps.append(dataset.dataset_id)
+        for dataset_id in manifest.dataset_ids():
+            if dataset_id not in system.score_paths:
+                gaps.append(dataset_id)
+                continue
+            try:
+                scores = parse_scores(system.score_paths[dataset_id], polarity=system.polarity,
+                                      system_id=system.system_id, dataset_id=dataset_id)
+                joined = join(trial_sets[dataset_id], scores, mode=manifest.join_mode)
+                own_reports.append(evaluate(joined.rows, system.system_id, dataset_id))
+            except ArenaError as e:
+                raise type(e)(f"system {system.system_id!r}, dataset {dataset_id!r}: {e}") from e
+            own_rows.append(joined.rows)
         reports.extend(own_reports)
-        per_dataset = {r.dataset_id: r.eer for r in own_reports}
-        pooled = None
-        if not gaps:
-            pooled = pooled_eer(own_rows)[0]
         summaries.append(
             SystemSummary(
                 system_id=system.system_id,
                 average_eer=float(np.mean([r.eer for r in own_reports])),
-                pooled_eer=pooled,
-                per_dataset_eer=per_dataset,
+                pooled_eer=None if gaps else pooled_eer(own_rows)[0],
+                per_dataset_eer={r.dataset_id: r.eer for r in own_reports},
                 param_count_millions=system.param_count_millions,
                 average_auc=float(np.mean([r.auc for r in own_reports])),
                 category=system.category,
@@ -363,6 +340,6 @@ def store_list(store_path: str | Path) -> tuple[list[RunRecord], list[StoreIssue
                 continue
             try:
                 records.append(RunRecord.from_json(text))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+            except (ValueError, KeyError, TypeError) as e:  # ValueError covers JSONDecodeError
                 issues.append(StoreIssue(lineno, line_offset, f"{type(e).__name__}: {e}"))
     return records, issues

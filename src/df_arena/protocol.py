@@ -120,6 +120,8 @@ def _content_lines(path: Path, error_cls=ProtocolError):
         raise error_cls(f"file not found: {path}")
     except UnicodeDecodeError as e:
         raise error_cls(f"{path} is not valid UTF-8: {e}")
+    except OSError as e:
+        raise error_cls(f"cannot read {path}: {e.strerror or e}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -177,15 +179,19 @@ def parse_protocol(
         raise ProtocolError(f"{path}: {e}") from None
 
 
+def _write_lines(rows: list[list[str]], error_cls) -> str:
+    """One line per row of tokens; refuses rows that would not parse back as written."""
+    for fields in rows:
+        if fields[0].startswith("#") or any(f.split() != [f] for f in fields):
+            raise error_cls(f"{' '.join(fields)!r} cannot be written as one content line")
+    return "".join(" ".join(fields) + "\n" for fields in rows)
+
+
 def serialize_protocol(trial_set: TrialSet) -> str:
     """Two-column text form of a TrialSet; inverse of parse_protocol."""
-    lines = []
-    for t in trial_set.trials:
-        if t.attack_tag is None:
-            lines.append(f"{t.trial_id} {t.label}")
-        else:
-            lines.append(f"{t.trial_id} {t.label} {t.attack_tag}")
-    return "\n".join(lines) + "\n"
+    rows = [[t.trial_id, t.label] + ([] if t.attack_tag is None else [t.attack_tag])
+            for t in trial_set.trials]
+    return _write_lines(rows, ProtocolError)
 
 
 def parse_scores(
@@ -216,7 +222,8 @@ def parse_scores(
 
 
 def serialize_scores(score_set: ScoreSet) -> str:
-    return "".join(f"{k} {v!r}\n" for k, v in score_set.scores.items())
+    """``trial_id score`` text form of a ScoreSet; inverse of parse_scores."""
+    return _write_lines([[k, repr(float(v))] for k, v in score_set.scores.items()], ScoreFileError)
 
 
 def _preview(ids, limit=10) -> str:
@@ -378,6 +385,8 @@ def load_manifest(path: str | Path) -> ArenaManifest:
         raw = path.read_bytes()
     except FileNotFoundError:
         raise ManifestError(f"manifest not found: {path}")
+    except OSError as e:
+        raise ManifestError(f"cannot read manifest {path}: {e.strerror or e}")
     digest = sha256(raw).hexdigest()
     try:
         doc = json.loads(raw.decode("utf-8"))
@@ -398,36 +407,45 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     join_mode = options.get("join_mode", "strict")
     if join_mode not in ("strict", "intersect"):
         raise ManifestError(f"{path}: options.join_mode {join_mode!r} must be strict or intersect")
-    allow_gaps = bool(options.get("allow_gaps", False))
+    allow_gaps = options.get("allow_gaps", False)
+    if not isinstance(allow_gaps, bool):
+        raise ManifestError(f"{path}: options.allow_gaps must be true or false, got {allow_gaps!r}")
     output_dir = options.get("output_dir")
 
     base = path.parent
 
-    def resolve(p) -> Path:
+    def resolve(p, field: str) -> Path:
+        if not isinstance(p, str) or not p:
+            raise ManifestError(f"{path}: {field} must be a non-empty string, got {p!r}")
         p = Path(p)
         return p if p.is_absolute() else base / p
 
+    def entries(key: str) -> list[dict]:
+        items = doc.get(key, [])
+        if not isinstance(items, list) or not all(isinstance(e, dict) for e in items):
+            raise ManifestError(f"{path}: {key} must be a list of objects")
+        return items
+
     datasets = []
     seen_ds = set()
-    for entry in doc.get("datasets", []):
+    for entry in entries("datasets"):
         ds_id = entry.get("dataset_id")
         if not ds_id or not isinstance(ds_id, str):
             raise ManifestError(f"{path}: every dataset needs a string dataset_id")
         if ds_id in seen_ds:
             raise ManifestError(f"{path}: duplicate dataset_id {ds_id!r}")
         seen_ds.add(ds_id)
-        if "protocol_path" not in entry:
-            raise ManifestError(f"{path}: dataset {ds_id!r} missing protocol_path")
         fmt = entry.get("format", "two-column")
         if fmt not in PROTOCOL_FORMATS:
             raise ManifestError(f"{path}: dataset {ds_id!r}: unknown format {fmt!r}")
-        datasets.append(DatasetSpec(ds_id, resolve(entry["protocol_path"]), fmt))
+        protocol_path = resolve(entry.get("protocol_path"), f"dataset {ds_id!r}: protocol_path")
+        datasets.append(DatasetSpec(ds_id, protocol_path, fmt))
     if not datasets:
         raise ManifestError(f"{path}: manifest declares no datasets")
 
     systems = []
     seen_sys = set()
-    for entry in doc.get("systems", []):
+    for entry in entries("systems"):
         sys_id = entry.get("system_id")
         if not sys_id or not isinstance(sys_id, str):
             raise ManifestError(f"{path}: every system needs a string system_id")
@@ -449,7 +467,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
         for ds_id, score_path in raw_scores.items():
             if ds_id not in seen_ds:
                 raise ManifestError(f"{path}: system {sys_id!r} scores undeclared dataset {ds_id!r}")
-            score_paths[ds_id] = resolve(score_path)
+            score_paths[ds_id] = resolve(score_path, f"system {sys_id!r}: score path for {ds_id!r}")
         if not allow_gaps:
             gaps = seen_ds - set(score_paths)
             if gaps:
@@ -457,10 +475,13 @@ def load_manifest(path: str | Path) -> ArenaManifest:
                     f"{path}: system {sys_id!r} has no scores for: {_preview(gaps)} "
                     "(set options.allow_gaps to permit this)"
                 )
-        params = entry.get("param_count_millions")
-        if params is not None:
-            params = float(params)
-        systems.append(SystemSpec(sys_id, score_paths, polarity, params, entry.get("category")))
+        params, category = entry.get("param_count_millions"), entry.get("category")
+        if params is not None and (isinstance(params, bool) or not isinstance(params, (int, float))):
+            raise ManifestError(f"{path}: system {sys_id!r}: param_count_millions must be a number")
+        if category is not None and not isinstance(category, str):
+            raise ManifestError(f"{path}: system {sys_id!r}: category must be a string")
+        params = None if params is None else float(params)
+        systems.append(SystemSpec(sys_id, score_paths, polarity, params, category))
     if not systems:
         raise ManifestError(f"{path}: manifest declares no systems")
 
@@ -468,7 +489,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
         manifest_version=version,
         datasets=tuple(datasets),
         systems=tuple(systems),
-        output_dir=resolve(output_dir) if output_dir else None,
+        output_dir=resolve(output_dir, "options.output_dir") if output_dir else None,
         allow_gaps=allow_gaps,
         join_mode=join_mode,
         digest=digest,

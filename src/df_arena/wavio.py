@@ -60,6 +60,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
         data = path.read_bytes()
     except FileNotFoundError:
         raise AudioError(f"file not found: {path}")
+    except OSError as e:
+        raise AudioError(f"cannot read {path}: {e.strerror or e}")
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise AudioError(f"{path}: truncated header or not a RIFF/WAVE file")
 

@@ -137,6 +137,18 @@ class TestLeaderboard:
         assert len(doc["issues"]) == 1
         assert doc["issues"][0]["line_number"] == 2
 
+    def test_jobs_is_accepted_and_does_not_change_the_output(self, capsys, tmp_path):
+        manifest = build_arena(tmp_path)
+        base = ["leaderboard", "--manifest", str(manifest), "--format", "json"]
+        docs = []
+        for extra in ([], ["--jobs", "3"]):
+            code, out, _ = run_cli(capsys, base + extra)
+            assert code == 0
+            doc = json.loads(out)
+            del doc["run_id"], doc["timestamp"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     def test_missing_manifest_is_data_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["leaderboard", "--manifest", str(tmp_path / "none.json")])
         assert code == 1

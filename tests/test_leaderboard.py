@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from df_arena.errors import ManifestError
 from df_arena.leaderboard import (
+    RECORD_VERSION,
     RunRecord,
     SystemSummary,
     emit,
@@ -63,13 +65,6 @@ class TestEvaluateArena:
         assert a.summaries == b.summaries
         assert a.manifest_digest == b.manifest_digest
 
-    def test_parallel_equals_serial(self, arena_manifest_path):
-        manifest = load_manifest(arena_manifest_path)
-        serial = evaluate_arena(manifest, tool_version="test", jobs=1)
-        parallel = evaluate_arena(manifest, tool_version="test", jobs=4)
-        assert serial.reports == parallel.reports
-        assert serial.summaries == parallel.summaries
-
     def test_single_pair_arena(self, tmp_path):
         write_text(tmp_path / "p.txt", protocol_text(["b1", "b2"], ["s1", "s2"]))
         write_text(tmp_path / "s.txt", scores_text({"b1": 2.0, "b2": 3.0, "s1": 0.0, "s2": 1.0}))
@@ -113,6 +108,19 @@ class TestEvaluateArena:
         assert set(gapped.per_dataset_eer) == {"d1", "d3"}
         full = _summary(record, "sysB")
         assert full.pooled_eer is not None
+
+    def test_gap_error_wins_over_unreadable_score_file(self, tmp_path):
+        build_arena(tmp_path)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        del doc["systems"][2]["scores"]["d3"]  # the last pair evaluated
+        doc["options"]["allow_gaps"] = True
+        write_text(tmp_path / "m.json", json.dumps(doc))
+        manifest = dataclasses.replace(load_manifest(tmp_path / "m.json"), allow_gaps=False)
+        first = tmp_path / "scores" / "sysA_d1.txt"  # the first pair evaluated
+        first.unlink()
+        first.mkdir()
+        with pytest.raises(ManifestError, match="system 'sysC' has no scores for dataset 'd3'"):
+            evaluate_arena(manifest, tool_version="test")
 
 
 def _mk(system_id, avg, pooled, **kw):
@@ -276,6 +284,19 @@ class TestStore:
         assert len(issues) == 1
         assert issues[0].line_number == 2
         assert issues[0].byte_offset == first_len
+
+    def test_newer_record_version_reported_not_loaded(self, tmp_path, arena_record):
+        store = tmp_path / "runs.jsonl"
+        store_append(store, arena_record)
+        future = {**arena_record.to_dict(), "run_id": "future", "record_version": RECORD_VERSION + 98}
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(future) + "\n")
+        store_append(store, dataclasses.replace(arena_record, run_id="after"))
+        records, issues = store_list(store)
+        assert [r.run_id for r in records] == [arena_record.run_id, "after"]
+        assert len(issues) == 1
+        assert issues[0].line_number == 2
+        assert "record_version 99" in issues[0].reason
 
     def test_missing_store_is_empty(self, tmp_path):
         records, issues = store_list(tmp_path / "absent.jsonl")

@@ -1,3 +1,7 @@
+import json
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +18,7 @@ from df_arena.protocol import (
     parse_protocol,
     parse_scores,
     serialize_protocol,
+    serialize_scores,
 )
 
 from conftest import build_arena, write_text
@@ -72,26 +77,60 @@ class TestParseProtocol:
             parse_protocol(p, format="csv")
 
 
-trial_sets = st.builds(
-    lambda bona, spoof, tags: TrialSet(
-        "ds",
-        tuple(
-            Trial(f"t{i}", BONAFIDE if i < bona else SPOOF, tags[i] if i in tags else None)
-            for i in range(bona + spoof)
-        ),
-    ),
-    bona=st.integers(1, 8),
-    spoof=st.integers(1, 8),
-    tags=st.dictionaries(st.integers(0, 15), st.text("ABC0123", min_size=1, max_size=4), max_size=4),
+# Trial ids and tags: mostly plain tokens, plus any text at all (whitespace,
+# line breaks, a leading '#'), which the serialiser must refuse.
+tokens = st.text("ABC0123#-_\u00e9", min_size=1, max_size=4) | st.text(
+    st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6
 )
 
 
-@given(trial_sets)
-@settings(max_examples=50)
-def test_two_column_round_trip(tmp_path_factory, ts):
+def _writable(token: str, first: bool) -> bool:
+    return token.split() == [token] and not (first and token.startswith("#"))
+
+
+@given(
+    ids=st.lists(tokens, min_size=2, max_size=8, unique=True),
+    n_bona=st.integers(1, 7),
+    tags=st.lists(st.none() | tokens, min_size=8, max_size=8),
+)
+@settings(max_examples=150)
+def test_two_column_round_trip(tmp_path_factory, ids, n_bona, tags):
+    n_bona = min(n_bona, len(ids) - 1)
+    ts = TrialSet("ds", tuple(
+        Trial(t, BONAFIDE if i < n_bona else SPOOF, tags[i]) for i, t in enumerate(ids)
+    ))
+    if not all(_writable(t.trial_id, True) and (t.attack_tag is None or _writable(t.attack_tag, False))
+               for t in ts.trials):
+        with pytest.raises(ProtocolError, match="cannot be written"):
+            serialize_protocol(ts)
+        return
     path = tmp_path_factory.mktemp("rt") / "p.txt"
     path.write_text(serialize_protocol(ts), encoding="utf-8")
     assert parse_protocol(path, dataset_id="ds") == ts
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.dictionaries(tokens, finite | finite.map(np.float64) | st.integers(-10**6, 10**6).map(np.int64),
+                       max_size=8))
+@settings(max_examples=150)
+def test_score_round_trip(tmp_path_factory, mapping):
+    ss = ScoreSet("sys", "ds", "higher-is-bonafide", mapping)
+    if not all(_writable(k, True) for k in mapping):
+        with pytest.raises(ScoreFileError, match="cannot be written"):
+            serialize_scores(ss)
+        return
+    path = tmp_path_factory.mktemp("rt") / "s.txt"
+    path.write_text(serialize_scores(ss), encoding="utf-8")
+    parsed = parse_scores(path, system_id="sys", dataset_id="ds")
+    assert parsed.scores == {k: float(v) for k, v in mapping.items()}
+    assert all(type(v) is float for v in parsed.scores.values())
+
+
+def test_numpy_scores_serialize_as_plain_numbers():
+    ss = ScoreSet("sys", "ds", "higher-is-bonafide", {"t1": np.float64(0.5), "t2": np.float32(0.25)})
+    assert serialize_scores(ss) == "t1 0.5\nt2 0.25\n"
 
 
 class TestParseScores:
@@ -131,6 +170,15 @@ class TestParseScores:
     def test_missing_file_is_score_error(self, tmp_path):
         with pytest.raises(ScoreFileError, match="not found"):
             parse_scores(tmp_path / "nope.txt")
+
+    def test_directory_is_score_error(self, tmp_path):
+        with pytest.raises(ScoreFileError, match="cannot read"):
+            parse_scores(tmp_path)
+
+
+def test_directory_protocol_is_protocol_error(tmp_path):
+    with pytest.raises(ProtocolError, match="cannot read"):
+        parse_protocol(tmp_path)
 
 
 def _trials(*pairs):
@@ -288,3 +336,44 @@ class TestManifest:
         write_text(tmp_path / "bad.json", '{"manifest_version": 99}')
         with pytest.raises(ManifestError, match="manifest_version"):
             load_manifest(tmp_path / "bad.json")
+
+
+def _system(**fields):
+    return lambda doc: doc["systems"][0].update(fields)
+
+
+def _options(**fields):
+    return lambda doc: doc["options"].update(fields)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda doc: doc.update(datasets={d["dataset_id"]: d for d in doc["datasets"]}),
+                 "datasets must be a list of objects", id="datasets-object"),
+    pytest.param(lambda doc: doc["datasets"].__setitem__(1, "d2"),
+                 "datasets must be a list of objects", id="dataset-entry-string"),
+    pytest.param(lambda doc: doc["systems"].append(["sysD"]),
+                 "systems must be a list of objects", id="system-entry-list"),
+    pytest.param(lambda doc: doc["datasets"][0].update(protocol_path=5),
+                 "protocol_path must be a non-empty string", id="protocol-path-int"),
+    pytest.param(lambda doc: doc["datasets"][0].pop("protocol_path"),
+                 "protocol_path must be a non-empty string", id="protocol-path-missing"),
+    pytest.param(lambda doc: doc["systems"][0]["scores"].update(d1=["scores/sysA_d1.txt"]),
+                 "score path for 'd1' must be a non-empty string", id="score-path-list"),
+    pytest.param(_system(param_count_millions="big"), "param_count_millions must be a number", id="params-string"),
+    pytest.param(_system(param_count_millions=True), "param_count_millions must be a number", id="params-bool"),
+    pytest.param(_system(category=7), "category must be a string", id="category-int"),
+    pytest.param(_options(allow_gaps="no"), "allow_gaps must be true or false", id="allow-gaps-string"),
+    pytest.param(_options(allow_gaps=0), "allow_gaps must be true or false", id="allow-gaps-int"),
+    pytest.param(_options(output_dir=3), "output_dir must be a non-empty string", id="output-dir-int"),
+])
+def test_wrong_typed_manifest_field_is_manifest_error(tmp_path, mutate, message):
+    doc = json.loads(build_arena(tmp_path).read_text())
+    mutate(doc)
+    bad = write_text(tmp_path / "bad.json", json.dumps(doc))
+    with pytest.raises(ManifestError, match=re.escape(str(bad)) + ".*" + re.escape(message)):
+        load_manifest(bad)
+
+
+def test_manifest_directory_is_manifest_error(tmp_path):
+    with pytest.raises(ManifestError, match="cannot read manifest"):
+        load_manifest(tmp_path)

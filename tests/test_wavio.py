@@ -114,6 +114,11 @@ def test_missing_file(tmp_path):
         read_wav(tmp_path / "nope.wav")
 
 
+def test_directory_is_audio_error(tmp_path):
+    with pytest.raises(AudioError, match="cannot read"):
+        read_wav(tmp_path)
+
+
 def test_buffer_requires_16k():
     with pytest.raises(AudioError, match="16000"):
         AudioBuffer(np.zeros(10), 8000)
