@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from hashlib import blake2b
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AugmentError
-from .wavio import AudioBuffer, read_wav, rms, write_wav
+from .errors import AudioError, AugmentError
+from .wavio import AudioBuffer, decode_wav, read_wav, rms, write_wav
 
 ADDITIVE_CATEGORIES = ("noise", "music", "speech")
 CATEGORIES = ADDITIVE_CATEGORIES + ("reverb",)
@@ -190,21 +191,49 @@ def _list_wavs(directory: Path, recursive: bool) -> list[Path]:
     return sorted(files, key=lambda p: p.relative_to(directory).as_posix())
 
 
+class _SourceTable:
+    """The run's interferers/RIRs, each decoded at most once, on first draw.
+
+    Entries hold the stored-width samples and their scale (see
+    ``decode_wav``), or the AudioError the decode raised, which is raised
+    again for every file that draws that source. Safe to share between the
+    run's worker threads.
+    """
+
+    def __init__(self, root: Path, paths: list[Path]):
+        self.root = root
+        self.paths = paths
+        self._locks = {p: threading.Lock() for p in paths}
+        self._decoded: dict[Path, tuple[np.ndarray, float] | AudioError] = {}
+
+    def decode(self, path: Path) -> tuple[np.ndarray, float]:
+        with self._locks[path]:
+            if path not in self._decoded:
+                try:
+                    self._decoded[path] = decode_wav(path)
+                except AudioError as e:
+                    self._decoded[path] = e
+            entry = self._decoded[path]
+        if isinstance(entry, AudioError):
+            raise AudioError(str(entry))  # one exception per file: threads share no traceback
+        return entry
+
+
 def _process_one(
-    in_path: Path, out_dir: Path, spec: AugmentSpec, sources: list[Path], source_root: Path
+    in_path: Path, out_dir: Path, spec: AugmentSpec, sources: _SourceTable
 ) -> FileOutcome:
     trial_id = in_path.stem
     seed = file_seed(spec.seed, trial_id)
     rng = np.random.default_rng(seed)
     # Draw order is fixed: source index, then SNR (additive only), then offset.
-    src = sources[int(rng.integers(0, len(sources)))]
-    source_rel = src.relative_to(source_root).as_posix()
+    src = sources.paths[int(rng.integers(0, len(sources.paths)))]
+    source_rel = src.relative_to(sources.root).as_posix()
     clean = read_wav(in_path)
     out_path = out_dir / in_path.name
 
     if spec.category == "reverb":
-        rir = read_wav(src)
-        wet = reverberate(clean, rir)
+        taps, tap_scale = sources.decode(src)
+        wet = reverberate(clean, AudioBuffer(taps.astype(np.float64) * tap_scale))
         samples, scale = _apply_clip_policy(wet.samples, spec.clip_policy)
         write_wav(out_path, AudioBuffer(samples, clean.sample_rate))
         return FileOutcome(
@@ -219,11 +248,13 @@ def _process_one(
 
     low, high = spec.snr_range_db
     snr_db = float(rng.uniform(low, high))
-    interferer = read_wav(src)
+    stored, stored_scale = sources.decode(src)
     n = len(clean)
-    span = interferer.samples.size - n + 1 if interferer.samples.size >= n else interferer.samples.size
+    span = stored.size - n + 1 if stored.size >= n else stored.size
     offset = int(rng.integers(0, max(1, span)))
-    fitted = _fit_length(interferer.samples, n, offset)
+    # Only the n mixed samples are converted; elementwise this equals
+    # fitting the fully converted source.
+    fitted = _fit_length(stored, n, offset).astype(np.float64) * stored_scale
     mixed, gain, scale = _mix(clean.samples, fitted, snr_db, spec.clip_policy)
     realized = 20.0 * math.log10(rms(clean.samples) / rms(gain * fitted))
     write_wav(out_path, AudioBuffer(mixed, clean.sample_rate))
@@ -270,10 +301,11 @@ def augment_corpus(
     if jobs < 1:
         raise AugmentError(f"jobs must be >= 1, got {jobs}")
     out_dir.mkdir(parents=True, exist_ok=True)
+    table = _SourceTable(spec.source_dir, sources)
 
     def work(p: Path):
         try:
-            return _process_one(p, out_dir, spec, sources, spec.source_dir), None
+            return _process_one(p, out_dir, spec, table), None
         except Exception as e:  # collected per file; the run continues
             return None, (str(p), f"{type(e).__name__}: {e}")
 

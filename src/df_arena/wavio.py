@@ -49,11 +49,14 @@ def rms(x: np.ndarray | AudioBuffer) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
-def read_wav(path: str | Path) -> AudioBuffer:
-    """Read a mono 16 kHz PCM16/float32 WAV file.
+def decode_wav(path: str | Path) -> tuple[np.ndarray, float]:
+    """Decode a mono 16 kHz PCM16/float32 WAV file at its stored width.
 
-    Raises AudioError for any other rate, channel count, or codec; callers
-    are expected to convert offline rather than rely on hidden resampling.
+    Returns ``(samples, scale)``: a read-only ``<i2`` (PCM16) or ``<f4``
+    (float32) array and the factor that maps it to full-scale floats, so
+    ``samples.astype(np.float64) * scale`` is what :func:`read_wav` returns.
+    Validates exactly what ``read_wav`` does; float32 payloads are scanned
+    for non-finite values, PCM16 ones need no scan.
     """
     path = Path(path)
     try:
@@ -101,18 +104,28 @@ def read_wav(path: str | Path) -> AudioBuffer:
     if audio_format == _FMT_PCM:
         if bits != 16:
             raise AudioError(f"{path}: PCM must be 16-bit, got {bits}-bit")
-        usable = len(payload) - (len(payload) % 2)
-        samples = np.frombuffer(payload[:usable], dtype="<i2").astype(np.float64) / 32768.0
+        dtype, scale = "<i2", 1.0 / 32768.0  # a power of two: * scale == / 32768
     else:
         if bits != 32:
             raise AudioError(f"{path}: IEEE float must be 32-bit, got {bits}-bit")
-        usable = len(payload) - (len(payload) % 4)
-        samples = np.frombuffer(payload[:usable], dtype="<f4").astype(np.float64)
+        dtype, scale = "<f4", 1.0
+    usable = len(payload) - (len(payload) % np.dtype(dtype).itemsize)
+    samples = np.frombuffer(payload[:usable], dtype=dtype)
     if samples.size == 0:
         raise AudioError(f"{path}: empty data chunk")
-    if not np.all(np.isfinite(samples)):
+    if audio_format == _FMT_IEEE_FLOAT and not np.all(np.isfinite(samples)):
         raise AudioError(f"{path}: non-finite samples")
-    return AudioBuffer(samples, sample_rate)
+    return samples, scale
+
+
+def read_wav(path: str | Path) -> AudioBuffer:
+    """Read a mono 16 kHz PCM16/float32 WAV file as float64 samples.
+
+    Raises AudioError for any other rate, channel count, or codec; callers
+    are expected to convert offline rather than rely on hidden resampling.
+    """
+    samples, scale = decode_wav(path)
+    return AudioBuffer(samples.astype(np.float64) * scale)
 
 
 def write_wav(path: str | Path, buffer: AudioBuffer) -> None:

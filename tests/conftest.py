@@ -1,3 +1,4 @@
+import struct
 import sys
 from pathlib import Path
 
@@ -182,3 +183,25 @@ def build_interferer_dir(root: Path, n_files=2, seconds=0.6, amplitude=0.1, seed
     for i in range(n_files):
         write_wav(sub / f"noise{i:03d}.wav", make_noise(seconds, amplitude, seed + i))
     return root
+
+
+def wav_bytes(samples_bytes, *, fmt=1, channels=1, rate=16000, bits=16):
+    """A canonical 44-byte-header WAV file around a raw payload."""
+    block = channels * bits // 8
+    header = b"".join(
+        [
+            b"RIFF",
+            struct.pack("<I", 36 + len(samples_bytes)),
+            b"WAVE",
+            b"fmt ",
+            struct.pack("<IHHIIHH", 16, fmt, channels, rate, rate * block, block, bits),
+            b"data",
+            struct.pack("<I", len(samples_bytes)),
+        ]
+    )
+    return header + samples_bytes
+
+
+def write_float32_wav(path: Path, buffer: AudioBuffer) -> None:
+    """Write IEEE float 32-bit mono (write_wav only writes PCM16)."""
+    path.write_bytes(wav_bytes(buffer.samples.astype("<f4").tobytes(), fmt=3, bits=32))

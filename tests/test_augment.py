@@ -1,11 +1,15 @@
 import json
 import math
+import threading
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import df_arena.augment as augment
 from df_arena.augment import (
     AugmentSpec,
     augment_corpus,
@@ -13,10 +17,17 @@ from df_arena.augment import (
     mix_at_snr,
     reverberate,
 )
-from df_arena.errors import AugmentError
-from df_arena.wavio import AudioBuffer, read_wav, rms
+from df_arena.errors import AudioError, AugmentError
+from df_arena.wavio import AudioBuffer, read_wav, rms, write_wav
 
-from conftest import build_interferer_dir, build_wav_corpus, make_noise, make_tone
+from conftest import (
+    build_interferer_dir,
+    build_wav_corpus,
+    make_noise,
+    make_tone,
+    wav_bytes,
+    write_float32_wav,
+)
 from oracles import rms_by_hand
 
 
@@ -215,8 +226,6 @@ class TestAugmentCorpus:
         in_dir = build_wav_corpus(tmp_path / "in", n_files=2, seconds=0.5)
         rir_dir = tmp_path / "rirs"
         rir_dir.mkdir()
-        from df_arena.wavio import write_wav
-
         write_wav(rir_dir / "room0.wav", make_noise(seconds=0.05, amplitude=0.4, seed=21))
         spec = AugmentSpec("reverb", rir_dir, seed=5)
         summary = augment_corpus(in_dir, tmp_path / "out", spec)
@@ -245,3 +254,128 @@ class TestAugmentCorpus:
             assert not summary.failures
             for e in summary.entries:
                 assert len(read_wav(e.output_path)) == len(read_wav(e.input_path))
+
+
+def _write_source(path, buffer, stored):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if stored == "float32":
+        write_float32_wav(path, buffer)
+    else:
+        write_wav(path, buffer)
+
+
+def _outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.suffix == ".wav"}
+
+
+class TestDecodeOnceEquivalence:
+    """Outputs equal the public full-decode path, recomputed from the manifest."""
+
+    @pytest.mark.parametrize("stored", ["pcm16", "float32"])
+    @pytest.mark.parametrize("policy", ["peak-normalize", "hard-clip"])
+    @pytest.mark.parametrize("category", ["noise", "music", "speech"])
+    def test_additive_outputs_equal_full_decode_mix(self, tmp_path, category, policy, stored):
+        # 0.25 s utterances loud enough to clip at low SNR; one source longer
+        # than an utterance (crop), one exactly as long, one shorter (loop).
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=10, seconds=0.25, amplitude=0.8)
+        src = tmp_path / "src"
+        for name, seconds, seed in (("crop", 0.6, 31), ("equal", 0.25, 32), ("loop", 0.05, 33)):
+            _write_source(src / "sub" / f"{name}.wav", make_noise(seconds, 0.3, seed), stored)
+        spec = AugmentSpec(category, src, seed=5, clip_policy=policy)
+        for jobs in (1, 4):
+            out = tmp_path / f"out{jobs}"
+            summary = augment_corpus(in_dir, out, spec, jobs=jobs)
+            assert not summary.failures and summary.n_processed == 10
+            for e in summary.entries:
+                expected = tmp_path / "expected.wav"
+                write_wav(
+                    expected,
+                    mix_at_snr(
+                        read_wav(e.input_path),
+                        read_wav(src / e.source_file),
+                        e.snr_db,
+                        policy,
+                        offset=e.loop_offset,
+                    ),
+                )
+                assert (out / Path(e.output_path).name).read_bytes() == expected.read_bytes()
+        drawn = {e.source_file for e in summary.entries}
+        assert drawn == {"sub/crop.wav", "sub/equal.wav", "sub/loop.wav"}
+        assert any(e.scale != 1.0 for e in summary.entries) == (policy == "peak-normalize")
+        assert _outputs(tmp_path / "out1") == _outputs(tmp_path / "out4")
+
+    @pytest.mark.parametrize("stored", ["pcm16", "float32"])
+    @pytest.mark.parametrize("policy", ["peak-normalize", "hard-clip"])
+    def test_reverb_outputs_equal_full_decode_reverberate(self, tmp_path, policy, stored):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=6, seconds=0.25, amplitude=0.9)
+        src = tmp_path / "rirs"
+        _write_source(src / "long.wav", make_noise(0.05, 0.4, 41), stored)  # FFT path
+        _write_source(src / "short.wav", make_noise(0.01, 0.4, 42), stored)  # direct path
+        spec = AugmentSpec("reverb", src, seed=8, clip_policy=policy)
+        for jobs in (1, 4):
+            out = tmp_path / f"out{jobs}"
+            summary = augment_corpus(in_dir, out, spec, jobs=jobs)
+            assert not summary.failures and summary.n_processed == 6
+            for e in summary.entries:
+                wet = reverberate(read_wav(e.input_path), read_wav(src / e.rir_id)).samples
+                peak = float(np.max(np.abs(wet)))
+                if policy == "peak-normalize" and peak > 1.0:
+                    assert e.scale == 1.0 / peak
+                else:
+                    assert e.scale == 1.0
+                expected = tmp_path / "expected.wav"
+                write_wav(expected, AudioBuffer(wet * e.scale))  # write_wav clamps hard-clip
+                assert (out / Path(e.output_path).name).read_bytes() == expected.read_bytes()
+        assert {e.rir_id for e in summary.entries} == {"long.wav", "short.wav"}
+        assert _outputs(tmp_path / "out1") == _outputs(tmp_path / "out4")
+
+
+class TestSourceFailures:
+    """A bad source fails exactly the files that draw it, each decoded once."""
+
+    @pytest.mark.parametrize("category", ["noise", "reverb"])
+    @pytest.mark.parametrize("defect", ["truncated chunk", "float32 NaN"])
+    def test_bad_source_fails_only_its_draws(self, tmp_path, monkeypatch, category, defect):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=12, seconds=0.25)
+        src = tmp_path / "src"
+        src.mkdir()
+        write_wav(src / "a_good.wav", make_noise(0.1, 0.2, 51))
+        bad = src / "b_bad.wav"
+        if defect == "truncated chunk":
+            bad.write_bytes(wav_bytes(b"\x01\x00" * 800)[:-100])
+        else:
+            nan_payload = np.array([0.1, np.nan, 0.2], dtype="<f4").tobytes()
+            bad.write_bytes(wav_bytes(nan_payload, fmt=3, bits=32))
+        with pytest.raises(AudioError) as info:
+            read_wav(bad)
+        reason = f"AudioError: {info.value}"
+        assert str(bad) in reason
+
+        # Which files draw the bad source follows from the first draw alone.
+        spec = AugmentSpec(category, src, seed=21)
+        inputs = sorted(in_dir.iterdir())
+        draws_bad = {
+            str(p)
+            for p in inputs
+            if np.random.default_rng(file_seed(spec.seed, p.stem)).integers(0, 2) == 1
+        }
+        assert 0 < len(draws_bad) < len(inputs)
+
+        decode_wav = augment.decode_wav
+        for jobs in (1, 4):
+            decoded = []
+            lock = threading.Lock()
+
+            def counting_decode(path):
+                with lock:
+                    decoded.append(path)
+                return decode_wav(path)
+
+            monkeypatch.setattr(augment, "decode_wav", counting_decode)
+            summary = augment_corpus(in_dir, tmp_path / f"out{jobs}", spec, jobs=jobs)
+            assert max(Counter(decoded).values()) == 1
+            assert set(decoded) == {src / "a_good.wav", bad}
+            assert dict(summary.failures) == {p: reason for p in draws_bad}
+            assert {e.input_path for e in summary.entries} == {str(p) for p in inputs} - draws_bad
+        assert _outputs(tmp_path / "out1") == _outputs(tmp_path / "out4")
+        assert len(_outputs(tmp_path / "out1")) == len(inputs) - len(draws_bad)

@@ -2,28 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from df_arena.errors import AudioError
-from df_arena.wavio import AudioBuffer, read_wav, rms, write_wav
+from df_arena.wavio import AudioBuffer, decode_wav, read_wav, rms, write_wav
 
-from conftest import make_tone
+from conftest import make_tone, wav_bytes
 from oracles import rms_by_hand
-
-
-def _wav_bytes(samples_bytes, *, fmt=1, channels=1, rate=16000, bits=16):
-    block = channels * bits // 8
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + len(samples_bytes)),
-            b"WAVE",
-            b"fmt ",
-            struct.pack("<IHHIIHH", 16, fmt, channels, rate, rate * block, block, bits),
-            b"data",
-            struct.pack("<I", len(samples_bytes)),
-        ]
-    )
-    return header + samples_bytes
 
 
 def test_one_second_pcm16(tmp_path):
@@ -37,7 +23,7 @@ def test_one_second_pcm16(tmp_path):
 def test_pcm16_scaling_and_round_trip(tmp_path):
     path = tmp_path / "t.wav"
     raw = np.array([0, 16384, -16384, 32767, -32768], dtype="<i2")
-    path.write_bytes(_wav_bytes(raw.tobytes()))
+    path.write_bytes(wav_bytes(raw.tobytes()))
     buf = read_wav(path)
     assert np.array_equal(buf.samples, raw.astype(np.float64) / 32768.0)
     assert buf.samples.min() >= -1.0
@@ -61,28 +47,28 @@ def test_write_read_stability_after_first_quantization(tmp_path):
 def test_float32_supported(tmp_path):
     path = tmp_path / "f.wav"
     values = np.array([0.0, 0.5, -0.25, 1.0, -1.0], dtype="<f4")
-    path.write_bytes(_wav_bytes(values.tobytes(), fmt=3, bits=32))
+    path.write_bytes(wav_bytes(values.tobytes(), fmt=3, bits=32))
     buf = read_wav(path)
     assert np.array_equal(buf.samples, values.astype(np.float64))
 
 
 def test_wrong_sample_rate_names_requirement(tmp_path):
     path = tmp_path / "w.wav"
-    path.write_bytes(_wav_bytes(b"\x00\x00" * 10, rate=44100))
+    path.write_bytes(wav_bytes(b"\x00\x00" * 10, rate=44100))
     with pytest.raises(AudioError, match="44100.*16000"):
         read_wav(path)
 
 
 def test_stereo_rejected(tmp_path):
     path = tmp_path / "w.wav"
-    path.write_bytes(_wav_bytes(b"\x00\x00\x00\x00" * 10, channels=2))
+    path.write_bytes(wav_bytes(b"\x00\x00\x00\x00" * 10, channels=2))
     with pytest.raises(AudioError, match="2 channels; mono required"):
         read_wav(path)
 
 
 def test_compressed_codec_rejected(tmp_path):
     path = tmp_path / "w.wav"
-    path.write_bytes(_wav_bytes(b"\x00\x00" * 10, fmt=85))  # MP3 format tag
+    path.write_bytes(wav_bytes(b"\x00\x00" * 10, fmt=85))  # MP3 format tag
     with pytest.raises(AudioError, match="unsupported codec"):
         read_wav(path)
 
@@ -96,7 +82,7 @@ def test_truncated_header_rejected(tmp_path):
 
 def test_truncated_data_chunk_rejected(tmp_path):
     path = tmp_path / "w.wav"
-    whole = _wav_bytes(b"\x00\x00" * 100)
+    whole = wav_bytes(b"\x00\x00" * 100)
     path.write_bytes(whole[:-20])
     with pytest.raises(AudioError, match="truncated"):
         read_wav(path)
@@ -141,3 +127,144 @@ def test_write_clamps_overrange(tmp_path):
 def test_rms_matches_plain_computation():
     tone = make_tone(seconds=0.01, amplitude=0.3)
     assert rms(tone) == pytest.approx(rms_by_hand(list(tone.samples)), abs=1e-12)
+
+
+def test_decode_wav_keeps_the_stored_width(tmp_path):
+    pcm = tmp_path / "p.wav"
+    raw = np.array([0, 1, -32768, 32767], dtype="<i2")
+    pcm.write_bytes(wav_bytes(raw.tobytes()))
+    samples, scale = decode_wav(pcm)
+    assert samples.dtype == np.dtype("<i2") and not samples.flags.writeable
+    assert np.array_equal(samples, raw)
+    assert scale == 1.0 / 32768.0
+    assert np.array_equal(samples.astype(np.float64) * scale, read_wav(pcm).samples)
+
+    flt = tmp_path / "f.wav"
+    values = np.array([0.25, -1.5, 3.0], dtype="<f4")
+    flt.write_bytes(wav_bytes(values.tobytes(), fmt=3, bits=32))
+    samples, scale = decode_wav(flt)
+    assert samples.dtype == np.dtype("<f4") and scale == 1.0
+    assert np.array_equal(samples, values)
+
+
+def test_float32_non_finite_rejected_by_both_readers(tmp_path):
+    path = tmp_path / "n.wav"
+    path.write_bytes(wav_bytes(np.array([0.0, np.nan], dtype="<f4").tobytes(), fmt=3, bits=32))
+    for reader in (read_wav, decode_wav):
+        with pytest.raises(AudioError, match="non-finite samples"):
+            reader(path)
+
+
+# WAV parser fuzzing: whatever the bytes, both readers either decode or raise
+# AudioError with the same message, and where they decode they agree.
+
+_MUTATIONS = (
+    "fmt fields",  # any codec, channel count, rate or width
+    "short fmt",  # fmt chunk cut below its 16 bytes
+    "data size",  # declared data size unrelated to the payload
+    "riff size",
+    "no fmt",
+    "no data",
+    "data first",
+    "trailing chunk",  # a chunk header or body cut off at the end of the file
+    "cut",  # the whole file truncated anywhere
+)
+
+
+def _chunk(chunk_id: bytes, body: bytes, declared: int | None = None) -> bytes:
+    size = len(body) if declared is None else declared
+    return chunk_id + struct.pack("<I", size) + body + b"\0" * (len(body) & 1)
+
+
+@st.composite
+def mutated_wavs(draw):
+    """(file bytes, expected float64 samples or None when a mutation applies)."""
+    mutations = draw(st.sets(st.sampled_from(_MUTATIONS), max_size=3))
+    is_float = draw(st.booleans())
+    tag, bits = (3, 32) if is_float else (1, 16)
+    channels, rate = 1, 16000
+    if "fmt fields" in mutations:
+        tag = draw(st.sampled_from([0, 1, 2, 3, 85, 0xFFFE]))
+        channels = draw(st.integers(0, 3))
+        rate = draw(st.sampled_from([0, 8000, 16000, 44100, 2**32 - 1]))
+        bits = draw(st.sampled_from([0, 8, 16, 24, 32, 64]))
+    fmt_body = struct.pack("<HHIIHH", tag, channels, rate, (rate * 2) % 2**32, 2, bits)
+    if "short fmt" in mutations:
+        fmt_body = fmt_body[: draw(st.integers(0, 15))]
+    elif draw(st.booleans()):
+        fmt_body += b"\0\0"  # WAVE_FORMAT_EX's cbSize, which the reader ignores
+
+    if is_float:
+        values = draw(st.lists(st.floats(width=32), min_size=0, max_size=40))
+        payload = np.array(values, dtype="<f4").tobytes() + draw(st.binary(max_size=3))
+    else:
+        payload = draw(st.binary(max_size=81))
+    declared = draw(st.integers(0, 2**32 - 1)) if "data size" in mutations else None
+
+    chunks = [_chunk(b"fmt ", fmt_body), _chunk(b"data", payload, declared)]
+    if "no fmt" in mutations:
+        chunks.pop(0)
+    elif "no data" in mutations:
+        chunks.pop()
+    elif "data first" in mutations:
+        chunks.reverse()
+    extra = _chunk(b"LIST", draw(st.binary(max_size=9)))  # odd sizes are padded
+    chunks.insert(draw(st.integers(0, len(chunks))), extra)
+    if "trailing chunk" in mutations:
+        tail = _chunk(b"junk", draw(st.binary(min_size=1, max_size=8)))
+        chunks.append(tail[: draw(st.integers(1, len(tail) - 1))])
+
+    body = b"WAVE" + b"".join(chunks)
+    riff_size = draw(st.integers(0, 2**32 - 1)) if "riff size" in mutations else len(body)
+    data = b"RIFF" + struct.pack("<I", riff_size) + body
+    if "cut" in mutations:
+        data = data[: draw(st.integers(0, len(data)))]
+
+    expected = None
+    if not mutations or mutations == {"riff size"}:  # the RIFF size is not read
+        dtype, scale = ("<f4", 1.0) if is_float else ("<i2", 1.0 / 32768.0)
+        usable = len(payload) - len(payload) % np.dtype(dtype).itemsize
+        expected = np.frombuffer(payload[:usable], dtype=dtype).astype(np.float64) * scale
+    return data, expected
+
+
+def _decode_both(path):
+    """read_wav's samples, or None if it raised; decode_wav must agree."""
+    try:
+        buf = read_wav(path)
+    except AudioError as e:
+        with pytest.raises(AudioError) as info:
+            decode_wav(path)
+        assert str(info.value) == str(e)
+        return None
+    samples, scale = decode_wav(path)
+    assert samples.dtype in (np.dtype("<i2"), np.dtype("<f4"))
+    assert np.array_equal(samples.astype(np.float64) * scale, buf.samples)
+    return buf.samples
+
+
+_FUZZ = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@given(st.binary(max_size=96) | st.binary(max_size=96).map(lambda b: b"RIFF\0\0\0\0WAVE" + b))
+@_FUZZ
+def test_random_bytes_raise_only_audio_error(tmp_path, data):
+    path = tmp_path / "fuzz.wav"
+    path.write_bytes(data)
+    _decode_both(path)
+
+
+@given(mutated_wavs())
+@_FUZZ
+def test_mutated_headers_raise_only_audio_error(tmp_path, case):
+    data, expected = case
+    path = tmp_path / "fuzz.wav"
+    path.write_bytes(data)
+    samples = _decode_both(path)
+    if expected is not None:
+        if expected.size == 0 or not np.all(np.isfinite(expected)):
+            assert samples is None
+        else:
+            assert np.array_equal(samples, expected)
