@@ -191,31 +191,44 @@ def _list_wavs(directory: Path, recursive: bool) -> list[Path]:
     return sorted(files, key=lambda p: p.relative_to(directory).as_posix())
 
 
+# Decoded sources are kept until they fill this many bytes; a source first
+# drawn after that is decoded again by every file that draws it.
+_SOURCE_CACHE_BYTES = 32 << 20
+
+
 class _SourceTable:
-    """The run's interferers/RIRs, each decoded at most once, on first draw.
+    """The run's interferers/RIRs, each decoded on first draw and kept while
+    the ``_SOURCE_CACHE_BYTES`` budget lasts.
 
     Entries hold the stored-width samples and their scale (see
-    ``decode_wav``), or the AudioError the decode raised, which is raised
-    again for every file that draws that source. Safe to share between the
-    run's worker threads.
+    ``decode_wav``), or the message of the AudioError the decode raised,
+    which is raised again for every file that draws that source. Safe to
+    share between the run's worker threads.
     """
 
     def __init__(self, root: Path, paths: list[Path]):
         self.root = root
         self.paths = paths
         self._locks = {p: threading.Lock() for p in paths}
-        self._decoded: dict[Path, tuple[np.ndarray, float] | AudioError] = {}
+        self._budget_lock = threading.Lock()
+        self._free_bytes = _SOURCE_CACHE_BYTES
+        self._kept: dict[Path, tuple[np.ndarray, float] | str] = {}
 
     def decode(self, path: Path) -> tuple[np.ndarray, float]:
         with self._locks[path]:
-            if path not in self._decoded:
+            entry = self._kept.get(path)
+            if entry is None:
                 try:
-                    self._decoded[path] = decode_wav(path)
+                    entry = decode_wav(path)
                 except AudioError as e:
-                    self._decoded[path] = e
-            entry = self._decoded[path]
-        if isinstance(entry, AudioError):
-            raise AudioError(str(entry))  # one exception per file: threads share no traceback
+                    entry = self._kept[path] = str(e)
+                else:
+                    with self._budget_lock:
+                        if entry[0].nbytes <= self._free_bytes:
+                            self._free_bytes -= entry[0].nbytes
+                            self._kept[path] = entry
+        if isinstance(entry, str):
+            raise AudioError(entry)
         return entry
 
 

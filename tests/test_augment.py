@@ -2,6 +2,7 @@ import json
 import math
 import threading
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -379,3 +380,51 @@ class TestSourceFailures:
             assert {e.input_path for e in summary.entries} == {str(p) for p in inputs} - draws_bad
         assert _outputs(tmp_path / "out1") == _outputs(tmp_path / "out4")
         assert len(_outputs(tmp_path / "out1")) == len(inputs) - len(draws_bad)
+
+
+class TestSourceBudget:
+    """Sources past the byte budget are decoded per draw; outputs do not change."""
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("kept_sources", [0, 1])
+    def test_sources_past_the_budget_are_decoded_per_draw(
+        self, tmp_path, monkeypatch, jobs, kept_sources
+    ):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=16, seconds=0.25)
+        src = tmp_path / "src"
+        src.mkdir()
+        for j in range(3):
+            write_wav(src / f"s{j}.wav", make_noise(0.5, 0.2, 60 + j))
+        (src / "t_bad.wav").write_bytes(wav_bytes(b"\x01\x00" * 800)[:-100])
+        spec = AugmentSpec("noise", src, seed=9)
+        reference = augment_corpus(in_dir, tmp_path / "ref", spec, jobs=jobs)
+
+        source_bytes = read_wav(src / "s0.wav").samples.size * 2  # stored as int16
+        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", kept_sources * source_bytes)
+        decode_wav = augment.decode_wav
+        decoded = []
+        lock = threading.Lock()
+
+        def counting_decode(path):
+            with lock:
+                decoded.append(path.name)
+            return decode_wav(path)
+
+        monkeypatch.setattr(augment, "decode_wav", counting_decode)
+        summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
+
+        assert _outputs(tmp_path / "out") == _outputs(tmp_path / "ref")
+        moved = [replace(e, output_path=str(tmp_path / "out" / Path(e.output_path).name))
+                 for e in reference.entries]
+        assert list(summary.entries) == moved
+        assert summary.failures == reference.failures
+        draws = Counter(e.source_file for e in summary.entries)
+        draws.update(Path(reason.split(": ")[1]).name for _, reason in summary.failures)
+        counts = Counter(decoded)
+        assert draws["t_bad.wav"] > 1 and counts["t_bad.wav"] == 1  # errors are always kept
+        good = [name for name in draws if name != "t_bad.wav"]
+        assert len(good) == 3  # every source is drawn at this seed
+        kept = [name for name in good if counts[name] < draws[name]]
+        assert len(kept) == (1 if kept_sources else 0)
+        assert all(counts[name] == 1 for name in kept)
+        assert all(counts[name] == draws[name] for name in good if name not in kept)
