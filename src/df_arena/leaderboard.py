@@ -9,9 +9,9 @@ line-delimited run store.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
-import tempfile
 import uuid
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -280,40 +280,27 @@ def emit(record: RunRecord, format: str, sort: str = "pooled_eer") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lock_path(store_path: Path) -> Path:
-    return store_path.with_name(store_path.name + ".lock")
-
-
 def store_append(store_path: str | Path, record: RunRecord) -> None:
-    """Append one record to the run store atomically (temp file + rename).
+    """Append one record to the run store as one fsynced line.
 
-    Holds an advisory lock on a sidecar lock file, so concurrent appenders
-    on the same host serialize instead of interleaving.
+    Writes under an exclusive lock on the store file, which ``store_list`` shares.
+    A torn last line left by a crash is closed first, so the new record reads back.
     """
-    import fcntl
-
     store_path = Path(store_path)
-    store_path.parent.mkdir(parents=True, exist_ok=True)
-    line = record.to_json() + "\n"
-    with open(_lock_path(store_path), "w") as lock_fh:
-        fcntl.flock(lock_fh, fcntl.LOCK_EX)
-        try:
-            existing = store_path.read_bytes() if store_path.exists() else b""
-            fd, tmp_name = tempfile.mkstemp(dir=store_path.parent, prefix=store_path.name, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as tmp:
-                    tmp.write(existing + line.encode("utf-8"))
-                    tmp.flush()
-                    os.fsync(tmp.fileno())
-                os.replace(tmp_name, store_path)
-            except BaseException:
-                if os.path.exists(tmp_name):
-                    os.unlink(tmp_name)
-                raise
-        except OSError as e:
-            raise StoreError(f"cannot append to store {store_path}: {e}") from e
-        finally:
-            fcntl.flock(lock_fh, fcntl.LOCK_UN)
+    line = (record.to_json() + "\n").encode("utf-8")
+    try:
+        store_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(store_path, "ab+") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            if fh.seek(0, os.SEEK_END) > 0:
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)
+            fh.flush()
+            os.fsync(fh.fileno())
+    except OSError as e:
+        raise StoreError(f"cannot append to store {store_path}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -324,22 +311,26 @@ class StoreIssue:
 
 
 def store_list(store_path: str | Path) -> tuple[list[RunRecord], list[StoreIssue]]:
-    """Read records in append order; corrupt lines become issues, not errors."""
+    """Read records in append order under a shared lock; corrupt lines become issues."""
     store_path = Path(store_path)
-    if not store_path.exists():
-        return [], []
     records: list[RunRecord] = []
     issues: list[StoreIssue] = []
     offset = 0
-    with open(store_path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line_offset = offset
-            offset += len(raw)
-            text = raw.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue
-            try:
-                records.append(RunRecord.from_json(text))
-            except (ValueError, KeyError, TypeError) as e:  # ValueError covers JSONDecodeError
-                issues.append(StoreIssue(lineno, line_offset, f"{type(e).__name__}: {e}"))
+    try:
+        with open(store_path, "rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_SH)
+            for lineno, raw in enumerate(fh, start=1):
+                line_offset = offset
+                offset += len(raw)
+                text = raw.decode("utf-8", errors="replace").strip()
+                if not text:
+                    continue
+                try:
+                    records.append(RunRecord.from_json(text))
+                except (ValueError, KeyError, TypeError, RecursionError) as e:  # incl. JSONDecodeError
+                    issues.append(StoreIssue(lineno, line_offset, f"{type(e).__name__}: {e}"))
+    except FileNotFoundError:
+        return [], []
+    except OSError as e:
+        raise StoreError(f"cannot read store {store_path}: {e}") from e
     return records, issues

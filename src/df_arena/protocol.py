@@ -10,6 +10,7 @@ import json
 import math
 import shlex
 import subprocess
+import sys
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
@@ -245,28 +246,23 @@ def join(trials: TrialSet, scores: ScoreSet, mode: str = "strict") -> JoinResult
         raise ValueError(f"unknown join mode {mode!r}")
     trial_ids = trials.trial_ids()
     score_ids = set(scores.scores)
-    if mode == "strict":
-        missing = trial_ids - score_ids
-        extra = score_ids - trial_ids
-        if missing or extra:
-            parts = []
-            if missing:
-                parts.append(f"missing: {_preview(missing)}")
-            if extra:
-                parts.append(f"extra: {_preview(extra)}")
-            raise JoinError(
-                f"strict join of scores {scores.system_id!r} against dataset "
-                f"{trials.dataset_id!r} failed; " + "; ".join(parts)
-            )
+    missing = trial_ids - score_ids
+    extra = score_ids - trial_ids
+    if mode == "strict" and (missing or extra):
+        parts = []
+        if missing:
+            parts.append(f"missing: {_preview(missing)}")
+        if extra:
+            parts.append(f"extra: {_preview(extra)}")
+        raise JoinError(
+            f"strict join of scores {scores.system_id!r} against dataset "
+            f"{trials.dataset_id!r} failed; " + "; ".join(parts)
+        )
     sign = -1.0 if scores.polarity == HIGHER_IS_SPOOF else 1.0
     rows = tuple(
         (t.label, sign * scores.scores[t.trial_id]) for t in trials.trials if t.trial_id in score_ids
     )
-    return JoinResult(
-        rows,
-        dropped_trials=len(trial_ids - score_ids),
-        dropped_scores=len(score_ids - trial_ids),
-    )
+    return JoinResult(rows, dropped_trials=len(missing), dropped_scores=len(extra))
 
 
 def run_external_scorer(
@@ -390,7 +386,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     digest = sha256(raw).hexdigest()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ManifestError(f"{path}: not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
@@ -476,7 +472,8 @@ def load_manifest(path: str | Path) -> ArenaManifest:
                     "(set options.allow_gaps to permit this)"
                 )
         params, category = entry.get("param_count_millions"), entry.get("category")
-        if params is not None and (isinstance(params, bool) or not isinstance(params, (int, float))):
+        if params is not None and (isinstance(params, bool) or not isinstance(params, (int, float))
+                                   or abs(params) > sys.float_info.max):
             raise ManifestError(f"{path}: system {sys_id!r}: param_count_millions must be a number")
         if category is not None and not isinstance(category, str):
             raise ManifestError(f"{path}: system {sys_id!r}: category must be a string")

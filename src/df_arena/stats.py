@@ -212,8 +212,17 @@ def load_matrix_csv(path) -> EerMatrix:
     """
     import csv
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = list(csv.reader(fh))
+    except FileNotFoundError:
+        raise StatError(f"file not found: {path}") from None
+    except UnicodeDecodeError as e:
+        raise StatError(f"{path} is not valid UTF-8: {e}") from None
+    except OSError as e:
+        raise StatError(f"cannot read {path}: {e.strerror or e}") from None
+    except csv.Error as e:
+        raise StatError(f"{path}: not valid CSV: {e}") from None
     rows = [r for r in reader if r and any(cell.strip() for cell in r)]
     if len(rows) < 2 or len(rows[0]) < 2:
         raise StatError(f"{path}: need a header row, an index column, and at least one data row")

@@ -1,11 +1,15 @@
 import dataclasses
+import fcntl
 import json
+import multiprocessing
+import os
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from df_arena.errors import ManifestError
+from df_arena.errors import ManifestError, StoreError
 from df_arena.leaderboard import (
     RECORD_VERSION,
     RunRecord,
@@ -301,3 +305,90 @@ class TestStore:
     def test_missing_store_is_empty(self, tmp_path):
         records, issues = store_list(tmp_path / "absent.jsonl")
         assert records == [] and issues == []
+
+    def test_append_grows_the_store_in_place(self, tmp_path, arena_record):
+        store = tmp_path / "runs.jsonl"
+        store_append(store, arena_record)
+        before_bytes, before_ino = store.read_bytes(), store.stat().st_ino
+        second = dataclasses.replace(arena_record, run_id="second")
+        store_append(store, second)
+        assert store.stat().st_ino == before_ino
+        assert store.read_bytes() == before_bytes + (second.to_json() + "\n").encode("utf-8")
+
+    def test_append_leaves_no_sidecar_files(self, tmp_path, arena_record):
+        store = tmp_path / "store" / "runs.jsonl"
+        store_append(store, arena_record)
+        store_append(store, dataclasses.replace(arena_record, run_id="second"))
+        assert os.listdir(store.parent) == ["runs.jsonl"]
+
+    def test_append_after_torn_tail_keeps_the_new_record(self, tmp_path, arena_record):
+        store = tmp_path / "runs.jsonl"
+        store_append(store, dataclasses.replace(arena_record, run_id="a"))
+        torn_at = store.stat().st_size
+        store_append(store, dataclasses.replace(arena_record, run_id="b"))
+        os.truncate(store, store.stat().st_size - 40)
+        store_append(store, dataclasses.replace(arena_record, run_id="c"))
+        records, issues = store_list(store)
+        assert [r.run_id for r in records] == ["a", "c"]
+        assert len(issues) == 1
+        assert (issues[0].line_number, issues[0].byte_offset) == (2, torn_at)
+
+    def test_parent_path_is_a_file_is_store_error(self, tmp_path, arena_record):
+        write_text(tmp_path / "not-a-dir", "x")
+        with pytest.raises(StoreError, match="not-a-dir"):
+            store_append(tmp_path / "not-a-dir" / "runs.jsonl", arena_record)
+
+    def test_unreadable_store_is_store_error(self, tmp_path):
+        with pytest.raises(StoreError, match="cannot read store"):
+            store_list(tmp_path)
+
+    def test_deeply_nested_line_is_an_issue(self, tmp_path, arena_record):
+        store = tmp_path / "runs.jsonl"
+        store_append(store, arena_record)
+        with open(store, "ab") as fh:
+            fh.write(b"[" * 200_000 + b"\n")
+        store_append(store, dataclasses.replace(arena_record, run_id="after"))
+        records, issues = store_list(store)
+        assert [r.run_id for r in records] == [arena_record.run_id, "after"]
+        assert [i.line_number for i in issues] == [2]
+        assert issues[0].reason.startswith("RecursionError")
+
+    def test_reader_waits_for_an_append_in_progress(self, tmp_path, arena_record):
+        store = tmp_path / "runs.jsonl"
+        store_append(store, arena_record)
+        line = (dataclasses.replace(arena_record, run_id="second").to_json() + "\n").encode("utf-8")
+        result = {}
+        with open(store, "ab") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            fh.write(line[:100])
+            fh.flush()
+            reader = threading.Thread(target=lambda: result.update(listed=store_list(store)))
+            reader.start()
+            reader.join(timeout=0.3)
+            assert reader.is_alive()
+            fh.write(line[100:])
+            fh.flush()
+            fcntl.flock(fh, fcntl.LOCK_UN)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        records, issues = result["listed"]
+        assert [r.run_id for r in records] == [arena_record.run_id, "second"]
+        assert not issues
+
+    def test_concurrent_appenders_lose_nothing(self, tmp_path, arena_record):
+        store = tmp_path / "runs.jsonl"
+        ctx = multiprocessing.get_context("spawn")
+        procs = [ctx.Process(target=_append_five, args=(store, arena_record, w)) for w in range(4)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=120)
+        assert all(not p.is_alive() and p.exitcode == 0 for p in procs)
+        records, issues = store_list(store)
+        assert not issues
+        assert sorted(r.run_id for r in records) == sorted(f"w{w}-{i}" for w in range(4) for i in range(5))
+
+
+def _append_five(store, record, worker):
+    for i in range(5):
+        store_append(store, dataclasses.replace(record, run_id=f"w{worker}-{i}"))

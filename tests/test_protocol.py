@@ -3,12 +3,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from df_arena.errors import JoinError, ManifestError, ProtocolError, ScoreFileError
 from df_arena.protocol import (
     BONAFIDE,
+    DEFAULT_LABEL_ALIASES,
     SPOOF,
     ScoreSet,
     Trial,
@@ -361,6 +362,7 @@ def _options(**fields):
                  "score path for 'd1' must be a non-empty string", id="score-path-list"),
     pytest.param(_system(param_count_millions="big"), "param_count_millions must be a number", id="params-string"),
     pytest.param(_system(param_count_millions=True), "param_count_millions must be a number", id="params-bool"),
+    pytest.param(_system(param_count_millions=10**400), "param_count_millions must be a number", id="params-huge"),
     pytest.param(_system(category=7), "category must be a string", id="category-int"),
     pytest.param(_options(allow_gaps="no"), "allow_gaps must be true or false", id="allow-gaps-string"),
     pytest.param(_options(allow_gaps=0), "allow_gaps must be true or false", id="allow-gaps-int"),
@@ -377,3 +379,181 @@ def test_wrong_typed_manifest_field_is_manifest_error(tmp_path, mutate, message)
 def test_manifest_directory_is_manifest_error(tmp_path):
     with pytest.raises(ManifestError, match="cannot read manifest"):
         load_manifest(tmp_path)
+
+
+# Fuzzing: malformed input of any kind must fail as the parser's own
+# ArenaError subclass naming the file, never as a bare Python exception.
+
+_PARSERS = (
+    (parse_protocol, ProtocolError),
+    (lambda p: parse_protocol(p, format="asvspoof"), ProtocolError),
+    (parse_scores, ScoreFileError),
+    (load_manifest, ManifestError),
+)
+
+# Fragments that reach past UTF-8 decoding and tokenising into the checks.
+_fragments = st.sampled_from([
+    "t1", "t2", "bonafide", "spoof", "Fake", "-", "0.5", "-3e2", "nan", "inf", "1e999", "x",
+    "#", " ", "\t", "\n", "\r\n", "\x0c", "\u2028", "\u00e9", "{", "}", "[", "]", '"', ":", ",",
+])
+
+
+@given(st.binary(max_size=300) | st.lists(_fragments, max_size=60).map(lambda f: "".join(f).encode("utf-8")))
+@settings(max_examples=300)
+def test_random_input_raises_only_the_parser_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_bytes(data)
+    for parse, error_cls in _PARSERS:
+        try:
+            parse(path)
+        except error_cls as e:
+            assert str(path) in str(e)
+
+
+_ALIASES = {k.lower() for k in DEFAULT_LABEL_ALIASES}
+_ids = st.lists(st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True), min_size=2, max_size=10, unique=True)
+_printable = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8)
+_bad_label = _printable.filter(lambda t: t.lower() not in _ALIASES)
+
+
+def _not_a_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return False
+
+
+def _line_error(path, lineno):
+    return re.escape(f"{path}: line {lineno}:")
+
+
+@st.composite
+def _mutated_protocol(draw, fmt):
+    """A valid protocol with one bad line; returns (text, 1-based line of the bad line)."""
+    two_column = fmt == "two-column"
+    id_at, label_at = (0, 1) if two_column else (1, -1)
+    rows = []
+    for trial_id in draw(_ids):
+        label = draw(st.sampled_from(sorted(_ALIASES)))
+        if two_column:
+            rows.append([trial_id, label] + draw(st.lists(_printable, max_size=1)))
+        else:
+            rows.append(["SPK", trial_id, "-", draw(st.sampled_from(["-", "A01", "A17"])), label])
+    k = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(["drop", "extra", "label", "duplicate"] if k else ["drop", "extra", "label"]))
+    if kind == "drop":
+        rows[k] = rows[k][:draw(st.integers(1, 1 if two_column else 4))]
+    elif kind == "extra" and two_column:
+        rows[k] = rows[k][:2] + draw(st.lists(_printable, min_size=2, max_size=4))
+    elif kind == "extra":
+        rows[k].append(draw(_bad_label))  # the last column is the label
+    elif kind == "label":
+        rows[k][label_at] = draw(_bad_label)
+    else:
+        rows[k][id_at] = rows[draw(st.integers(0, k - 1))][id_at]
+    prefix = draw(st.lists(st.sampled_from(["", "# header", "   "]), max_size=3))
+    lines = prefix + [" ".join(r) for r in rows]
+    return "\n".join(lines) + "\n", len(prefix) + k + 1
+
+
+@pytest.mark.parametrize("fmt", ["two-column", "asvspoof"])
+@given(data=st.data())
+@settings(max_examples=150)
+def test_mutated_protocol_names_the_bad_line(tmp_path_factory, fmt, data):
+    text, lineno = data.draw(_mutated_protocol(fmt))
+    path = tmp_path_factory.mktemp("fuzz") / "p.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ProtocolError, match=_line_error(path, lineno)):
+        parse_protocol(path, format=fmt)
+
+
+@st.composite
+def _mutated_scores(draw):
+    """A valid score file with one bad line; returns (text, 1-based line of the bad line)."""
+    ids = draw(_ids)
+    rows = [[trial_id, repr(draw(finite))] for trial_id in ids]
+    k = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(["drop", "extra", "non-numeric", "non-finite", "duplicate"] if k
+                                else ["drop", "extra", "non-numeric", "non-finite"]))
+    if kind == "drop":
+        rows[k] = rows[k][:1]
+    elif kind == "extra":
+        rows[k] = rows[k] + draw(st.lists(_printable, min_size=1, max_size=3))
+    elif kind == "non-numeric":
+        rows[k][1] = draw(_printable.filter(_not_a_float))
+    elif kind == "non-finite":
+        rows[k][1] = draw(st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "1e999", "-1e400"]))
+    else:
+        rows[k][0] = rows[draw(st.integers(0, k - 1))][0]
+    prefix = draw(st.lists(st.sampled_from(["", "# scores", "   "]), max_size=3))
+    lines = prefix + [" ".join(r) for r in rows]
+    return "\n".join(lines) + "\n", len(prefix) + k + 1
+
+
+@given(data=_mutated_scores())
+@settings(max_examples=150)
+def test_mutated_scores_name_the_bad_line(tmp_path_factory, data):
+    text, lineno = data
+    path = tmp_path_factory.mktemp("fuzz") / "s.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ScoreFileError, match=_line_error(path, lineno)):
+        parse_scores(path)
+
+
+_BASE_MANIFEST = {
+    "manifest_version": 1,
+    "options": {"default_polarity": "higher-is-bonafide", "join_mode": "strict", "allow_gaps": False,
+                "output_dir": "out"},
+    "datasets": [{"dataset_id": "d1", "protocol_path": "d1.txt", "format": "two-column"},
+                 {"dataset_id": "d2", "protocol_path": "d2.txt"}],
+    "systems": [{"system_id": "sysA", "param_count_millions": 1.5, "category": "open-source",
+                 "polarity": "higher-is-spoof", "scores": {"d1": "a1.txt", "d2": "a2.txt"}},
+                {"system_id": "sysB", "scores": {"d1": "b1.txt", "d2": "b2.txt"}}],
+}
+
+
+def _locations(node, here=()):
+    yield here
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _locations(child, here + (key,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_DEEP = "__deep__"
+
+
+@given(
+    where=st.sampled_from(list(_locations(_BASE_MANIFEST))[1:]),
+    value=_json_values | st.just(10**400) | st.just(_DEEP) | st.just(KeyError),
+)
+@example(where=("systems", 0, "param_count_millions"), value=10**400)
+@example(where=("options",), value=_DEEP)
+@settings(max_examples=300)
+def test_mutated_manifest_raises_only_manifest_error(tmp_path_factory, where, value):
+    doc = json.loads(json.dumps(_BASE_MANIFEST))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if value is KeyError:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    text = json.dumps(doc).replace(json.dumps(_DEEP), "[" * 100_000 + "]" * 100_000)
+    path = tmp_path_factory.mktemp("fuzz") / "manifest.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        load_manifest(path)
+    except ManifestError as e:
+        assert str(path) in str(e)
+
+
+def test_deeply_nested_manifest_is_manifest_error(tmp_path):
+    path = write_text(tmp_path / "deep.json", "[" * 200_000)
+    with pytest.raises(ManifestError, match=re.escape(f"{path}: not valid JSON")):
+        load_manifest(path)

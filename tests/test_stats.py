@@ -329,6 +329,26 @@ class TestEerMatrix:
             load_matrix_csv(p)
 
 
+    def test_missing_csv_is_stat_error(self, tmp_path):
+        with pytest.raises(StatError, match="file not found: .*absent.csv"):
+            load_matrix_csv(tmp_path / "absent.csv")
+
+    def test_directory_csv_is_stat_error(self, tmp_path):
+        with pytest.raises(StatError, match="cannot read "):
+            load_matrix_csv(tmp_path)
+
+    def test_non_utf8_csv_is_stat_error(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"sys,d1\na\xff,0.1\n")
+        with pytest.raises(StatError, match="m.csv is not valid UTF-8"):
+            load_matrix_csv(p)
+
+    def test_oversized_csv_field_is_stat_error(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text('sys,d1\na,"' + "1" * 200_000 + '"\n', encoding="utf-8")
+        with pytest.raises(StatError, match="m.csv: not valid CSV"):
+            load_matrix_csv(p)
+
 class TestCorrelateMatrix:
     def test_columns_equal_average_give_ones(self):
         col = [0.1, 0.2, 0.4]
