@@ -146,7 +146,7 @@ def cmd_eval(args) -> int:
     if joined.dropped_trials or joined.dropped_scores:
         log.info("intersect join dropped %d trials and %d scores",
                  joined.dropped_trials, joined.dropped_scores)
-    report = evaluate(joined.rows, scores.system_id, trials.dataset_id,
+    report = evaluate(joined, scores.system_id, trials.dataset_id,
                       decision_threshold=args.threshold)
     _write_payload(json.dumps(dataclasses.asdict(report), indent=2) + "\n", args.out)
     return 0
@@ -159,9 +159,9 @@ def cmd_pool(args) -> int:
         trials = parse_protocol(protocol_path, args.protocol_format)
         scores = parse_scores(score_path, polarity=args.polarity)
         joined = join(trials, scores, mode=args.mode)
-        joined_sets.append(joined.rows)
-        n_bona += sum(1 for label, _ in joined.rows if label == "bonafide")
-        n_spoof += sum(1 for label, _ in joined.rows if label == "spoof")
+        joined_sets.append(joined)
+        n_bona += int(joined.is_bonafide.sum())
+        n_spoof += int((~joined.is_bonafide).sum())
     value, threshold = pooled_eer(joined_sets)
     payload = {
         "pooled_eer": value,

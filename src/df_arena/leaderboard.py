@@ -2,9 +2,9 @@
 
 A run evaluates every (system, dataset) pair in the manifest, derives one
 SystemSummary per system (average EER over its datasets plus pooled EER
-over the concatenation of all its joined rows), and wraps everything in a
-RunRecord that can be rendered (markdown/csv/json) or appended to a
-line-delimited run store.
+over the concatenation of all its joined label/score arrays), and wraps
+everything in a RunRecord that can be rendered (markdown/csv/json) or
+appended to a line-delimited run store.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0") -> RunRecor
 
     Every protocol is parsed and dataset coverage is checked before any
     score file is read. Pairs are then evaluated one at a time, system-major
-    in manifest order; a system's joined rows are kept only until its pooled
-    EER is computed. Output is deterministic for fixed inputs up to run_id
-    and timestamp.
+    in manifest order; a system's joined label/score arrays are kept only
+    until its pooled EER is computed. Output is deterministic for fixed
+    inputs up to run_id and timestamp.
     """
     trial_sets = {}
     for d in manifest.datasets:
@@ -130,7 +130,7 @@ def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0") -> RunRecor
     summaries = []
     for system in manifest.systems:
         own_reports = []
-        own_rows = []
+        own_joined = []
         gaps = []
         for dataset_id in manifest.dataset_ids():
             if dataset_id not in system.score_paths:
@@ -140,16 +140,16 @@ def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0") -> RunRecor
                 scores = parse_scores(system.score_paths[dataset_id], polarity=system.polarity,
                                       system_id=system.system_id, dataset_id=dataset_id)
                 joined = join(trial_sets[dataset_id], scores, mode=manifest.join_mode)
-                own_reports.append(evaluate(joined.rows, system.system_id, dataset_id))
+                own_reports.append(evaluate(joined, system.system_id, dataset_id))
             except ArenaError as e:
                 raise type(e)(f"system {system.system_id!r}, dataset {dataset_id!r}: {e}") from e
-            own_rows.append(joined.rows)
+            own_joined.append(joined)
         reports.extend(own_reports)
         summaries.append(
             SystemSummary(
                 system_id=system.system_id,
                 average_eer=float(np.mean([r.eer for r in own_reports])),
-                pooled_eer=None if gaps else pooled_eer(own_rows)[0],
+                pooled_eer=None if gaps else pooled_eer(own_joined)[0],
                 per_dataset_eer={r.dataset_id: r.eer for r in own_reports},
                 param_count_millions=system.param_count_millions,
                 average_auc=float(np.mean([r.auc for r in own_reports])),

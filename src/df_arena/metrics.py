@@ -1,8 +1,11 @@
 """Detection metrics: FAR/FRR sweep, EER, pooled EER, AUC, accuracy, F1.
 
-All operations are pure functions over joined ``(label, score)`` rows with
-the higher-is-bonafide convention (the protocol join already normalizes
-polarity). Scores equal to a threshold count as accepted, everywhere.
+All operations are pure functions over a joined set: a ``JoinResult``
+(label and score arrays) or, at the boundary, an iterable of ``(label,
+score)`` rows. Scores follow the higher-is-bonafide convention (the protocol
+join already normalizes polarity); scores equal to a threshold count as
+accepted, everywhere. Each set is split into sorted per-class arrays once,
+and every metric is computed from those.
 
 EER and AUC are rank statistics here: candidate thresholds are the midpoints
 between consecutive distinct scores plus one sentinel on each side, so any
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
-from .protocol import BONAFIDE, SPOOF
+from .protocol import BONAFIDE, SPOOF, JoinResult
 
 
 @dataclass(frozen=True)
@@ -60,25 +63,26 @@ class EvalReport:
     n_spoof: int
 
 
-def split_scores(joined) -> tuple[np.ndarray, np.ndarray]:
-    """Split joined rows into (bonafide, spoof) score arrays."""
-    bona = np.asarray([s for label, s in joined if label == BONAFIDE], dtype=np.float64)
-    spoof = np.asarray([s for label, s in joined if label == SPOOF], dtype=np.float64)
-    for label, s in joined:
-        if label not in (BONAFIDE, SPOOF):
-            raise MetricError(f"unknown label {label!r} in joined rows")
-    return bona, spoof
+def _class_scores(joined) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (bonafide, spoof) score arrays of a JoinResult or of ``(label, score)`` rows."""
+    if isinstance(joined, JoinResult):
+        is_bonafide, scores = joined.is_bonafide, joined.scores
+    else:
+        rows = list(joined)
+        for label, _ in rows:
+            if label not in (BONAFIDE, SPOOF):
+                raise MetricError(f"unknown label {label!r} in joined rows")
+        is_bonafide = np.array([label == BONAFIDE for label, _ in rows], dtype=bool)
+        scores = np.array([s for _, s in rows], dtype=np.float64)
+    return np.sort(scores[is_bonafide]), np.sort(scores[~is_bonafide])
 
 
-def _roc_from_class_scores(bona: np.ndarray, spoof: np.ndarray) -> RocCurve:
-    """Build the curve from per-class arrays. Sorts its inputs in place;
-    callers always pass freshly materialized arrays."""
+def _roc(bona: np.ndarray, spoof: np.ndarray) -> RocCurve:
+    """The curve of sorted per-class score arrays."""
     if bona.size == 0 or spoof.size == 0:
         raise MetricError(
             f"ROC needs both classes; got {bona.size} bonafide and {spoof.size} spoof scores"
         )
-    bona.sort()
-    spoof.sort()
     uniq = np.unique(np.concatenate([bona, spoof]))
     thresholds = np.empty(uniq.size + 1, dtype=np.float64)
     thresholds[0] = uniq[0] - 1.0
@@ -92,8 +96,7 @@ def _roc_from_class_scores(bona: np.ndarray, spoof: np.ndarray) -> RocCurve:
 
 def roc(joined) -> RocCurve:
     """Sweep FAR/FRR over midpoint thresholds with sentinels at both ends."""
-    bona, spoof = split_scores(joined)
-    return _roc_from_class_scores(bona, spoof)
+    return _roc(*_class_scores(joined))
 
 
 def eer(curve: RocCurve) -> tuple[float, float]:
@@ -132,23 +135,19 @@ def eer_from_joined(joined) -> tuple[float, float]:
 def pooled_eer(joined_sets) -> tuple[float, float]:
     """EER over the concatenation of several joined sets, single threshold.
 
-    Rows are pooled raw: no per-dataset reweighting or score normalization,
+    Scores are pooled raw: no per-dataset reweighting or score normalization,
     so scale mismatch between datasets is penalized by design. Each class is
     concatenated exactly once, keeping a single in-memory copy of the pooled
     scores.
     """
     if not joined_sets:
         raise MetricError("pooled_eer needs at least one joined set")
-    bona_parts, spoof_parts = [], []
-    for joined in joined_sets:
-        b, s = split_scores(joined)
-        bona_parts.append(b)
-        spoof_parts.append(s)
-    bona = np.concatenate(bona_parts)
-    spoof = np.concatenate(spoof_parts)
+    parts = [_class_scores(joined) for joined in joined_sets]
+    bona = np.sort(np.concatenate([b for b, _ in parts]))
+    spoof = np.sort(np.concatenate([s for _, s in parts]))
     if bona.size == 0 or spoof.size == 0:
         raise MetricError("pooled rows contain a single class; EER undefined")
-    return eer(_roc_from_class_scores(bona, spoof))
+    return eer(_roc(bona, spoof))
 
 
 def auc(curve: RocCurve) -> float:
@@ -164,14 +163,19 @@ def threshold_metrics(joined, threshold: float) -> ThresholdMetrics:
     Predict bonafide iff score >= threshold. F1 is 0 when precision and
     recall are both 0.
     """
-    bona, spoof = split_scores(joined)
-    tp = int(np.count_nonzero(bona >= threshold))
-    fn = bona.size - tp
-    fp = int(np.count_nonzero(spoof >= threshold))
-    tn = spoof.size - fp
+    return _threshold_metrics(*_class_scores(joined), threshold)
+
+
+def _threshold_metrics(bona: np.ndarray, spoof: np.ndarray, threshold: float) -> ThresholdMetrics:
+    """threshold_metrics of sorted per-class score arrays."""
     n = bona.size + spoof.size
     if n == 0:
         raise MetricError("empty joined rows")
+    # on a sorted array, count_nonzero(x >= t) == x.size - searchsorted(x, t, "left")
+    tp = bona.size - int(np.searchsorted(bona, threshold, side="left"))
+    fn = bona.size - tp
+    fp = spoof.size - int(np.searchsorted(spoof, threshold, side="left"))
+    tn = spoof.size - fp
     accuracy = (tp + tn) / n
     precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
     recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
@@ -188,12 +192,14 @@ def evaluate(
     """Full metric bundle for one joined set.
 
     The accuracy/F1 decision threshold defaults to the EER threshold of the
-    same set; pass ``decision_threshold`` to override.
+    same set; pass ``decision_threshold`` to override. The set is split into
+    sorted classes once, for the curve and the confusion counts alike.
     """
-    curve = roc(joined)
+    bona, spoof = _class_scores(joined)
+    curve = _roc(bona, spoof)
     eer_value, eer_thr = eer(curve)
     thr = eer_thr if decision_threshold is None else float(decision_threshold)
-    tm = threshold_metrics(joined, thr)
+    tm = _threshold_metrics(bona, spoof, thr)
     return EvalReport(
         system_id=system_id,
         dataset_id=dataset_id,

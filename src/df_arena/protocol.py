@@ -11,9 +11,12 @@ import math
 import shlex
 import subprocess
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
+
+import numpy as np
 
 from .errors import JoinError, ManifestError, ProtocolError, ScoreFileError, ScorerError
 
@@ -56,35 +59,66 @@ class Trial:
     attack_tag: str | None = None
 
 
-@dataclass(frozen=True)
+def _labels(is_bonafide: np.ndarray) -> list[str]:
+    return [BONAFIDE if b else SPOOF for b in is_bonafide.tolist()]
+
+
+@dataclass(frozen=True, eq=False)
 class TrialSet:
-    """Ground-truth trial list of one dataset, in file order."""
+    """Ground-truth trial list of one dataset, in file order, as parallel columns.
+
+    ``is_bonafide`` is a bool array and is treated as read-only. Trial ids are
+    unique: ``parse_protocol`` and ``from_trials`` check that where trials come in.
+    """
 
     dataset_id: str
-    trials: tuple[Trial, ...]
+    ids: tuple[str, ...]
+    is_bonafide: np.ndarray
+    attack_tags: tuple[str | None, ...]
 
     def __post_init__(self):
-        seen = set()
-        for t in self.trials:
-            if t.trial_id in seen:
-                raise ProtocolError(f"duplicate trial_id {t.trial_id!r} in dataset {self.dataset_id!r}")
-            seen.add(t.trial_id)
         if self.n_bonafide == 0 or self.n_spoof == 0:
             raise ProtocolError(
                 f"dataset {self.dataset_id!r} needs at least one bonafide and one spoof trial "
                 f"(got {self.n_bonafide} bonafide, {self.n_spoof} spoof)"
             )
 
+    @classmethod
+    def from_trials(cls, dataset_id: str, trials) -> TrialSet:
+        """Columns of Trial rows; every label must be bonafide or spoof and every id unique."""
+        trials = tuple(trials)
+        seen = set()
+        for t in trials:
+            if t.label not in (BONAFIDE, SPOOF):
+                raise ProtocolError(
+                    f"unknown label {t.label!r} for trial {t.trial_id!r} in dataset {dataset_id!r}"
+                )
+            if t.trial_id in seen:
+                raise ProtocolError(f"duplicate trial_id {t.trial_id!r} in dataset {dataset_id!r}")
+            seen.add(t.trial_id)
+        return cls(dataset_id, tuple(t.trial_id for t in trials),
+                   np.array([t.label == BONAFIDE for t in trials], dtype=bool),
+                   tuple(t.attack_tag for t in trials))
+
     @property
     def n_bonafide(self) -> int:
-        return sum(1 for t in self.trials if t.label == BONAFIDE)
+        return int(np.count_nonzero(self.is_bonafide))
 
     @property
     def n_spoof(self) -> int:
-        return sum(1 for t in self.trials if t.label == SPOOF)
+        return self.is_bonafide.size - self.n_bonafide
 
-    def trial_ids(self) -> set[str]:
-        return {t.trial_id for t in self.trials}
+    @property
+    def trials(self) -> tuple[Trial, ...]:
+        """The trials as Trial rows, built on each access."""
+        return tuple(map(Trial, self.ids, _labels(self.is_bonafide), self.attack_tags))
+
+    def __eq__(self, other):
+        if not isinstance(other, TrialSet):
+            return NotImplemented
+        return ((self.dataset_id, self.ids, self.attack_tags)
+                == (other.dataset_id, other.ids, other.attack_tags)
+                and np.array_equal(self.is_bonafide, other.is_bonafide))
 
 
 @dataclass(frozen=True)
@@ -99,35 +133,87 @@ class ScoreSet:
     def __post_init__(self):
         if self.polarity not in POLARITIES:
             raise ScoreFileError(f"unknown polarity {self.polarity!r}; expected one of {POLARITIES}")
-        for trial_id, value in self.scores.items():
-            if not math.isfinite(value):
-                raise ScoreFileError(f"non-finite score {value!r} for trial {trial_id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JoinResult:
-    """Label/score rows in trial order, plus what an intersect join dropped."""
+    """Joined labels and scores in trial order, plus what an intersect join dropped.
 
-    rows: tuple[tuple[str, float], ...]
+    ``is_bonafide`` (bool) and ``scores`` (float64, higher means more bonafide)
+    are parallel arrays, treated as read-only.
+    """
+
+    is_bonafide: np.ndarray
+    scores: np.ndarray
     dropped_trials: int = 0
     dropped_scores: int = 0
 
+    @property
+    def rows(self) -> tuple[tuple[str, float], ...]:
+        """``(label, score)`` rows in trial order, built on each access."""
+        return tuple(zip(_labels(self.is_bonafide), self.scores.tolist()))
 
-def _content_lines(path: Path, error_cls=ProtocolError):
-    """Yield (line_number, stripped_line), skipping blanks and '#' comments."""
+
+def _read_text(path: Path, error_cls) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise error_cls(f"file not found: {path}")
     except UnicodeDecodeError as e:
         raise error_cls(f"{path} is not valid UTF-8: {e}")
     except OSError as e:
         raise error_cls(f"cannot read {path}: {e.strerror or e}")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+
+def _content_lines(text: str):
+    """Yield (line_number, stripped_line), skipping blanks and '#' comments.
+
+    Lines end at '\\n' only, unlike str.splitlines(), which also breaks at
+    characters such as '\\x0c' or '\\u2028' and would shift the numbers.
+    """
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _columns(text: str) -> list[Sequence[str]] | None:
+    """The token columns of the content lines if all have the same number of tokens, else None.
+
+    Text as the serialisers write it (tokens joined by single spaces, every
+    line ended by '\\n', no '#') is checked against its columns in one
+    comparison; other text is split line by line.
+    """
+    if "#" not in text and text.endswith("\n"):
+        tokens = text.split()
+        width = len(tokens) // text.count("\n")
+        columns = [tokens[k::width] for k in range(width)]
+        if "\n".join(map(" ".join, zip(*columns))) + "\n" == text:
+            return columns
+    rows = [tokens for tokens in map(str.split, text.split("\n")) if tokens and tokens[0][0] != "#"]
+    if len(set(map(len, rows))) > 1:
+        return None
+    return list(zip(*rows))
+
+
+def _parse_lines(path: Path, text: str, error_cls, parse_line) -> list[tuple]:
+    """Parse the content lines one at a time; raise naming the first bad line.
+
+    ``parse_line`` maps a line's tokens to a tuple of fields, the trial id
+    first, or raises ValueError with the reason; a repeated id is bad too.
+    This is the slow path, for text that fails or skips the bulk checks.
+    """
+    rows, seen = [], set()
+    for lineno, line in _content_lines(text):
+        try:
+            fields = parse_line(line.split())
+            if fields[0] in seen:
+                raise ValueError(f"duplicate trial_id {fields[0]!r}")
+        except ValueError as e:
+            raise error_cls(f"{path}: line {lineno}: {e}") from None
+        seen.add(fields[0])
+        rows.append(fields)
+    return rows
 
 
 def parse_protocol(
@@ -142,42 +228,58 @@ def parse_protocol(
     carried as the attack tag. ``asvspoof`` lines follow the 5-column key
     layout: trial_id is column 2, the attack tag column 4 ('-' means none)
     and the label is the last column. Labels are normalized through the
-    alias table; line order is preserved.
+    alias table; line order is preserved. A file whose lines all have the
+    same number of columns is checked column by column; any other file, and
+    one that fails those checks, is parsed line by line, which names the
+    first bad line.
     """
     path = Path(path)
     if format not in PROTOCOL_FORMATS:
         raise ProtocolError(f"unknown protocol format {format!r}; expected one of {PROTOCOL_FORMATS}")
     alias_table = {k.lower(): v for k, v in (aliases or DEFAULT_LABEL_ALIASES).items()}
+    two_column = format == "two-column"
 
-    trials: list[Trial] = []
-    seen: set[str] = set()
-    for lineno, line in _content_lines(path):
-        tokens = line.split()
-        if format == "two-column":
-            if len(tokens) not in (2, 3):
-                raise ProtocolError(f"{path}: line {lineno}: expected 2 or 3 columns, got {len(tokens)}")
-            trial_id, label_token = tokens[0], tokens[1]
-            attack = tokens[2] if len(tokens) == 3 else None
-        else:
-            if len(tokens) < 5:
-                raise ProtocolError(f"{path}: line {lineno}: expected at least 5 columns, got {len(tokens)}")
-            trial_id, label_token = tokens[1], tokens[-1]
-            attack = None if tokens[3] == "-" else tokens[3]
-        label = alias_table.get(label_token.lower())
-        if label is None:
-            raise ProtocolError(f"{path}: line {lineno}: unknown label token {label_token!r}")
-        if trial_id in seen:
-            raise ProtocolError(f"{path}: line {lineno}: duplicate trial_id {trial_id!r}")
-        seen.add(trial_id)
-        trials.append(Trial(trial_id, label, attack))
+    def parse_line(tokens):
+        if two_column and len(tokens) not in (2, 3):
+            raise ValueError(f"expected 2 or 3 columns, got {len(tokens)}")
+        if not two_column and len(tokens) < 5:
+            raise ValueError(f"expected at least 5 columns, got {len(tokens)}")
+        # one line read as columns of one token each
+        (trial_id,), (label_token,), (tag,) = _protocol_fields([[t] for t in tokens], two_column)
+        if alias_table.get(label_token.lower()) not in (BONAFIDE, SPOOF):
+            raise ValueError(f"unknown label token {label_token!r}")
+        return trial_id, label_token, tag
 
-    if not trials:
-        raise ProtocolError(f"{path}: empty protocol (no trials)")
+    text = _read_text(path, ProtocolError)
+    fields = _protocol_fields(_columns(text), two_column)
+    if fields is not None:
+        ids, label_tokens, _ = fields
+        known = all(alias_table.get(tok.lower()) in (BONAFIDE, SPOOF) for tok in set(label_tokens))
+        if not known or len(set(ids)) != len(ids):
+            fields = None
+    if fields is None:
+        rows = _parse_lines(path, text, ProtocolError, parse_line)
+        if not rows:
+            raise ProtocolError(f"{path}: empty protocol (no trials)")
+        fields = list(zip(*rows))
+    ids, label_tokens, tags = fields
+    is_bona = {tok: alias_table[tok.lower()] == BONAFIDE for tok in set(label_tokens)}
+    is_bonafide = np.fromiter(map(is_bona.__getitem__, label_tokens), dtype=bool, count=len(ids))
     name = dataset_id if dataset_id is not None else path.stem
     try:
-        return TrialSet(name, tuple(trials))
+        return TrialSet(name, tuple(ids), is_bonafide, tuple(tags))
     except ProtocolError as e:
         raise ProtocolError(f"{path}: {e}") from None
+
+
+def _protocol_fields(columns, two_column: bool):
+    """(ids, label tokens, attack tags) of a protocol's token columns, or None for a wrong width."""
+    width = len(columns) if columns else 0
+    if two_column and width in (2, 3):
+        return columns[0], columns[1], columns[2] if width == 3 else (None,) * len(columns[0])
+    if not two_column and width >= 5:
+        return columns[1], columns[-1], [None if tag == "-" else tag for tag in columns[3]]
+    return None
 
 
 def _write_lines(rows: list[list[str]], error_cls) -> str:
@@ -190,9 +292,23 @@ def _write_lines(rows: list[list[str]], error_cls) -> str:
 
 def serialize_protocol(trial_set: TrialSet) -> str:
     """Two-column text form of a TrialSet; inverse of parse_protocol."""
-    rows = [[t.trial_id, t.label] + ([] if t.attack_tag is None else [t.attack_tag])
-            for t in trial_set.trials]
+    rows = [[trial_id, label] + ([] if tag is None else [tag])
+            for trial_id, label, tag in zip(trial_set.ids, _labels(trial_set.is_bonafide),
+                                            trial_set.attack_tags)]
     return _write_lines(rows, ProtocolError)
+
+
+def _score_fields(tokens) -> tuple[str, float]:
+    if len(tokens) != 2:
+        raise ValueError(f"expected 'trial_id score', got {len(tokens)} columns")
+    trial_id, raw = tokens
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"non-numeric score {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite score {raw!r}")
+    return trial_id, value
 
 
 def parse_scores(
@@ -201,25 +317,31 @@ def parse_scores(
     system_id: str | None = None,
     dataset_id: str = "",
 ) -> ScoreSet:
-    """Parse a ``trial_id score`` file; every score must be a finite real."""
+    """Parse a ``trial_id score`` file; every score must be a finite real.
+
+    The file is checked column by column; only a file that fails is parsed
+    line by line, which names the first bad line.
+    """
     path = Path(path)
-    scores: dict[str, float] = {}
-    for lineno, line in _content_lines(path, error_cls=ScoreFileError):
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ScoreFileError(f"{path}: line {lineno}: expected 'trial_id score', got {len(tokens)} columns")
-        trial_id, raw = tokens
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ScoreFileError(f"{path}: line {lineno}: non-numeric score {raw!r}") from None
-        if not math.isfinite(value):
-            raise ScoreFileError(f"{path}: line {lineno}: non-finite score {raw!r}")
-        if trial_id in scores:
-            raise ScoreFileError(f"{path}: line {lineno}: duplicate trial_id {trial_id!r}")
-        scores[trial_id] = value
+    text = _read_text(path, ScoreFileError)
+    scores = _bulk_scores(_columns(text))
+    if scores is None:
+        scores = dict(_parse_lines(path, text, ScoreFileError, _score_fields))
     name = system_id if system_id is not None else path.stem
     return ScoreSet(name, dataset_id, polarity, scores)
+
+
+def _bulk_scores(columns) -> dict[str, float] | None:
+    """The score index of a score file's token columns, or None when a check fails."""
+    if columns is None or len(columns) != 2:
+        return None
+    ids, raw = columns
+    try:
+        values = list(map(float, raw))
+    except ValueError:
+        return None
+    scores = dict(zip(ids, values))
+    return scores if len(scores) == len(values) and np.isfinite(values).all() else None
 
 
 def serialize_scores(score_set: ScoreSet) -> str:
@@ -244,25 +366,29 @@ def join(trials: TrialSet, scores: ScoreSet, mode: str = "strict") -> JoinResult
     """
     if mode not in ("strict", "intersect"):
         raise ValueError(f"unknown join mode {mode!r}")
-    trial_ids = trials.trial_ids()
-    score_ids = set(scores.scores)
-    missing = trial_ids - score_ids
-    extra = score_ids - trial_ids
-    if mode == "strict" and (missing or extra):
-        parts = []
-        if missing:
-            parts.append(f"missing: {_preview(missing)}")
-        if extra:
-            parts.append(f"extra: {_preview(extra)}")
-        raise JoinError(
-            f"strict join of scores {scores.system_id!r} against dataset "
-            f"{trials.dataset_id!r} failed; " + "; ".join(parts)
-        )
-    sign = -1.0 if scores.polarity == HIGHER_IS_SPOOF else 1.0
-    rows = tuple(
-        (t.label, sign * scores.scores[t.trial_id]) for t in trials.trials if t.trial_id in score_ids
-    )
-    return JoinResult(rows, dropped_trials=len(missing), dropped_scores=len(extra))
+    values = list(map(scores.scores.get, trials.ids))
+    is_bonafide = trials.is_bonafide
+    missing, extra = [], set()
+    kept = len(values) - values.count(None)
+    if kept != len(values) or kept != len(scores.scores):
+        missing = [trial_id for trial_id, v in zip(trials.ids, values) if v is None]
+        extra = scores.scores.keys() - set(trials.ids)
+        if mode == "strict":
+            parts = []
+            if missing:
+                parts.append(f"missing: {_preview(missing)}")
+            if extra:
+                parts.append(f"extra: {_preview(extra)}")
+            raise JoinError(
+                f"strict join of scores {scores.system_id!r} against dataset "
+                f"{trials.dataset_id!r} failed; " + "; ".join(parts)
+            )
+        is_bonafide = is_bonafide[[v is not None for v in values]]
+        values = [v for v in values if v is not None]
+    joined = np.array(values, dtype=np.float64)
+    if scores.polarity == HIGHER_IS_SPOOF:
+        np.negative(joined, out=joined)
+    return JoinResult(is_bonafide, joined, dropped_trials=len(missing), dropped_scores=len(extra))
 
 
 def run_external_scorer(
@@ -281,15 +407,18 @@ def run_external_scorer(
     on-disk layout.
     """
     audio_list = Path(audio_list)
-    paths = [line for _, line in _content_lines(audio_list, error_cls=ScorerError)]
-    if not paths:
+    lines = list(_content_lines(_read_text(audio_list, ScorerError)))
+    if not lines:
         raise ScorerError(f"audio list {audio_list} is empty")
     expected = {}
-    for p in paths:
+    for lineno, p in lines:
         stem = Path(p).stem
         if stem in expected:
-            raise ScorerError(f"audio list {audio_list}: duplicate trial id {stem!r} (from {p!r})")
+            raise ScorerError(
+                f"audio list {audio_list}: line {lineno}: duplicate trial id {stem!r} (from {p!r})"
+            )
         expected[stem] = p
+    paths = list(expected.values())
 
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     try:
@@ -311,7 +440,7 @@ def run_external_scorer(
         )
 
     scores: dict[str, float] = {}
-    for lineno, line in enumerate(proc.stdout.splitlines(), start=1):
+    for lineno, line in enumerate(proc.stdout.split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -391,7 +520,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
     version = doc.get("manifest_version")
-    if version != MANIFEST_VERSION:
+    if type(version) is not int or version != MANIFEST_VERSION:
         raise ManifestError(f"{path}: manifest_version must be {MANIFEST_VERSION}, got {version!r}")
 
     options = doc.get("options", {})

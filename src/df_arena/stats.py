@@ -214,7 +214,9 @@ def load_matrix_csv(path) -> EerMatrix:
 
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            # (file line, cells) of each non-blank row; line_num counts the blank lines too
+            rows = [(reader.line_num, r) for r in reader if r and any(cell.strip() for cell in r)]
     except FileNotFoundError:
         raise StatError(f"file not found: {path}") from None
     except UnicodeDecodeError as e:
@@ -223,13 +225,13 @@ def load_matrix_csv(path) -> EerMatrix:
         raise StatError(f"cannot read {path}: {e.strerror or e}") from None
     except csv.Error as e:
         raise StatError(f"{path}: not valid CSV: {e}") from None
-    rows = [r for r in reader if r and any(cell.strip() for cell in r)]
-    if len(rows) < 2 or len(rows[0]) < 2:
+    if len(rows) < 2 or len(rows[0][1]) < 2:
         raise StatError(f"{path}: need a header row, an index column, and at least one data row")
-    dataset_ids = [c.strip() for c in rows[0][1:]]
-    width = len(rows[0])
+    header = rows[0][1]
+    dataset_ids = [c.strip() for c in header[1:]]
+    width = len(header)
     system_ids, values = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != width:
             raise StatError(f"{path}: line {lineno}: ragged row ({len(row)} cells, expected {width})")
         system_ids.append(row[0].strip())

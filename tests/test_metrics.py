@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from df_arena.errors import MetricError
@@ -14,6 +14,7 @@ from df_arena.metrics import (
     roc,
     threshold_metrics,
 )
+from df_arena.protocol import BONAFIDE, SPOOF, ScoreSet, Trial, TrialSet, join
 
 from oracles import brute_force_auc, brute_force_eer, normal_cdf
 
@@ -247,6 +248,72 @@ class TestEvaluate:
         report = evaluate(rows)
         for value in (report.eer, report.auc, report.accuracy, report.f1):
             assert 0.0 <= value <= 1.0
+
+
+@st.composite
+def joined_sets(draw):
+    """One dataset's protocol and score map with ties, gaps on both sides and either polarity.
+
+    Returns (JoinResult, bonafide scores, spoof scores, dropped trials, dropped
+    scores), the scores oriented higher-is-bonafide and counted by hand.
+    """
+    labels = draw(st.permutations([True, False] + draw(st.lists(st.booleans(), max_size=28))))
+    ids = [f"t{i}" for i in range(len(labels))]
+    trials = TrialSet.from_trials("ds", [Trial(t, BONAFIDE if b else SPOOF) for t, b in zip(ids, labels)])
+    scored = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+    n_extra = draw(st.integers(0, 3))
+    values = draw(st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=len(ids) + n_extra,
+                           max_size=len(ids) + n_extra))
+    mapping = {t: v for t, v, keep in zip(ids, values, scored) if keep}
+    mapping.update((f"x{i}", v) for i, v in enumerate(values[len(ids):]))
+    polarity = draw(st.sampled_from(["higher-is-bonafide", "higher-is-spoof"]))
+    sign = 1.0 if polarity == "higher-is-bonafide" else -1.0
+    result = join(trials, ScoreSet("sys", "ds", polarity, mapping), mode="intersect")
+    kept = [(b, sign * mapping[t]) for t, b in zip(ids, labels) if t in mapping]
+    bona = [v for b, v in kept if b]
+    spoof = [v for b, v in kept if not b]
+    return result, bona, spoof, len(ids) - len(kept), n_extra
+
+
+def _hand_counted(bona, spoof, threshold):
+    tp = sum(1 for v in bona if v >= threshold)
+    fp = sum(1 for v in spoof if v >= threshold)
+    fn, tn = len(bona) - tp, len(spoof) - fp
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return (tp + tn) / (tp + fn + fp + tn), f1
+
+
+@given(joined_sets(), st.none() | st.integers(-8, 8).map(lambda k: k / 4.0))
+@settings(max_examples=200)
+def test_columnar_evaluate_matches_oracles_and_rows(case, fixed_threshold):
+    joined, bona, spoof, dropped_trials, dropped_scores = case
+    assume(bona and spoof)
+    assert (joined.dropped_trials, joined.dropped_scores) == (dropped_trials, dropped_scores)
+    report = evaluate(joined, "sys", "ds", decision_threshold=fixed_threshold)
+    want_eer, want_thr = brute_force_eer(bona, spoof)
+    assert report.eer == pytest.approx(want_eer, abs=1e-12)
+    assert report.eer_threshold == pytest.approx(want_thr, abs=1e-12)
+    assert report.auc == pytest.approx(brute_force_auc(bona, spoof), abs=1e-12)
+    accuracy, f1 = _hand_counted(bona, spoof, report.decision_threshold)
+    assert report.accuracy == pytest.approx(accuracy, abs=1e-12)
+    assert report.f1 == pytest.approx(f1, abs=1e-12)
+    assert (report.n_bonafide, report.n_spoof) == (len(bona), len(spoof))
+    assert evaluate(joined.rows, "sys", "ds", decision_threshold=fixed_threshold) == report
+
+
+@given(st.lists(joined_sets(), min_size=1, max_size=3))
+@settings(max_examples=100)
+def test_columnar_pooled_eer_matches_oracle_and_rows(cases):
+    bona = [v for case in cases for v in case[1]]
+    spoof = [v for case in cases for v in case[2]]
+    assume(bona and spoof)
+    got = pooled_eer([case[0] for case in cases])
+    want_eer, want_thr = brute_force_eer(bona, spoof)
+    assert got[0] == pytest.approx(want_eer, abs=1e-12)
+    assert got[1] == pytest.approx(want_thr, abs=1e-12)
+    assert pooled_eer([case[0].rows for case in cases]) == got
 
 
 def test_format_percent_two_decimals_half_even():

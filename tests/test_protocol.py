@@ -97,7 +97,7 @@ def _writable(token: str, first: bool) -> bool:
 @settings(max_examples=150)
 def test_two_column_round_trip(tmp_path_factory, ids, n_bona, tags):
     n_bona = min(n_bona, len(ids) - 1)
-    ts = TrialSet("ds", tuple(
+    ts = TrialSet.from_trials("ds", tuple(
         Trial(t, BONAFIDE if i < n_bona else SPOOF, tags[i]) for i, t in enumerate(ids)
     ))
     if not all(_writable(t.trial_id, True) and (t.attack_tag is None or _writable(t.attack_tag, False))
@@ -177,13 +177,27 @@ class TestParseScores:
             parse_scores(tmp_path)
 
 
+# str.splitlines() ends a line at each of these as well; a file's lines end at '\n' only.
+SPLITLINES_BREAKS = ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS)
+def test_line_numbers_count_newlines_only(tmp_path, char):
+    protocol = write_text(tmp_path / "p.txt", f"t1 bonafide{char}\nt2 weird\n")
+    with pytest.raises(ProtocolError, match=_line_error(protocol, 2)):
+        parse_protocol(protocol)
+    scores = write_text(tmp_path / "s.txt", f"t1 0.5{char}\nt2 x\n")
+    with pytest.raises(ScoreFileError, match=_line_error(scores, 2)):
+        parse_scores(scores)
+
+
 def test_directory_protocol_is_protocol_error(tmp_path):
     with pytest.raises(ProtocolError, match="cannot read"):
         parse_protocol(tmp_path)
 
 
 def _trials(*pairs):
-    return TrialSet("ds", tuple(Trial(t, label) for t, label in pairs))
+    return TrialSet.from_trials("ds", tuple(Trial(t, label) for t, label in pairs))
 
 
 def _scores(mapping, polarity="higher-is-bonafide"):
@@ -208,7 +222,7 @@ class TestJoin:
             join(ts, _scores({"a1": 1.0, "a2": 0.0, "a3": 0.5}))
 
     def test_strict_error_lists_at_most_ten(self):
-        ts = TrialSet(
+        ts = TrialSet.from_trials(
             "ds",
             tuple(Trial(f"m{i:02d}", BONAFIDE) for i in range(24)) + (Trial("s0", SPOOF),),
         )
@@ -240,7 +254,7 @@ score_maps = st.dictionaries(
 @settings(max_examples=50)
 def test_join_order_insensitive(mapping, rnd):
     ids = list(mapping)
-    ts = TrialSet(
+    ts = TrialSet.from_trials(
         "ds",
         tuple(Trial(t, BONAFIDE if i % 2 == 0 else SPOOF) for i, t in enumerate(ids))
         + (Trial("_pad_b", BONAFIDE), Trial("_pad_s", SPOOF)),
@@ -257,7 +271,7 @@ def test_join_order_insensitive(mapping, rnd):
 @settings(max_examples=50)
 def test_polarity_negation_is_involution(mapping):
     ids = list(mapping)
-    ts = TrialSet(
+    ts = TrialSet.from_trials(
         "ds",
         tuple(Trial(t, BONAFIDE if i % 2 == 0 else SPOOF) for i, t in enumerate(ids))
         + (Trial("_pad_b", BONAFIDE), Trial("_pad_s", SPOOF)),
@@ -367,6 +381,8 @@ def _options(**fields):
     pytest.param(_options(allow_gaps="no"), "allow_gaps must be true or false", id="allow-gaps-string"),
     pytest.param(_options(allow_gaps=0), "allow_gaps must be true or false", id="allow-gaps-int"),
     pytest.param(_options(output_dir=3), "output_dir must be a non-empty string", id="output-dir-int"),
+    pytest.param(lambda doc: doc.update(manifest_version=True), "manifest_version must be 1", id="version-bool"),
+    pytest.param(lambda doc: doc.update(manifest_version=1.0), "manifest_version must be 1", id="version-float"),
 ])
 def test_wrong_typed_manifest_field_is_manifest_error(tmp_path, mutate, message):
     doc = json.loads(build_arena(tmp_path).read_text())

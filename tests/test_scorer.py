@@ -61,3 +61,16 @@ def test_duplicate_stems_in_list(tmp_path, echo_scorer):
     lst = write_text(tmp_path / "dups.txt", "/a/x.wav\n/b/x.wav\n")
     with pytest.raises(ScorerError, match="duplicate trial id"):
         run_external_scorer(echo_scorer, lst)
+
+
+@pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x85", "\u2028"])
+def test_duplicate_stem_names_its_line_counting_newlines_only(tmp_path, echo_scorer, char):
+    lst = write_text(tmp_path / "dups.txt", f"/a/x.wav{char}\n/b/x.wav\n")
+    with pytest.raises(ScorerError, match=r"dups\.txt: line 2: duplicate trial id 'x'"):
+        run_external_scorer(echo_scorer, lst)
+
+
+def test_path_with_a_splitlines_break_stays_one_path(tmp_path, echo_scorer):
+    lst = write_text(tmp_path / "list.txt", "/audio/clip\x1ca.wav\n/audio/clip_b.wav\n")
+    ss = run_external_scorer(echo_scorer, lst)
+    assert set(ss.scores) == {"clip\x1ca", "clip_b"}

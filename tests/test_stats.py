@@ -328,6 +328,11 @@ class TestEerMatrix:
         with pytest.raises(StatError, match="ragged"):
             load_matrix_csv(p)
 
+    def test_bad_value_after_blank_lines_names_its_file_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("sys,d1\n\n\na,0.1\nb,x\n", encoding="utf-8")
+        with pytest.raises(StatError, match=r"m\.csv: line 5: "):
+            load_matrix_csv(p)
 
     def test_missing_csv_is_stat_error(self, tmp_path):
         with pytest.raises(StatError, match="file not found: .*absent.csv"):
