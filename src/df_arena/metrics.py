@@ -63,8 +63,8 @@ class EvalReport:
     n_spoof: int
 
 
-def _class_scores(joined) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted (bonafide, spoof) score arrays of a JoinResult or of ``(label, score)`` rows."""
+def _split(joined) -> tuple[np.ndarray, np.ndarray]:
+    """Unsorted (bonafide, spoof) score arrays of a JoinResult or of ``(label, score)`` rows."""
     if isinstance(joined, JoinResult):
         is_bonafide, scores = joined.is_bonafide, joined.scores
     else:
@@ -74,7 +74,13 @@ def _class_scores(joined) -> tuple[np.ndarray, np.ndarray]:
                 raise MetricError(f"unknown label {label!r} in joined rows")
         is_bonafide = np.array([label == BONAFIDE for label, _ in rows], dtype=bool)
         scores = np.array([s for _, s in rows], dtype=np.float64)
-    return np.sort(scores[is_bonafide]), np.sort(scores[~is_bonafide])
+    return scores[is_bonafide], scores[~is_bonafide]
+
+
+def _class_scores(joined) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (bonafide, spoof) score arrays of a JoinResult or of ``(label, score)`` rows."""
+    bona, spoof = _split(joined)
+    return np.sort(bona), np.sort(spoof)
 
 
 def _roc(bona: np.ndarray, spoof: np.ndarray) -> RocCurve:
@@ -137,12 +143,11 @@ def pooled_eer(joined_sets) -> tuple[float, float]:
 
     Scores are pooled raw: no per-dataset reweighting or score normalization,
     so scale mismatch between datasets is penalized by design. Each class is
-    concatenated exactly once, keeping a single in-memory copy of the pooled
-    scores.
+    split out of every set unsorted, then concatenated and sorted once.
     """
     if not joined_sets:
         raise MetricError("pooled_eer needs at least one joined set")
-    parts = [_class_scores(joined) for joined in joined_sets]
+    parts = [_split(joined) for joined in joined_sets]
     bona = np.sort(np.concatenate([b for b, _ in parts]))
     spoof = np.sort(np.concatenate([s for _, s in parts]))
     if bona.size == 0 or spoof.size == 0:

@@ -11,7 +11,6 @@ import math
 import shlex
 import subprocess
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
@@ -177,42 +176,46 @@ def _content_lines(text: str):
             yield lineno, line
 
 
-def _columns(text: str) -> list[Sequence[str]] | None:
-    """The token columns of the content lines if all have the same number of tokens, else None.
+def _columns(text: str) -> list[list[str]] | None:
+    """The token columns of text in the serialisers' layout, else None.
 
-    Text as the serialisers write it (tokens joined by single spaces, every
-    line ended by '\\n', no '#') is checked against its columns in one
-    comparison; other text is split line by line.
+    In that layout every line holds the same number of tokens joined by
+    single spaces and ends with '\\n', and there are no blank lines and no '#'.
+    One split tokenises such text and one comparison with the text rebuilt
+    from the columns checks it.
     """
-    if "#" not in text and text.endswith("\n"):
-        tokens = text.split()
-        width = len(tokens) // text.count("\n")
-        columns = [tokens[k::width] for k in range(width)]
-        if "\n".join(map(" ".join, zip(*columns))) + "\n" == text:
-            return columns
-    rows = [tokens for tokens in map(str.split, text.split("\n")) if tokens and tokens[0][0] != "#"]
-    if len(set(map(len, rows))) > 1:
+    if "#" in text or not text.endswith("\n"):
         return None
-    return list(zip(*rows))
+    first_line = text[:text.index("\n")]
+    if " ".join(first_line.split()) != first_line:
+        return None  # text outside the layout nearly always shows it on its first line
+    tokens = text.split()
+    width = len(tokens) // text.count("\n")
+    columns = [tokens[k::width] for k in range(width)]
+    return columns if "\n".join(map(" ".join, zip(*columns))) + "\n" == text else None
 
 
-def _parse_lines(path: Path, text: str, error_cls, parse_line) -> list[tuple]:
+def _parse_lines(path: Path, text: str, error_cls, parse_line) -> dict:
     """Parse the content lines one at a time; raise naming the first bad line.
 
-    ``parse_line`` maps a line's tokens to a tuple of fields, the trial id
-    first, or raises ValueError with the reason; a repeated id is bad too.
-    This is the slow path, for text that fails or skips the bulk checks.
+    ``parse_line`` maps a line's tokens to ``(trial_id, value)`` or raises
+    ValueError with the reason; a repeated id is bad too. Returns the values
+    by trial id in file order. Lines end at '\\n' only, as in _content_lines.
+    This is the slow path, for text outside the serialisers' layout and text
+    that fails the column checks.
     """
-    rows, seen = [], set()
-    for lineno, line in _content_lines(text):
+    rows = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
         try:
-            fields = parse_line(line.split())
-            if fields[0] in seen:
-                raise ValueError(f"duplicate trial_id {fields[0]!r}")
+            trial_id, value = parse_line(tokens)
+            if trial_id in rows:
+                raise ValueError(f"duplicate trial_id {trial_id!r}")
         except ValueError as e:
             raise error_cls(f"{path}: line {lineno}: {e}") from None
-        seen.add(fields[0])
-        rows.append(fields)
+        rows[trial_id] = value
     return rows
 
 
@@ -228,10 +231,10 @@ def parse_protocol(
     carried as the attack tag. ``asvspoof`` lines follow the 5-column key
     layout: trial_id is column 2, the attack tag column 4 ('-' means none)
     and the label is the last column. Labels are normalized through the
-    alias table; line order is preserved. A file whose lines all have the
-    same number of columns is checked column by column; any other file, and
-    one that fails those checks, is parsed line by line, which names the
-    first bad line.
+    alias table; line order is preserved. A file in the layout
+    ``serialize_protocol`` writes is checked column by column; any other
+    file, and one that fails those checks, is parsed line by line, which
+    names the first bad line.
     """
     path = Path(path)
     if format not in PROTOCOL_FORMATS:
@@ -240,15 +243,19 @@ def parse_protocol(
     two_column = format == "two-column"
 
     def parse_line(tokens):
-        if two_column and len(tokens) not in (2, 3):
-            raise ValueError(f"expected 2 or 3 columns, got {len(tokens)}")
-        if not two_column and len(tokens) < 5:
-            raise ValueError(f"expected at least 5 columns, got {len(tokens)}")
-        # one line read as columns of one token each
-        (trial_id,), (label_token,), (tag,) = _protocol_fields([[t] for t in tokens], two_column)
+        if two_column:
+            if len(tokens) not in (2, 3):
+                raise ValueError(f"expected 2 or 3 columns, got {len(tokens)}")
+            trial_id, label_token = tokens[0], tokens[1]
+            tag = tokens[2] if len(tokens) == 3 else None
+        else:
+            if len(tokens) < 5:
+                raise ValueError(f"expected at least 5 columns, got {len(tokens)}")
+            trial_id, label_token = tokens[1], tokens[-1]
+            tag = None if tokens[3] == "-" else tokens[3]
         if alias_table.get(label_token.lower()) not in (BONAFIDE, SPOOF):
             raise ValueError(f"unknown label token {label_token!r}")
-        return trial_id, label_token, tag
+        return trial_id, (label_token, tag)
 
     text = _read_text(path, ProtocolError)
     fields = _protocol_fields(_columns(text), two_column)
@@ -261,7 +268,7 @@ def parse_protocol(
         rows = _parse_lines(path, text, ProtocolError, parse_line)
         if not rows:
             raise ProtocolError(f"{path}: empty protocol (no trials)")
-        fields = list(zip(*rows))
+        fields = list(rows), *zip(*rows.values())
     ids, label_tokens, tags = fields
     is_bona = {tok: alias_table[tok.lower()] == BONAFIDE for tok in set(label_tokens)}
     is_bonafide = np.fromiter(map(is_bona.__getitem__, label_tokens), dtype=bool, count=len(ids))
@@ -319,14 +326,15 @@ def parse_scores(
 ) -> ScoreSet:
     """Parse a ``trial_id score`` file; every score must be a finite real.
 
-    The file is checked column by column; only a file that fails is parsed
-    line by line, which names the first bad line.
+    A file in the layout ``serialize_scores`` writes is checked column by
+    column; any other file, and one that fails those checks, is parsed line
+    by line, which names the first bad line.
     """
     path = Path(path)
     text = _read_text(path, ScoreFileError)
     scores = _bulk_scores(_columns(text))
     if scores is None:
-        scores = dict(_parse_lines(path, text, ScoreFileError, _score_fields))
+        scores = _parse_lines(path, text, ScoreFileError, _score_fields)
     name = system_id if system_id is not None else path.stem
     return ScoreSet(name, dataset_id, polarity, scores)
 

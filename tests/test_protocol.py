@@ -517,6 +517,46 @@ def test_mutated_scores_name_the_bad_line(tmp_path_factory, data):
         parse_scores(path)
 
 
+@st.composite
+def _relaid(draw, rows):
+    """The rows as text with any whitespace between and around tokens, blank and '#' lines among them."""
+    gap = st.sampled_from([" ", "  ", "\t", " \t", "\x0c"])
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "   ", "# note", "\t# note"]), max_size=1))
+        text = "".join(tok + draw(gap) for tok in row[:-1]) + row[-1]
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " "])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def _write_both(tmp, text_of, rows):
+    """(a file in the serialisers' layout, the same rows relaid)."""
+    a, b = tmp / "a.txt", tmp / "b.txt"
+    a.write_text("".join(" ".join(r) + "\n" for r in rows), encoding="utf-8")
+    b.write_bytes(text_of(_relaid(rows)).encode("utf-8"))
+    return a, b
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_layout_does_not_change_the_parse(tmp_path_factory, data):
+    """Text in the serialisers' layout is read column by column, other text line by line; both agree."""
+    tmp = tmp_path_factory.mktemp("layout")
+    ids = data.draw(_ids)
+    aliases = st.lists(st.sampled_from(sorted(_ALIASES)), min_size=len(ids) - 2, max_size=len(ids) - 2)
+    labels = [BONAFIDE, SPOOF] + data.draw(aliases)
+    tag = st.sampled_from(["A01", "A17"])
+    rows = [[t, label] + data.draw(st.lists(tag, max_size=1)) for t, label in zip(ids, labels)]
+    a, b = _write_both(tmp, data.draw, rows)
+    assert parse_protocol(b, dataset_id="ds") == parse_protocol(a, dataset_id="ds")
+    rows = [["SPK", t, "-", data.draw(st.sampled_from(["-", "A01"])), label] for t, label in zip(ids, labels)]
+    a, b = _write_both(tmp, data.draw, rows)
+    assert parse_protocol(b, "asvspoof", dataset_id="ds") == parse_protocol(a, "asvspoof", dataset_id="ds")
+    rows = [[t, repr(data.draw(finite))] for t in ids]
+    a, b = _write_both(tmp, data.draw, rows)
+    assert parse_scores(b).scores == parse_scores(a).scores == {t: float(v) for t, v in rows}
+
+
 _BASE_MANIFEST = {
     "manifest_version": 1,
     "options": {"default_polarity": "higher-is-bonafide", "join_mode": "strict", "allow_gaps": False,
