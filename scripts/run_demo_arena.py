@@ -18,7 +18,7 @@ from pathlib import Path
 from df_arena import __version__
 from df_arena.leaderboard import emit, evaluate_arena, rank, store_append, store_list
 from df_arena.protocol import load_manifest
-from df_arena.stats import EerMatrix, correlate_matrix
+from df_arena.stats import correlate_matrix
 
 BONA_IDS = ["b1", "b2", "b3", "b4"]
 SPOOF_IDS = ["s1", "s2", "s3", "s4"]
@@ -83,13 +83,8 @@ def main() -> int:
     runs, issues = store_list(store)
     print(f"\nstore now holds {len(runs)} run(s), {len(issues)} unreadable line(s)")
 
-    matrix = EerMatrix.build(
-        [s.system_id for s in record.summaries],
-        record.dataset_ids,
-        [[s.per_dataset_eer[d] for d in record.dataset_ids] for s in record.summaries],
-    )
     print("\n== per-dataset correlation with the average EER ==\n")
-    print(correlate_matrix(matrix).to_csv())
+    print(correlate_matrix(record.eer_matrix()).to_csv())
     return 0
 
 

@@ -7,85 +7,3 @@ correlation analysis, applies seeded noise/reverberation augmentation to
 """
 
 __version__ = "0.1.0"
-
-from .errors import ArenaError
-from .metrics import EvalReport, RocCurve, auc, eer, eer_from_joined, evaluate, pooled_eer, roc, threshold_metrics
-from .protocol import (
-    BONAFIDE,
-    SPOOF,
-    ArenaManifest,
-    JoinResult,
-    ScoreSet,
-    Trial,
-    TrialSet,
-    join,
-    load_manifest,
-    parse_protocol,
-    parse_scores,
-    run_external_scorer,
-)
-from .stats import (
-    CorrelationReport,
-    EerMatrix,
-    ccc,
-    correlate_matrix,
-    distance_correlation,
-    kendall_tau,
-    mutual_information,
-    pearson,
-    spearman,
-)
-from .wavio import AudioBuffer, read_wav, rms, write_wav
-from .augment import AugmentSpec, AugmentSummary, augment_corpus, mix_at_snr, reverberate
-from .leaderboard import RunRecord, SystemSummary, emit, evaluate_arena, rank, store_append, store_list
-
-__all__ = [
-    "__version__",
-    "ArenaError",
-    "BONAFIDE",
-    "SPOOF",
-    "Trial",
-    "TrialSet",
-    "ScoreSet",
-    "JoinResult",
-    "ArenaManifest",
-    "parse_protocol",
-    "parse_scores",
-    "join",
-    "load_manifest",
-    "run_external_scorer",
-    "RocCurve",
-    "EvalReport",
-    "roc",
-    "eer",
-    "eer_from_joined",
-    "pooled_eer",
-    "auc",
-    "threshold_metrics",
-    "evaluate",
-    "pearson",
-    "spearman",
-    "kendall_tau",
-    "distance_correlation",
-    "mutual_information",
-    "ccc",
-    "EerMatrix",
-    "CorrelationReport",
-    "correlate_matrix",
-    "AudioBuffer",
-    "read_wav",
-    "write_wav",
-    "rms",
-    "AugmentSpec",
-    "AugmentSummary",
-    "mix_at_snr",
-    "reverberate",
-    "augment_corpus",
-    "RunRecord",
-    "SystemSummary",
-    "evaluate_arena",
-    "rank",
-    "emit",
-    "store_append",
-    "store_list",
-]

@@ -60,6 +60,8 @@ class AugmentSpec:
         else:
             snr = self.snr_range_db if self.snr_range_db is not None else DEFAULT_SNR_RANGES[self.category]
             low, high = float(snr[0]), float(snr[1])
+            for bound in (low, high):
+                _amplitude_ratio(bound)
             if low > high:
                 raise AugmentError(f"invalid SNR range: low {low} > high {high}")
             object.__setattr__(self, "snr_range_db", (low, high))
@@ -88,15 +90,22 @@ class AugmentSummary:
     failures: tuple[tuple[str, str], ...]
     manifest_path: str
 
-    @property
-    def n_processed(self) -> int:
-        return len(self.entries)
-
 
 def file_seed(run_seed: int, trial_id: str) -> int:
     """Stable 64-bit per-file seed from the run seed and the trial id."""
     h = blake2b(f"{run_seed}:{trial_id}".encode("utf-8"), digest_size=8)
     return int.from_bytes(h.digest(), "little")
+
+
+def _amplitude_ratio(snr_db: float) -> float:
+    """The RMS ratio ``10 ** (snr_db / 20)``; AugmentError unless it is a finite positive float."""
+    try:
+        ratio = 10.0 ** (snr_db / 20.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise AugmentError(f"SNR {snr_db} dB has no finite positive amplitude ratio")
+    return ratio
 
 
 def _fit_length(w: np.ndarray, n: int, offset: int) -> np.ndarray:
@@ -133,7 +142,7 @@ def _mix(clean: np.ndarray, fitted: np.ndarray, snr_db: float, clip_policy: str)
     rms_noise = rms(fitted)
     if rms_noise == 0.0:
         raise AugmentError("interferer segment is silent (zero RMS)")
-    gain = rms_clean / (rms_noise * 10.0 ** (snr_db / 20.0))
+    gain = rms_clean / (rms_noise * _amplitude_ratio(snr_db))
     mixed, scale = _apply_clip_policy(clean + gain * fitted, clip_policy)
     return mixed, gain, scale
 
@@ -157,7 +166,7 @@ def mix_at_snr(
         raise AugmentError(f"unknown clip policy {clip_policy!r}")
     fitted = _fit_length(interferer.samples, len(clean), offset)
     mixed, _, _ = _mix(clean.samples, fitted, snr_db, clip_policy)
-    return AudioBuffer(mixed, clean.sample_rate)
+    return AudioBuffer(mixed)
 
 
 def _convolve_full(x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -181,8 +190,8 @@ def reverberate(clean: AudioBuffer, rir: AudioBuffer) -> AudioBuffer:
     rms_in = rms(clean)
     rms_out = rms(wet)
     if rms_in == 0.0 or rms_out == 0.0:
-        return AudioBuffer(np.zeros(len(clean)), clean.sample_rate)
-    return AudioBuffer(wet * (rms_in / rms_out), clean.sample_rate)
+        return AudioBuffer(np.zeros(len(clean)))
+    return AudioBuffer(wet * (rms_in / rms_out))
 
 
 def _list_wavs(directory: Path, recursive: bool) -> list[Path]:
@@ -248,7 +257,7 @@ def _process_one(
         taps, tap_scale = sources.decode(src)
         wet = reverberate(clean, AudioBuffer(taps.astype(np.float64) * tap_scale))
         samples, scale = _apply_clip_policy(wet.samples, spec.clip_policy)
-        write_wav(out_path, AudioBuffer(samples, clean.sample_rate))
+        write_wav(out_path, AudioBuffer(samples))
         return FileOutcome(
             input_path=str(in_path),
             output_path=str(out_path),
@@ -270,7 +279,7 @@ def _process_one(
     fitted = _fit_length(stored, n, offset).astype(np.float64) * stored_scale
     mixed, gain, scale = _mix(clean.samples, fitted, snr_db, spec.clip_policy)
     realized = 20.0 * math.log10(rms(clean.samples) / rms(gain * fitted))
-    write_wav(out_path, AudioBuffer(mixed, clean.sample_rate))
+    write_wav(out_path, AudioBuffer(mixed))
     return FileOutcome(
         input_path=str(in_path),
         output_path=str(out_path),

@@ -11,16 +11,19 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .augment import AugmentSpec, augment_corpus
-from .errors import ArenaError
-from .leaderboard import RECORD_VERSION, emit, evaluate_arena, store_append, store_list
+from .augment import CATEGORIES, CLIP_POLICIES, AugmentSpec, augment_corpus
+from .errors import ArenaError, AugmentError
+from .leaderboard import (EMIT_FORMATS, RANK_KEYS, RECORD_VERSION, emit, evaluate_arena, store_append,
+                          store_list)
 from .metrics import evaluate, pooled_eer
 from .protocol import (
+    JOIN_MODES,
     MANIFEST_VERSION,
     POLARITIES,
     PROTOCOL_FORMATS,
@@ -40,11 +43,20 @@ _VERSION_TEXT = (
 )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(kind, accept, requirement: str):
+    """argparse type: ``kind(text)``, refused with a usage error unless ``accept(value)``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
+_positive_int = _number(int, lambda v: v >= 1, ">= 1")
 
 
 def _default_jobs() -> int:
@@ -62,6 +74,10 @@ def _write_payload(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_json(payload: dict, out: str | None) -> None:
+    _write_payload(json.dumps(payload, indent=2, allow_nan=False) + "\n", out)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="df-arena", description=__doc__)
     p.add_argument("--version", action="version", version=_VERSION_TEXT)
@@ -73,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--scores", required=True)
     evalp.add_argument("--protocol-format", default="two-column", choices=PROTOCOL_FORMATS)
     evalp.add_argument("--polarity", default="higher-is-bonafide", choices=POLARITIES)
-    evalp.add_argument("--mode", default="strict", choices=["strict", "intersect"])
-    evalp.add_argument("--threshold", type=float, default=None,
+    evalp.add_argument("--mode", default="strict", choices=JOIN_MODES)
+    evalp.add_argument("--threshold", type=_number(float, math.isfinite, "a finite number"), default=None,
                        help="fixed accuracy/F1 threshold (default: the EER threshold)")
     evalp.add_argument("--system-id", default=None)
     evalp.add_argument("--dataset-id", default=None)
@@ -86,14 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("PROTOCOL", "SCORES"))
     poolp.add_argument("--protocol-format", default="two-column", choices=PROTOCOL_FORMATS)
     poolp.add_argument("--polarity", default="higher-is-bonafide", choices=POLARITIES)
-    poolp.add_argument("--mode", default="strict", choices=["strict", "intersect"])
+    poolp.add_argument("--mode", default="strict", choices=JOIN_MODES)
     poolp.add_argument("--out", default=None)
     poolp.set_defaults(func=cmd_pool)
 
     lbp = sub.add_parser("leaderboard", help="evaluate a manifest and render the ranking")
     lbp.add_argument("--manifest", required=True)
-    lbp.add_argument("--sort", default="pooled_eer", choices=["pooled_eer", "average_eer"])
-    lbp.add_argument("--format", default="markdown", choices=["markdown", "csv", "json"])
+    lbp.add_argument("--sort", default="pooled_eer", choices=RANK_KEYS)
+    lbp.add_argument("--format", default="markdown", choices=EMIT_FORMATS)
     lbp.add_argument("--store", default=None, help="append the run to this store file")
     lbp.add_argument("--out", default=None)
     # accepted for older command lines; leaderboard evaluates sequentially
@@ -102,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     corrp = sub.add_parser("correlate", help="correlate dataset EER columns with the average")
     corrp.add_argument("--matrix", required=True, help="CSV: rows=systems, columns=datasets")
-    corrp.add_argument("--bins", type=_positive_int, default=None, help="mutual-information bins")
+    corrp.add_argument("--bins", type=_number(int, lambda v: v >= 2, ">= 2"), default=None,
+                       help="mutual-information bins")
     corrp.add_argument("--systems", default=None, help="comma-separated system subset")
     corrp.add_argument("--format", default="csv", choices=["csv", "json"])
     corrp.add_argument("--out", default=None)
@@ -111,11 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     augp = sub.add_parser("augment", help="perturb a WAV corpus deterministically")
     augp.add_argument("--in", dest="in_dir", required=True)
     augp.add_argument("--out", dest="out_dir", required=True)
-    augp.add_argument("--category", required=True, choices=["noise", "music", "speech", "reverb"])
+    augp.add_argument("--category", required=True, choices=CATEGORIES)
     augp.add_argument("--source", required=True, help="interferer/RIR directory")
     augp.add_argument("--snr-low", type=float, default=None)
     augp.add_argument("--snr-high", type=float, default=None)
-    augp.add_argument("--clip-policy", default="peak-normalize", choices=["peak-normalize", "hard-clip"])
+    augp.add_argument("--clip-policy", default="peak-normalize", choices=CLIP_POLICIES)
     augp.add_argument("--seed", type=int, required=True)
     augp.add_argument("--jobs", type=_positive_int, default=_default_jobs())
     augp.set_defaults(func=cmd_augment)
@@ -130,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     scorep.add_argument("--cmd", required=True, help="scorer command line")
     scorep.add_argument("--list", dest="audio_list", required=True,
                         help="file of newline-separated audio paths")
-    scorep.add_argument("--timeout", type=float, default=None)
+    # the scorer's output is read through select.poll, which takes whole milliseconds in a C int
+    scorep.add_argument("--timeout", default=None,
+                        type=_number(float, lambda v: 0 < v <= 2_147_483, "seconds in (0, 2147483]"))
     scorep.add_argument("--system-id", default="external")
     scorep.add_argument("--out", default=None)
     scorep.set_defaults(func=cmd_score)
@@ -148,7 +167,7 @@ def cmd_eval(args) -> int:
                  joined.dropped_trials, joined.dropped_scores)
     report = evaluate(joined, scores.system_id, trials.dataset_id,
                       decision_threshold=args.threshold)
-    _write_payload(json.dumps(dataclasses.asdict(report), indent=2) + "\n", args.out)
+    _write_json(dataclasses.asdict(report), args.out)
     return 0
 
 
@@ -170,7 +189,7 @@ def cmd_pool(args) -> int:
         "n_bonafide": n_bona,
         "n_spoof": n_spoof,
     }
-    _write_payload(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_json(payload, args.out)
     return 0
 
 
@@ -206,31 +225,28 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    has_low, has_high = args.snr_low is not None, args.snr_high is not None
-    if args.category == "reverb" and (has_low or has_high):
-        raise UsageError("--snr-low/--snr-high do not apply to --category reverb")
-    if has_low != has_high:
+    if (args.snr_low is None) != (args.snr_high is None):
         raise UsageError("--snr-low and --snr-high must be given together")
-    if has_low and args.snr_low > args.snr_high:
-        raise UsageError(f"invalid SNR range: --snr-low {args.snr_low} > --snr-high {args.snr_high}")
-    snr_range = (args.snr_low, args.snr_high) if has_low else None
-    spec = AugmentSpec(
-        category=args.category,
-        source_dir=Path(args.source),
-        seed=args.seed,
-        snr_range_db=snr_range,
-        clip_policy=args.clip_policy,
-    )
+    try:
+        spec = AugmentSpec(
+            category=args.category,
+            source_dir=Path(args.source),
+            seed=args.seed,
+            snr_range_db=None if args.snr_low is None else (args.snr_low, args.snr_high),
+            clip_policy=args.clip_policy,
+        )
+    except AugmentError as e:
+        raise UsageError(str(e)) from None
     summary = augment_corpus(args.in_dir, args.out_dir, spec, jobs=args.jobs)
     payload = {
         "category": summary.category,
         "seed": summary.seed,
-        "files_processed": summary.n_processed,
+        "files_processed": len(summary.entries),
         "manifest": summary.manifest_path,
         "entries": [dataclasses.asdict(e) for e in summary.entries],
         "failures": [{"input": path, "reason": reason} for path, reason in summary.failures],
     }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _write_json(payload, None)
     if summary.failures:
         _error_record(ArenaError(f"{len(summary.failures)} file(s) failed; see summary"))
         return 1
@@ -254,7 +270,7 @@ def cmd_history(args) -> int:
             ],
             "issues": [dataclasses.asdict(i) for i in issues],
         }
-        _write_payload(json.dumps(payload, indent=2) + "\n", args.out)
+        _write_json(payload, args.out)
     else:
         lines = [
             f"{r.run_id}  {r.timestamp}  digest={r.manifest_digest[:12]}  "

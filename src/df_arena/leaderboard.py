@@ -69,7 +69,7 @@ class RunRecord:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
@@ -88,10 +88,6 @@ class RunRecord:
                 for s in doc["summaries"]
             ),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
-        return cls.from_dict(json.loads(text))
 
     def eer_matrix(self) -> EerMatrix:
         """Dense EER grid over the systems that cover every dataset."""
@@ -326,7 +322,7 @@ def store_list(store_path: str | Path) -> tuple[list[RunRecord], list[StoreIssue
                 if not text:
                     continue
                 try:
-                    records.append(RunRecord.from_json(text))
+                    records.append(RunRecord.from_dict(json.loads(text)))
                 except (ValueError, KeyError, TypeError, RecursionError) as e:  # incl. JSONDecodeError
                     issues.append(StoreIssue(lineno, line_offset, f"{type(e).__name__}: {e}"))
     except FileNotFoundError:

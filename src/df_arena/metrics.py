@@ -92,7 +92,8 @@ def _roc(bona: np.ndarray, spoof: np.ndarray) -> RocCurve:
     uniq = np.unique(np.concatenate([bona, spoof]))
     thresholds = np.empty(uniq.size + 1, dtype=np.float64)
     thresholds[0] = uniq[0] - 1.0
-    thresholds[1:-1] = (uniq[:-1] + uniq[1:]) / 2.0
+    # halves first, so midpoints of scores near the float maximum cannot overflow
+    thresholds[1:-1] = uniq[:-1] / 2.0 + uniq[1:] / 2.0
     thresholds[-1] = uniq[-1] + 1.0
     # accept (call bonafide) iff score >= t
     far = (spoof.size - np.searchsorted(spoof, thresholds, side="left")) / spoof.size
@@ -119,7 +120,7 @@ def eer(curve: RocCurve) -> tuple[float, float]:
     changes = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
     first_zero = zeros[0] if zeros.size else np.inf
     first_change = changes[0] if changes.size else np.inf
-    if first_zero <= first_change:
+    if zeros.size and first_zero <= first_change:
         i = int(first_zero)
         return float(curve.far[i]), float(curve.thresholds[i])
     if np.isfinite(first_change):
@@ -132,10 +133,6 @@ def eer(curve: RocCurve) -> tuple[float, float]:
         return float((far_x + frr_x) / 2.0), float(thr)
     j = int(np.argmin(np.abs(d)))
     return float((curve.far[j] + curve.frr[j]) / 2.0), float(curve.thresholds[j])
-
-
-def eer_from_joined(joined) -> tuple[float, float]:
-    return eer(roc(joined))
 
 
 def pooled_eer(joined_sets) -> tuple[float, float]:

@@ -28,12 +28,14 @@ POLARITIES = (HIGHER_IS_BONAFIDE, HIGHER_IS_SPOOF)
 
 PROTOCOL_FORMATS = ("two-column", "asvspoof")
 
+JOIN_MODES = ("strict", "intersect")
+
 MANIFEST_VERSION = 1
 
 # The evaluation corpora are inconsistent about label tokens; this table maps
 # the common variants onto the two canonical labels. Lookups are
-# case-insensitive. Callers may pass their own table to parse_protocol.
-DEFAULT_LABEL_ALIASES = {
+# case-insensitive.
+LABEL_ALIASES = {
     "bonafide": BONAFIDE,
     "bona-fide": BONAFIDE,
     "genuine": BONAFIDE,
@@ -155,7 +157,7 @@ class JoinResult:
 
 def _read_text(path: Path, error_cls) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise error_cls(f"file not found: {path}")
     except UnicodeDecodeError as e:
@@ -200,17 +202,13 @@ def _parse_lines(path: Path, text: str, error_cls, parse_line) -> dict:
 
     ``parse_line`` maps a line's tokens to ``(trial_id, value)`` or raises
     ValueError with the reason; a repeated id is bad too. Returns the values
-    by trial id in file order. Lines end at '\\n' only, as in _content_lines.
-    This is the slow path, for text outside the serialisers' layout and text
-    that fails the column checks.
+    by trial id in file order. This is the slow path, for text outside the
+    serialisers' layout and text that fails the column checks.
     """
     rows = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         try:
-            trial_id, value = parse_line(tokens)
+            trial_id, value = parse_line(line.split())
             if trial_id in rows:
                 raise ValueError(f"duplicate trial_id {trial_id!r}")
         except ValueError as e:
@@ -222,7 +220,6 @@ def _parse_lines(path: Path, text: str, error_cls, parse_line) -> dict:
 def parse_protocol(
     path: str | Path,
     format: str = "two-column",
-    aliases: dict[str, str] | None = None,
     dataset_id: str | None = None,
 ) -> TrialSet:
     """Parse a protocol file into a TrialSet.
@@ -239,7 +236,6 @@ def parse_protocol(
     path = Path(path)
     if format not in PROTOCOL_FORMATS:
         raise ProtocolError(f"unknown protocol format {format!r}; expected one of {PROTOCOL_FORMATS}")
-    alias_table = {k.lower(): v for k, v in (aliases or DEFAULT_LABEL_ALIASES).items()}
     two_column = format == "two-column"
 
     def parse_line(tokens):
@@ -253,7 +249,7 @@ def parse_protocol(
                 raise ValueError(f"expected at least 5 columns, got {len(tokens)}")
             trial_id, label_token = tokens[1], tokens[-1]
             tag = None if tokens[3] == "-" else tokens[3]
-        if alias_table.get(label_token.lower()) not in (BONAFIDE, SPOOF):
+        if LABEL_ALIASES.get(label_token.lower()) not in (BONAFIDE, SPOOF):
             raise ValueError(f"unknown label token {label_token!r}")
         return trial_id, (label_token, tag)
 
@@ -261,7 +257,7 @@ def parse_protocol(
     fields = _protocol_fields(_columns(text), two_column)
     if fields is not None:
         ids, label_tokens, _ = fields
-        known = all(alias_table.get(tok.lower()) in (BONAFIDE, SPOOF) for tok in set(label_tokens))
+        known = all(LABEL_ALIASES.get(tok.lower()) in (BONAFIDE, SPOOF) for tok in set(label_tokens))
         if not known or len(set(ids)) != len(ids):
             fields = None
     if fields is None:
@@ -270,7 +266,7 @@ def parse_protocol(
             raise ProtocolError(f"{path}: empty protocol (no trials)")
         fields = list(rows), *zip(*rows.values())
     ids, label_tokens, tags = fields
-    is_bona = {tok: alias_table[tok.lower()] == BONAFIDE for tok in set(label_tokens)}
+    is_bona = {tok: LABEL_ALIASES[tok.lower()] == BONAFIDE for tok in set(label_tokens)}
     is_bonafide = np.fromiter(map(is_bona.__getitem__, label_tokens), dtype=bool, count=len(ids))
     name = dataset_id if dataset_id is not None else path.stem
     try:
@@ -372,7 +368,7 @@ def join(trials: TrialSet, scores: ScoreSet, mode: str = "strict") -> JoinResult
     declared higher-is-spoof are negated here, so everything downstream can
     assume higher means more bonafide.
     """
-    if mode not in ("strict", "intersect"):
+    if mode not in JOIN_MODES:
         raise ValueError(f"unknown join mode {mode!r}")
     values = list(map(scores.scores.get, trials.ids))
     is_bonafide = trials.is_bonafide
@@ -404,8 +400,6 @@ def run_external_scorer(
     audio_list: str | Path,
     timeout: float | None = None,
     system_id: str = "external",
-    dataset_id: str = "",
-    polarity: str = HIGHER_IS_BONAFIDE,
 ) -> ScoreSet:
     """Score audio files through a subprocess.
 
@@ -470,7 +464,7 @@ def run_external_scorer(
     missing = set(expected) - set(scores)
     if missing:
         raise ScorerError(f"scorer output incomplete; missing: {_preview(missing)}")
-    return ScoreSet(system_id, dataset_id, polarity, scores)
+    return ScoreSet(system_id, "", HIGHER_IS_BONAFIDE, scores)
 
 
 @dataclass(frozen=True)
@@ -500,7 +494,6 @@ class ArenaManifest:
     allow_gaps: bool = False
     join_mode: str = "strict"
     digest: str = ""
-    source_path: Path | None = None
 
     def dataset_ids(self) -> list[str]:
         return [d.dataset_id for d in self.datasets]
@@ -522,7 +515,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
         raise ManifestError(f"cannot read manifest {path}: {e.strerror or e}")
     digest = sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ManifestError(f"{path}: not valid JSON: {e}")
     if not isinstance(doc, dict):
@@ -538,7 +531,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     if default_polarity is not None and default_polarity not in POLARITIES:
         raise ManifestError(f"{path}: options.default_polarity {default_polarity!r} not in {POLARITIES}")
     join_mode = options.get("join_mode", "strict")
-    if join_mode not in ("strict", "intersect"):
+    if join_mode not in JOIN_MODES:
         raise ManifestError(f"{path}: options.join_mode {join_mode!r} must be strict or intersect")
     allow_gaps = options.get("allow_gaps", False)
     if not isinstance(allow_gaps, bool):
@@ -627,5 +620,4 @@ def load_manifest(path: str | Path) -> ArenaManifest:
         allow_gaps=allow_gaps,
         join_mode=join_mode,
         digest=digest,
-        source_path=path,
     )

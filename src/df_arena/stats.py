@@ -38,6 +38,11 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _sqrt_product(a: float, b: float) -> float:
+    """sqrt(a * b) of two positive floats, also where the product underflows to 0."""
+    return math.sqrt(a * b) or math.sqrt(a) * math.sqrt(b)
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation; errors on constant input."""
     x, y = _pair(x, y)
@@ -51,7 +56,7 @@ def pearson(x, y) -> float:
     syy = float(np.sum(dy * dy))
     if sxx == 0.0 or syy == 0.0:
         raise StatError("pearson undefined: zero variance in x or y")
-    r = float(np.sum(dx * dy)) / math.sqrt(sxx * syy)
+    r = float(np.sum(dx * dy)) / _sqrt_product(sxx, syy)
     return float(np.clip(r, -1.0, 1.0))
 
 
@@ -108,7 +113,7 @@ def distance_correlation(x, y) -> float:
     dvar_y = float((B * B).mean())
     if dvar_x == 0.0 or dvar_y == 0.0:
         return 0.0
-    dcor2 = max(dcov2, 0.0) / math.sqrt(dvar_x * dvar_y)
+    dcor2 = max(dcov2, 0.0) / _sqrt_product(dvar_x, dvar_y)
     return float(np.clip(math.sqrt(max(dcor2, 0.0)), 0.0, 1.0))
 
 
@@ -127,6 +132,8 @@ def mutual_information(x, y, bins: int | None = None) -> float:
         bins = default_bins(x.size)
     if bins < 2:
         raise StatError(f"need at least 2 bins, got {bins}")
+    if bins > 1024:  # the joint histogram holds bins x bins cells: 8 MiB at 1024
+        raise StatError(f"at most 1024 bins, got {bins}")
     if x.max() == x.min() or y.max() == y.min():
         return 0.0
     joint, _, _ = np.histogram2d(x, y, bins=bins)
@@ -208,12 +215,13 @@ def load_matrix_csv(path) -> EerMatrix:
 
     Values given in percent (anything above 1) are scaled into [0, 1]; all
     six statistics are invariant under that common rescaling, so this only
-    normalizes the representation.
+    normalizes the representation. A cell outside [0, 1] after that scaling
+    is an error naming its line.
     """
     import csv
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             # (file line, cells) of each non-blank row; line_num counts the blank lines too
             rows = [(reader.line_num, r) for r in reader if r and any(cell.strip() for cell in r)]
@@ -240,8 +248,14 @@ def load_matrix_csv(path) -> EerMatrix:
         except ValueError as e:
             raise StatError(f"{path}: line {lineno}: {e}") from None
     values = np.asarray(values, dtype=np.float64)
-    if values.size and values.max() > 1.0:
+    if (values > 1.0).any():  # percent; NaN cells do not decide
         values = values / 100.0
+    outside = np.argwhere(~((values >= 0.0) & (values <= 1.0)))  # NaN too
+    if outside.size:
+        i, j = outside[0]
+        lineno, row = rows[1 + i]
+        raise StatError(f"{path}: line {lineno}: EER {row[1 + j].strip()!r} is outside [0, 1] "
+                        "after percent scaling")
     return EerMatrix.build(system_ids, dataset_ids, values)
 
 
@@ -277,7 +291,7 @@ class CorrelationReport:
             "datasets": {ds: self.values[ds] for ds in self.dataset_ids},
             "notes": list(self.notes),
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def correlate_matrix(matrix: EerMatrix, bins: int | None = None) -> CorrelationReport:

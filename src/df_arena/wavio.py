@@ -26,14 +26,9 @@ class AudioBuffer:
     """Mono float64 samples at 16 kHz. Integer input is scaled by 1/32768."""
 
     samples: np.ndarray
-    sample_rate: int = REQUIRED_SAMPLE_RATE
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.sample_rate != REQUIRED_SAMPLE_RATE:
-            raise AudioError(
-                f"unsupported sample rate {self.sample_rate} Hz; {REQUIRED_SAMPLE_RATE} Hz required"
-            )
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise AudioError("audio buffer must be a non-empty 1-D signal")
         if not np.all(np.isfinite(self.samples)):
@@ -144,8 +139,8 @@ def write_wav(path: str | Path, buffer: AudioBuffer) -> None:
                 16,
                 _FMT_PCM,
                 1,
-                buffer.sample_rate,
-                buffer.sample_rate * 2,
+                REQUIRED_SAMPLE_RATE,
+                REQUIRED_SAMPLE_RATE * 2,
                 2,
                 16,
             ),

@@ -160,12 +160,12 @@ def arena_manifest_path(tmp_path):
 
 def make_tone(seconds=1.0, freq=440.0, amplitude=0.5, rate=16000):
     t = np.arange(int(seconds * rate)) / rate
-    return AudioBuffer(amplitude * np.sin(2.0 * np.pi * freq * t), rate)
+    return AudioBuffer(amplitude * np.sin(2.0 * np.pi * freq * t))
 
 
 def make_noise(seconds=1.0, amplitude=0.1, seed=0, rate=16000):
     rng = np.random.default_rng(seed)
-    return AudioBuffer(amplitude * rng.standard_normal(int(seconds * rate)), rate)
+    return AudioBuffer(amplitude * rng.standard_normal(int(seconds * rate)))
 
 
 def build_wav_corpus(root: Path, n_files=3, seconds=1.0, amplitude=0.05, seed=100):

@@ -15,7 +15,7 @@ import numpy as np
 
 from df_arena.augment import DEFAULT_SNR_RANGES, AugmentSpec, augment_corpus
 from df_arena.cli import main
-from df_arena.metrics import auc, eer, eer_from_joined, pooled_eer, roc
+from df_arena.metrics import auc, eer, pooled_eer, roc
 from df_arena.stats import (
     ccc,
     distance_correlation,
@@ -81,7 +81,7 @@ def test_criterion_02_eer_oracle_equivalence():
             else:
                 bona = rng.normal(0.5, 1.0, n_bona)
                 spoof = rng.normal(-0.5, 1.0, n_spoof)
-            got_eer, got_thr = eer_from_joined(joined(bona, spoof))
+            got_eer, got_thr = eer(roc(joined(bona, spoof)))
             want_eer, want_thr = brute_force_eer(bona, spoof)
             assert abs(got_eer - want_eer) <= 1e-12, (i, got_eer, want_eer)
             assert abs(got_thr - want_thr) <= 1e-12, (i, got_thr, want_thr)
@@ -110,14 +110,14 @@ def test_criterion_04_pooled_eer_divergence_and_identity():
     with criterion("04 pooled-EER scale-mismatch and duplication identity"):
         a = joined([10.0, 9.0], [1.0, 2.0])
         b = joined([0.6, 0.5], [0.4, 0.3])
-        assert eer_from_joined(a)[0] == 0.0
-        assert eer_from_joined(b)[0] == 0.0
+        assert eer(roc(a))[0] == 0.0
+        assert eer(roc(b))[0] == 0.0
         assert pooled_eer([a, b])[0] == 0.5
         assert brute_force_eer([10, 9, 0.6, 0.5], [1, 2, 0.4, 0.3])[0] == 0.5
 
         rng = np.random.default_rng(7777)
         rows = joined(rng.normal(0.4, 1.0, 40), rng.normal(-0.4, 1.0, 40))
-        single = eer_from_joined(rows)[0]
+        single = eer(roc(rows))[0]
         for k in (1, 2, 5):
             assert pooled_eer([rows] * k)[0] == single
 

@@ -52,6 +52,12 @@ class TestSpec:
         with pytest.raises(AugmentError, match="category"):
             AugmentSpec("codec", "/tmp/src", seed=1)
 
+    @pytest.mark.parametrize("bounds", [(math.nan, math.nan), (0.0, math.inf), (-math.inf, 0.0),
+                                        (1e308, 1e308), (-1e308, 0.0), (-1e308, 1e308)])
+    def test_bound_without_finite_positive_amplitude_ratio_rejected(self, bounds):
+        with pytest.raises(AugmentError, match="no finite positive amplitude ratio"):
+            AugmentSpec("noise", "/tmp/src", seed=1, snr_range_db=bounds)
+
 
 class TestMixAtSnr:
     def test_equal_rms_at_zero_db_doubles_signal(self):
@@ -180,7 +186,7 @@ class TestAugmentCorpus:
         src = build_interferer_dir(tmp_path / "musan_noise")
         spec = AugmentSpec("noise", src, seed=11)
         summary = augment_corpus(in_dir, tmp_path / "out", spec)
-        assert summary.n_processed == 3
+        assert len(summary.entries) == 3
         assert not summary.failures
         for entry in summary.entries:
             assert 0.0 <= entry.snr_db <= 15.0
@@ -230,7 +236,7 @@ class TestAugmentCorpus:
         write_wav(rir_dir / "room0.wav", make_noise(seconds=0.05, amplitude=0.4, seed=21))
         spec = AugmentSpec("reverb", rir_dir, seed=5)
         summary = augment_corpus(in_dir, tmp_path / "out", spec)
-        assert summary.n_processed == 2
+        assert len(summary.entries) == 2
         assert all(e.rir_id == "room0.wav" for e in summary.entries)
         for e in summary.entries:
             wet = read_wav(e.output_path)
@@ -241,7 +247,7 @@ class TestAugmentCorpus:
         (in_dir / "broken.wav").write_bytes(b"RIFF not really audio")
         src = build_interferer_dir(tmp_path / "src")
         summary = augment_corpus(in_dir, tmp_path / "out", AugmentSpec("noise", src, seed=3))
-        assert summary.n_processed == 2
+        assert len(summary.entries) == 2
         assert len(summary.failures) == 1
         assert "broken.wav" in summary.failures[0][0]
 
@@ -286,7 +292,7 @@ class TestDecodeOnceEquivalence:
         for jobs in (1, 4):
             out = tmp_path / f"out{jobs}"
             summary = augment_corpus(in_dir, out, spec, jobs=jobs)
-            assert not summary.failures and summary.n_processed == 10
+            assert not summary.failures and len(summary.entries) == 10
             for e in summary.entries:
                 expected = tmp_path / "expected.wav"
                 write_wav(
@@ -316,7 +322,7 @@ class TestDecodeOnceEquivalence:
         for jobs in (1, 4):
             out = tmp_path / f"out{jobs}"
             summary = augment_corpus(in_dir, out, spec, jobs=jobs)
-            assert not summary.failures and summary.n_processed == 6
+            assert not summary.failures and len(summary.entries) == 6
             for e in summary.entries:
                 wet = reverberate(read_wav(e.input_path), read_wav(src / e.rir_id)).samples
                 peak = float(np.max(np.abs(wet)))

@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
 import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from df_arena import __version__
 from df_arena.cli import main
+from df_arena.errors import ArenaError
 
 from conftest import OPEN_SOURCE_SYSTEMS, build_arena, protocol_text, scores_text, write_text
 from conftest import build_interferer_dir, build_wav_corpus
@@ -68,6 +77,27 @@ class TestEval:
         )
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["eer"] == 0.0
+
+    def test_bom_protocol_joins_plain_scores(self, capsys, tmp_path):
+        protocol = write_text(tmp_path / "p.txt", "\ufeffa1 bonafide\na2 spoof")
+        scores = write_text(tmp_path / "s.txt", "a1 0.9\na2 0.1")
+        code, out, err = run_cli(capsys, ["eval", "--protocol", str(protocol), "--scores", str(scores)])
+        assert code == 0, err
+        assert json.loads(out)["eer"] == 0.0
+
+    def test_bom_score_file_joins_plain_protocol(self, capsys, perfect_pair, tmp_path):
+        protocol, scores = perfect_pair
+        bom_scores = write_text(tmp_path / "bom.txt", "\ufeff" + scores.read_text(encoding="utf-8"))
+        code, out, err = run_cli(capsys, ["eval", "--protocol", str(protocol), "--scores", str(bom_scores)])
+        assert code == 0, err
+        assert json.loads(out)["eer"] == 0.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_threshold_exits_two(self, perfect_pair, value):
+        protocol, scores = perfect_pair
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--protocol", str(protocol), "--scores", str(scores), f"--threshold={value}"])
+        assert exc.value.code == 2
 
 
 class TestPool:
@@ -184,6 +214,27 @@ class TestCorrelate:
         assert code == 1
         assert "at least 3 systems" in json.loads(err.strip().splitlines()[-1])["message"]
 
+    def test_bom_matrix_loads(self, capsys, tmp_path):
+        csv = write_text(tmp_path / "m.csv", "\ufeffsys,d1,d2\na,0.1,0.1\nb,0.2,0.2\nc,0.4,0.4\n")
+        code, out, err = run_cli(capsys, ["correlate", "--matrix", str(csv), "--format", "json"])
+        assert code == 0, err
+        assert list(json.loads(out)["datasets"]) == ["d1", "d2"]
+
+    @pytest.mark.parametrize("cell", ["-0.2", "200", "nan", "inf"])
+    def test_cell_outside_unit_range_names_its_line(self, capsys, tmp_path, cell):
+        csv = write_text(tmp_path / "m.csv", f"sys,d1\na,10\n\nb,{cell}\nc,30\n")
+        code, _, err = run_cli(capsys, ["correlate", "--matrix", str(csv)])
+        assert code == 1
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "StatError"
+        assert f"m.csv: line 4: EER '{cell}' is outside [0, 1]" in record["message"]
+
+    @pytest.mark.parametrize("bins", ["1", "0", "-3", "nan"])
+    def test_bins_below_two_exits_two(self, tmp_path, bins):
+        with pytest.raises(SystemExit) as exc:
+            main(["correlate", "--matrix", str(tmp_path / "m.csv"), "--bins", bins])
+        assert exc.value.code == 2
+
     def test_ragged_matrix_exits_one(self, capsys, tmp_path):
         csv = write_text(tmp_path / "m.csv", "sys,d1,d2\na,0.1\n")
         code, _, err = run_cli(capsys, ["correlate", "--matrix", str(csv)])
@@ -234,6 +285,16 @@ class TestAugmentCli:
                   "--snr-low", "15", "--snr-high", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("low, high", [("nan", "nan"), ("1e308", "1e308"), ("-1e308", "0"),
+                                           ("0", "inf")])
+    def test_snr_without_finite_amplitude_ratio_usage_error(self, capsys, tmp_path, low, high):
+        with pytest.raises(SystemExit) as exc:
+            main(["augment", "--in", str(tmp_path), "--out", str(tmp_path / "o"),
+                  "--category", "noise", "--source", str(tmp_path), "--seed", "1",
+                  f"--snr-low={low}", f"--snr-high={high}"])
+        assert exc.value.code == 2
+        assert "no finite positive amplitude ratio" in capsys.readouterr().err
+
     def test_missing_source_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["augment", "--in", str(tmp_path), "--out", str(tmp_path / "o"),
@@ -278,6 +339,19 @@ class TestScore:
         assert code == 1
         assert "timed out" in json.loads(err.strip().splitlines()[-1])["message"]
 
+    def test_bom_audio_list_keeps_its_first_trial_id(self, capsys, tmp_path, echo_scorer):
+        lst = write_text(tmp_path / "list.txt", "\ufeffx.wav\ny.wav\n")
+        code, out, err = run_cli(capsys, ["score", "--cmd", shlex.join(echo_scorer), "--list", str(lst)])
+        assert code == 0, err
+        assert sorted(line.split()[0] for line in out.splitlines()) == ["x", "y"]
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1", "1e308"])
+    def test_bad_timeout_exits_two(self, tmp_path, echo_scorer, timeout):
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--cmd", shlex.join(echo_scorer), "--list", str(tmp_path / "l.txt"),
+                  f"--timeout={timeout}"])
+        assert exc.value.code == 2
+
     def test_missing_cmd_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["score", "--list", str(tmp_path / "l.txt")])
@@ -293,6 +367,13 @@ class TestUsage:
         assert __version__ in out
         assert "manifest_version 1" in out
         assert "record_version 1" in out
+
+    def test_package_root_exposes_only_the_version(self):
+        code = "import df_arena; print(' '.join(sorted(vars(df_arena))))"
+        names = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True).stdout.split()
+        assert [n for n in names if not (n.startswith("__") and n.endswith("__"))] == []
+        assert "__version__" in names
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -318,3 +399,108 @@ class TestUsage:
         monkeypatch.setenv("DF_ARENA_JOBS", "not-a-number")
         args = build_parser().parse_args(["leaderboard", "--manifest", "m.json"])
         assert args.jobs == 1
+
+
+def _error_names(cls) -> set[str]:
+    return {cls.__name__}.union(*(_error_names(c) for c in cls.__subclasses__()))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+# argv numbers: the non-finite spellings, floats of every magnitude, integers past any C type
+_numbers = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e999", "0", "-1", "0.5", "2"]),
+    st.floats().map(repr),
+    st.integers(-10**30, 10**30).map(str),
+)
+_ids = st.sampled_from(["a", "b", "c", "d", "e", "\ufeffa"])
+_labels = st.sampled_from(["bonafide", "spoof", "fake", "0", "genuine", "junk"])
+
+
+def _text(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+@st.composite
+def _protocol_and_scores(draw):
+    """A protocol with both classes and a score file over mostly the same trial ids."""
+    trial_ids = draw(st.lists(_ids, min_size=2, max_size=6, unique=True))
+    more = draw(st.lists(_labels, min_size=len(trial_ids) - 2, max_size=len(trial_ids) - 2))
+    trials = list(zip(trial_ids, draw(st.permutations(["bonafide", "spoof", *more]))))
+    ids = [i for i in trial_ids if draw(st.integers(0, 9))]
+    ids += [draw(_ids)] if draw(st.integers(0, 9)) == 0 else []
+    plain = st.floats(-2.0, 2.0).map(repr)
+    values = draw(st.lists(st.one_of(plain, plain, plain, _numbers), min_size=len(ids),
+                           max_size=len(ids)))
+    return _text(map(" ".join, trials)), _text(map(" ".join, zip(ids, values)))
+
+
+_cell = st.one_of(st.floats(0.0, 1.0).map(repr), st.floats(0.0, 1.0).map(repr),
+                  st.floats(1.0, 100.0).map(repr), _numbers)
+_matrix_text = st.lists(st.lists(_cell, min_size=2, max_size=2), min_size=3, max_size=5).map(
+    lambda rows: "sys,d1,d2\n" + _text(f"s{i},{','.join(r)}" for i, r in enumerate(rows)))
+_audio_list_text = st.lists(st.sampled_from(["/a/x.wav", "/a/y.wav", "/b/x.wav", "# c", ""]),
+                            max_size=4).map(_text)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus")
+    return (build_wav_corpus(root / "in", n_files=2, seconds=0.05),
+            build_interferer_dir(root / "src", n_files=1, seconds=0.1))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_every_subcommand_keeps_the_exit_and_payload_contract(data, small_corpus, echo_scorer):
+    """Exit 0, 1 or 2; exit 1 writes one ArenaError record; stdout JSON is strict."""
+    draw = data.draw
+    command = draw(st.sampled_from(["eval", "pool", "correlate", "augment", "score"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        made = iter(range(100))
+
+        def file(text: str) -> str:
+            path = Path(tmp) / f"f{next(made)}.txt"
+            path.write_text(text, encoding="utf-8")
+            return str(path)
+
+        mode = draw(st.sampled_from(["strict", "intersect"]))
+        if command == "eval":
+            protocol, scores = draw(_protocol_and_scores())
+            argv = ["eval", "--protocol", file(protocol), "--scores", file(scores), "--mode", mode]
+            argv += draw(st.just([]) | _numbers.map(lambda n: [f"--threshold={n}"]))
+        elif command == "pool":
+            argv = ["pool", "--mode", mode]
+            for protocol, scores in draw(st.lists(_protocol_and_scores(), min_size=1, max_size=2)):
+                argv += ["--pair", file(protocol), file(scores)]
+        elif command == "correlate":
+            argv = ["correlate", "--matrix", file(draw(_matrix_text)), "--format", "json"]
+            argv += draw(st.just([]) | _numbers.map(lambda n: [f"--bins={n}"]))
+        elif command == "augment":
+            in_dir, src = small_corpus
+            argv = ["augment", "--in", str(in_dir), "--out", str(Path(tmp) / "out"),
+                    "--category", draw(st.sampled_from(["noise", "reverb"])), "--source", str(src),
+                    f"--seed={draw(st.integers(-10**30, 10**30).map(str) | _numbers)}"]
+            if draw(st.booleans()):
+                argv += [f"--snr-low={draw(_numbers)}", f"--snr-high={draw(_numbers)}"]
+        else:
+            argv = ["score", "--cmd", shlex.join(echo_scorer), "--list", file(draw(_audio_list_text)),
+                    f"--timeout={draw(st.floats(1.0, 30.0).map(repr) | _numbers)}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert json.loads(lines[0])["error"] in _error_names(ArenaError), (argv, lines)
+    if code == 2:
+        assert out.getvalue() == ""
+    elif command != "score" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -7,7 +7,6 @@ from df_arena.errors import MetricError
 from df_arena.metrics import (
     auc,
     eer,
-    eer_from_joined,
     evaluate,
     format_percent,
     pooled_eer,
@@ -69,21 +68,32 @@ class TestRoc:
 
 class TestEer:
     def test_perfect_separation(self):
-        assert eer_from_joined(joined([1.0], [0.0]))[0] == 0.0
+        assert eer(roc(joined([1.0], [0.0])))[0] == 0.0
 
     def test_hand_case_is_one_third(self):
-        value, threshold = eer_from_joined(joined([0.9, 0.8, 0.3], [0.7, 0.2, 0.1]))
+        value, threshold = eer(roc(joined([0.9, 0.8, 0.3], [0.7, 0.2, 0.1])))
         assert value == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert 0.3 < threshold < 0.7
 
+    def test_threshold_between_scores_near_the_float_maximum_is_finite(self):
+        value, threshold = eer(roc(joined([1.7e308], [1.6e308])))
+        assert value == 0.0
+        assert 1.6e308 < threshold < 1.7e308
+
+    def test_curve_without_crossing_falls_back_to_the_closest_point(self):
+        # past 2**53 the sentinels round onto the score, so FAR - FRR never reaches 0 or changes sign
+        value, threshold = eer(roc(joined([2.0**53], [2.0**53])))
+        assert value == 0.5
+        assert threshold == 2.0**53 - 1
+
     def test_all_scores_tied(self):
-        value, _ = eer_from_joined(joined([0.5, 0.5], [0.5]))
+        value, _ = eer(roc(joined([0.5, 0.5], [0.5])))
         assert value == pytest.approx(0.5, abs=1e-15)
 
     @given(grid_scores, grid_scores)
     @settings(max_examples=100)
     def test_matches_brute_force_oracle(self, bona, spoof):
-        got_eer, got_thr = eer_from_joined(joined(bona, spoof))
+        got_eer, got_thr = eer(roc(joined(bona, spoof)))
         want_eer, want_thr = brute_force_eer(bona, spoof)
         assert got_eer == pytest.approx(want_eer, abs=1e-12)
         assert got_thr == pytest.approx(want_thr, abs=1e-12)
@@ -93,7 +103,7 @@ class TestEer:
         n = 20000
         bona = rng.normal(1.0, 1.0, n)
         spoof = rng.normal(-1.0, 1.0, n)
-        value, _ = eer_from_joined(joined(bona, spoof))
+        value, _ = eer(roc(joined(bona, spoof)))
         assert value == pytest.approx(normal_cdf(-1.0), abs=0.01)
 
     @given(distinct_pools, st.integers(1, 39))
@@ -102,8 +112,8 @@ class TestEer:
         if cut >= len(pool):
             cut = len(pool) - 1
         bona, spoof = pool[:cut], pool[cut:]
-        base, _ = eer_from_joined(joined(bona, spoof))
-        flipped, _ = eer_from_joined(joined([-s for s in spoof], [-s for s in bona]))
+        base, _ = eer(roc(joined(bona, spoof)))
+        flipped, _ = eer(roc(joined([-s for s in spoof], [-s for s in bona])))
         assert flipped == pytest.approx(base, abs=1e-12)
 
 
@@ -127,20 +137,20 @@ def test_monotone_transform_leaves_eer_and_auc_unchanged(pool, cut, which):
 class TestPooledEer:
     def test_single_set_identity(self):
         rows = joined([0.9, 0.8, 0.3], [0.7, 0.2, 0.1])
-        assert pooled_eer([rows]) == eer_from_joined(rows)
+        assert pooled_eer([rows]) == eer(roc(rows))
 
     def test_scale_mismatch_penalty(self):
         a = joined([10.0, 9.0], [1.0, 2.0])
         b = joined([0.6, 0.5], [0.4, 0.3])
-        assert eer_from_joined(a)[0] == 0.0
-        assert eer_from_joined(b)[0] == 0.0
+        assert eer(roc(a))[0] == 0.0
+        assert eer(roc(b))[0] == 0.0
         assert pooled_eer([a, b])[0] == 0.5
 
     @given(grid_scores, grid_scores, st.integers(2, 5))
     @settings(max_examples=40)
     def test_duplication_invariance(self, bona, spoof, k):
         rows = joined(bona, spoof)
-        single = eer_from_joined(rows)[0]
+        single = eer(roc(rows))[0]
         assert pooled_eer([rows] * k)[0] == single
 
     def test_empty_list_rejected(self):
@@ -186,7 +196,7 @@ class TestAuc:
 class TestThresholdMetrics:
     def test_perfect_separation_at_eer_threshold(self):
         rows = joined([1.0, 0.9], [0.1, 0.0])
-        _, thr = eer_from_joined(rows)
+        _, thr = eer(roc(rows))
         tm = threshold_metrics(rows, thr)
         assert tm.accuracy == 1.0
         assert tm.f1 == 1.0
@@ -218,7 +228,7 @@ class TestThresholdMetrics:
             cut = len(pool) - 1
         bona = np.asarray(pool[:cut])
         spoof = np.asarray(pool[cut:])
-        _, thr = eer_from_joined(joined(bona, spoof))
+        _, thr = eer(roc(joined(bona, spoof)))
         base = threshold_metrics(joined(bona, spoof), thr)
         # threshold maps through the same strictly increasing function
         mapped = threshold_metrics(joined(3.0 * bona + 7.0, 3.0 * spoof + 7.0), 3.0 * thr + 7.0)

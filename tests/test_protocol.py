@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from df_arena.errors import JoinError, ManifestError, ProtocolError, ScoreFileError
 from df_arena.protocol import (
     BONAFIDE,
-    DEFAULT_LABEL_ALIASES,
+    LABEL_ALIASES,
     SPOOF,
     ScoreSet,
     Trial,
@@ -295,6 +296,14 @@ class TestManifest:
         assert sys_b.polarity == "higher-is-spoof"
         assert sys_b.param_count_millions == 98.9
 
+    def test_bom_manifest_loads_and_its_digest_hashes_the_raw_bytes(self, tmp_path):
+        plain = build_arena(tmp_path)
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        manifest = load_manifest(bom)
+        assert manifest.datasets == load_manifest(plain).datasets
+        assert manifest.digest == hashlib.sha256(bom.read_bytes()).hexdigest()
+
     def test_score_for_undeclared_dataset(self, tmp_path):
         build_arena(tmp_path)
         import json
@@ -426,7 +435,7 @@ def test_random_input_raises_only_the_parser_error(tmp_path_factory, data):
             assert str(path) in str(e)
 
 
-_ALIASES = {k.lower() for k in DEFAULT_LABEL_ALIASES}
+_ALIASES = {k.lower() for k in LABEL_ALIASES}
 _ids = st.lists(st.from_regex(r"[A-Za-z0-9_.-]{1,8}", fullmatch=True), min_size=2, max_size=10, unique=True)
 _printable = st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=8)
 _bad_label = _printable.filter(lambda t: t.lower() not in _ALIASES)

@@ -218,6 +218,11 @@ class TestMutualInformation:
         with pytest.raises(StatError, match="at least 2 bins"):
             mutual_information([1, 2, 3], [1, 2, 3], bins=1)
 
+    @pytest.mark.parametrize("bins", [1025, 10**30])
+    def test_more_bins_than_the_histogram_cap_rejected(self, bins):
+        with pytest.raises(StatError, match="at most 1024 bins"):
+            mutual_information([1, 2, 3], [1, 2, 3], bins=bins)
+
     @given(paired(min_size=4, max_size=16), st.integers(2, 5))
     @settings(max_examples=40)
     def test_matches_oracle_and_is_symmetric(self, xy, bins):
@@ -294,6 +299,12 @@ def test_joint_permutation_equivariance(xy, rnd):
     assert mutual_information(px, py, bins=3) == pytest.approx(
         mutual_information(x, y, bins=3), abs=1e-10
     )
+
+
+def test_variance_products_below_the_float_minimum_still_divide():
+    x, y = [0.0, 0.0, 8.6e-99], [0.0, 0.0, 4.3e-99]
+    assert pearson(x, y) == pytest.approx(1.0)
+    assert distance_correlation(x, y) == pytest.approx(1.0)
 
 
 class TestEerMatrix:
