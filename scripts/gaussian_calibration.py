@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from df_arena.metrics import auc, eer, roc
+from df_arena.protocol import JoinResult
 
 
 def phi(z: float) -> float:
@@ -34,8 +35,8 @@ def main() -> int:
         half = d_prime / 2.0
         bona = rng.normal(half, 1.0, n)
         spoof = rng.normal(-half, 1.0, n)
-        rows = [("bonafide", s) for s in bona] + [("spoof", s) for s in spoof]
-        curve = roc(rows)
+        is_bonafide = np.arange(2 * n) < n
+        curve = roc(JoinResult(is_bonafide, np.concatenate([bona, spoof])))
         e_emp = eer(curve)[0]
         a_emp = auc(curve)
         e_true = phi(-half)

@@ -132,9 +132,9 @@ def _apply_clip_policy(samples: np.ndarray, policy: str):
 def _mix(clean: np.ndarray, fitted: np.ndarray, snr_db: float, clip_policy: str):
     """Scale the fitted interferer to the target SNR and add it to clean.
 
-    Returns (samples, gain, scale): gain is the interferer multiplier that
-    realizes snr_db exactly (pre-clipping), scale the whole-mix factor that
-    the clip policy applied afterwards (1.0 when nothing clipped).
+    Returns (samples, realized_snr_db, scale): the realized SNR is measured
+    on the scaled interferer (pre-clipping), scale is the whole-mix factor
+    that the clip policy applied afterwards (1.0 when nothing clipped).
     """
     rms_clean = rms(clean)
     if rms_clean == 0.0:
@@ -142,9 +142,14 @@ def _mix(clean: np.ndarray, fitted: np.ndarray, snr_db: float, clip_policy: str)
     rms_noise = rms(fitted)
     if rms_noise == 0.0:
         raise AugmentError("interferer segment is silent (zero RMS)")
-    gain = rms_clean / (rms_noise * _amplitude_ratio(snr_db))
-    mixed, scale = _apply_clip_policy(clean + gain * fitted, clip_policy)
-    return mixed, gain, scale
+    # an extreme SNR can scale the interferer past float64's range either way
+    with np.errstate(all="ignore"):
+        scaled = np.divide(rms_clean, rms_noise * _amplitude_ratio(snr_db)) * fitted
+        rms_scaled = rms(scaled)
+    if not 0.0 < rms_scaled < math.inf:
+        raise AugmentError(f"SNR {snr_db} dB scales the interferer out of float64 range")
+    mixed, scale = _apply_clip_policy(clean + scaled, clip_policy)
+    return mixed, 20.0 * math.log10(rms_clean / rms_scaled), scale
 
 
 def mix_at_snr(
@@ -277,8 +282,7 @@ def _process_one(
     # Only the n mixed samples are converted; elementwise this equals
     # fitting the fully converted source.
     fitted = _fit_length(stored, n, offset).astype(np.float64) * stored_scale
-    mixed, gain, scale = _mix(clean.samples, fitted, snr_db, spec.clip_policy)
-    realized = 20.0 * math.log10(rms(clean.samples) / rms(gain * fitted))
+    mixed, realized, scale = _mix(clean.samples, fitted, snr_db, spec.clip_policy)
     write_wav(out_path, AudioBuffer(mixed))
     return FileOutcome(
         input_path=str(in_path),

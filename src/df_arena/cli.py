@@ -25,6 +25,7 @@ from .metrics import evaluate, pooled_eer
 from .protocol import (
     JOIN_MODES,
     MANIFEST_VERSION,
+    MAX_SCORER_TIMEOUT_S,
     POLARITIES,
     PROTOCOL_FORMATS,
     join,
@@ -147,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     scorep.add_argument("--cmd", required=True, help="scorer command line")
     scorep.add_argument("--list", dest="audio_list", required=True,
                         help="file of newline-separated audio paths")
-    # the scorer's output is read through select.poll, which takes whole milliseconds in a C int
     scorep.add_argument("--timeout", default=None,
-                        type=_number(float, lambda v: 0 < v <= 2_147_483, "seconds in (0, 2147483]"))
+                        type=_number(float, lambda v: 0 < v <= MAX_SCORER_TIMEOUT_S,
+                                     f"seconds in (0, {MAX_SCORER_TIMEOUT_S}]"))
     scorep.add_argument("--system-id", default="external")
     scorep.add_argument("--out", default=None)
     scorep.set_defaults(func=cmd_score)
@@ -159,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_eval(args) -> int:
     trials = parse_protocol(args.protocol, args.protocol_format, dataset_id=args.dataset_id)
-    scores = parse_scores(args.scores, polarity=args.polarity,
-                          system_id=args.system_id, dataset_id=trials.dataset_id)
+    scores = parse_scores(args.scores, polarity=args.polarity, system_id=args.system_id)
     joined = join(trials, scores, mode=args.mode)
     if joined.dropped_trials or joined.dropped_scores:
         log.info("intersect join dropped %d trials and %d scores",

@@ -134,7 +134,7 @@ def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0") -> RunRecor
                 continue
             try:
                 scores = parse_scores(system.score_paths[dataset_id], polarity=system.polarity,
-                                      system_id=system.system_id, dataset_id=dataset_id)
+                                      system_id=system.system_id)
                 joined = join(trial_sets[dataset_id], scores, mode=manifest.join_mode)
                 own_reports.append(evaluate(joined, system.system_id, dataset_id))
             except ArenaError as e:

@@ -7,9 +7,10 @@ join already normalizes polarity); scores equal to a threshold count as
 accepted, everywhere. Each set is split into sorted per-class arrays once,
 and every metric is computed from those.
 
-EER and AUC are rank statistics here: candidate thresholds are the midpoints
-between consecutive distinct scores plus one sentinel on each side, so any
-strictly increasing transform of the scores leaves both values unchanged.
+EER and AUC are rank statistics here: FAR and FRR are counted at the
+distinct scores, so any strictly increasing transform of the scores leaves
+both values unchanged. Reported thresholds are the midpoints between
+consecutive distinct scores plus one sentinel on each side.
 """
 
 from __future__ import annotations
@@ -84,55 +85,49 @@ def _class_scores(joined) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _roc(bona: np.ndarray, spoof: np.ndarray) -> RocCurve:
-    """The curve of sorted per-class score arrays."""
+    """The curve of sorted per-class score arrays.
+
+    Point ``i`` accepts exactly the scores ``>= uniq[i]``; the last point accepts none.
+    """
     if bona.size == 0 or spoof.size == 0:
         raise MetricError(
             f"ROC needs both classes; got {bona.size} bonafide and {spoof.size} spoof scores"
         )
     uniq = np.unique(np.concatenate([bona, spoof]))
+    far = np.append(spoof.size - np.searchsorted(spoof, uniq, side="left"), 0) / spoof.size
+    frr = np.append(np.searchsorted(bona, uniq, side="left"), bona.size) / bona.size
     thresholds = np.empty(uniq.size + 1, dtype=np.float64)
     thresholds[0] = uniq[0] - 1.0
     # halves first, so midpoints of scores near the float maximum cannot overflow
-    thresholds[1:-1] = uniq[:-1] / 2.0 + uniq[1:] / 2.0
+    mid = uniq[:-1] / 2.0 + uniq[1:] / 2.0
+    # the midpoint of adjacent floats can round onto the lower score, which the
+    # point rejects; the upper score then accepts exactly what the point counts
+    thresholds[1:-1] = np.where(mid > uniq[:-1], mid, uniq[1:])
     thresholds[-1] = uniq[-1] + 1.0
-    # accept (call bonafide) iff score >= t
-    far = (spoof.size - np.searchsorted(spoof, thresholds, side="left")) / spoof.size
-    frr = np.searchsorted(bona, thresholds, side="left") / bona.size
     return RocCurve(thresholds, far, frr)
 
 
 def roc(joined) -> RocCurve:
-    """Sweep FAR/FRR over midpoint thresholds with sentinels at both ends."""
+    """FAR/FRR counted at the distinct scores, reported at midpoint thresholds with sentinels."""
     return _roc(*_class_scores(joined))
 
 
 def eer(curve: RocCurve) -> tuple[float, float]:
     """Equal error rate and its threshold.
 
-    Walks the curve in ascending-threshold order: an exact FAR == FRR point
-    is returned as-is, otherwise the first sign change of FAR - FRR is
-    resolved by linear interpolation between the bracketing points. If the
-    difference never changes sign (degenerate curves only), falls back to
-    (FAR + FRR) / 2 at the point minimizing |FAR - FRR|.
+    FAR - FRR starts at 1, ends at -1 and never increases, so its first
+    point at or below 0 exists: returned as-is when FAR == FRR there, else
+    the crossing is linearly interpolated from the point before it.
     """
     d = curve.far - curve.frr
-    zeros = np.flatnonzero(d == 0.0)
-    changes = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
-    first_zero = zeros[0] if zeros.size else np.inf
-    first_change = changes[0] if changes.size else np.inf
-    if zeros.size and first_zero <= first_change:
-        i = int(first_zero)
+    i = int(np.argmax(d <= 0.0))
+    if d[i] == 0.0:
         return float(curve.far[i]), float(curve.thresholds[i])
-    if np.isfinite(first_change):
-        i = int(first_change)
-        d0, d1 = d[i], d[i + 1]
-        t = d0 / (d0 - d1)
-        far_x = curve.far[i] + t * (curve.far[i + 1] - curve.far[i])
-        frr_x = curve.frr[i] + t * (curve.frr[i + 1] - curve.frr[i])
-        thr = curve.thresholds[i] + t * (curve.thresholds[i + 1] - curve.thresholds[i])
-        return float((far_x + frr_x) / 2.0), float(thr)
-    j = int(np.argmin(np.abs(d)))
-    return float((curve.far[j] + curve.frr[j]) / 2.0), float(curve.thresholds[j])
+    t = d[i - 1] / (d[i - 1] - d[i])
+    far_x = curve.far[i - 1] + t * (curve.far[i] - curve.far[i - 1])
+    frr_x = curve.frr[i - 1] + t * (curve.frr[i] - curve.frr[i - 1])
+    thr = curve.thresholds[i - 1] + t * (curve.thresholds[i] - curve.thresholds[i - 1])
+    return float((far_x + frr_x) / 2.0), float(thr)
 
 
 def pooled_eer(joined_sets) -> tuple[float, float]:
@@ -147,8 +142,6 @@ def pooled_eer(joined_sets) -> tuple[float, float]:
     parts = [_split(joined) for joined in joined_sets]
     bona = np.sort(np.concatenate([b for b, _ in parts]))
     spoof = np.sort(np.concatenate([s for _, s in parts]))
-    if bona.size == 0 or spoof.size == 0:
-        raise MetricError("pooled rows contain a single class; EER undefined")
     return eer(_roc(bona, spoof))
 
 

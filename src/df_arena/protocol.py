@@ -32,6 +32,8 @@ JOIN_MODES = ("strict", "intersect")
 
 MANIFEST_VERSION = 1
 
+MAX_SCORER_TIMEOUT_S = 2_147_483  # the scorer is awaited by select.poll: whole ms in a C int
+
 # The evaluation corpora are inconsistent about label tokens; this table maps
 # the common variants onto the two canonical labels. Lookups are
 # case-insensitive.
@@ -127,7 +129,6 @@ class ScoreSet:
     """One system's scores on one dataset. ``scores`` is treated as read-only."""
 
     system_id: str
-    dataset_id: str
     polarity: str
     scores: dict[str, float]
 
@@ -318,7 +319,6 @@ def parse_scores(
     path: str | Path,
     polarity: str = HIGHER_IS_BONAFIDE,
     system_id: str | None = None,
-    dataset_id: str = "",
 ) -> ScoreSet:
     """Parse a ``trial_id score`` file; every score must be a finite real.
 
@@ -332,7 +332,7 @@ def parse_scores(
     if scores is None:
         scores = _parse_lines(path, text, ScoreFileError, _score_fields)
     name = system_id if system_id is not None else path.stem
-    return ScoreSet(name, dataset_id, polarity, scores)
+    return ScoreSet(name, polarity, scores)
 
 
 def _bulk_scores(columns) -> dict[str, float] | None:
@@ -406,8 +406,10 @@ def run_external_scorer(
     The scorer reads newline-separated audio paths on stdin and must emit one
     ``path<TAB>score`` line per input path on stdout, exiting 0. Trial IDs
     are the basename without extension, so the adapter stays agnostic to the
-    on-disk layout.
+    on-disk layout. ``timeout`` must lie in (0, MAX_SCORER_TIMEOUT_S] seconds.
     """
+    if timeout is not None and not 0 < timeout <= MAX_SCORER_TIMEOUT_S:
+        raise ScorerError(f"timeout must be in (0, {MAX_SCORER_TIMEOUT_S}] seconds, got {timeout}")
     audio_list = Path(audio_list)
     lines = list(_content_lines(_read_text(audio_list, ScorerError)))
     if not lines:
@@ -448,23 +450,21 @@ def run_external_scorer(
         parts = line.split("\t")
         if len(parts) != 2:
             raise ScorerError(f"scorer output line {lineno}: expected 'path<TAB>score', got {line!r}")
-        stem = Path(parts[0]).stem
         try:
-            value = float(parts[1])
-        except ValueError:
-            raise ScorerError(f"scorer output line {lineno}: non-numeric score {parts[1]!r}") from None
-        if not math.isfinite(value):
-            raise ScorerError(f"scorer output line {lineno}: non-finite score {parts[1]!r}")
+            path, value = _score_fields(parts)
+        except ValueError as e:
+            raise ScorerError(f"scorer output line {lineno}: {e}") from None
+        stem = Path(path).stem
         if stem not in expected:
-            raise ScorerError(f"scorer output line {lineno}: unknown path {parts[0]!r}")
+            raise ScorerError(f"scorer output line {lineno}: unknown path {path!r}")
         if stem in scores:
-            raise ScorerError(f"scorer output line {lineno}: duplicate path {parts[0]!r}")
+            raise ScorerError(f"scorer output line {lineno}: duplicate path {path!r}")
         scores[stem] = value
 
     missing = set(expected) - set(scores)
     if missing:
         raise ScorerError(f"scorer output incomplete; missing: {_preview(missing)}")
-    return ScoreSet(system_id, "", HIGHER_IS_BONAFIDE, scores)
+    return ScoreSet(system_id, HIGHER_IS_BONAFIDE, scores)
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,8 @@ def mutual_information(x, y, bins: int | None = None) -> float:
     """Histogram plug-in mutual information in nats.
 
     Equal-width bins over each variable's observed range; a degenerate range
-    (max == min) in either variable yields 0 by convention.
+    (max == min) in either variable yields 0 by convention. Rounding can push
+    an independent pair's sum below 0, so the result is clamped at 0.
     """
     x, y = _pair(x, y)
     if bins is None:
@@ -142,7 +143,7 @@ def mutual_information(x, y, bins: int | None = None) -> float:
     py = p.sum(axis=0)
     nz = p > 0
     outer = px[:, None] * py[None, :]
-    return float(np.sum(p[nz] * np.log(p[nz] / outer[nz])))
+    return max(0.0, float(np.sum(p[nz] * np.log(p[nz] / outer[nz]))))
 
 
 def ccc(x, y) -> float:

@@ -8,6 +8,7 @@ the basename. Flags simulate the failure modes the adapter must handle:
   --drop-last    omit the final path from the output (incomplete output)
   --exit N       exit with status N after printing diagnostics to stderr
   --garbage      emit a malformed line first
+  --last-score S print S as the last path's score
   --sleep S      sleep S seconds before answering (timeout testing)
 """
 
@@ -28,6 +29,7 @@ def main() -> int:
     parser.add_argument("--drop-last", action="store_true")
     parser.add_argument("--exit", type=int, default=0)
     parser.add_argument("--garbage", action="store_true")
+    parser.add_argument("--last-score", default=None)
     parser.add_argument("--sleep", type=float, default=0.0)
     args = parser.parse_args()
 
@@ -41,8 +43,11 @@ def main() -> int:
         print("this is not a score line")
     if args.drop_last:
         paths = paths[:-1]
-    for p in paths:
-        print(f"{p}\t{score_for(p):.6f}")
+    scores = [f"{score_for(p):.6f}" for p in paths]
+    if args.last_score is not None:
+        scores[-1] = args.last_score
+    for p, score in zip(paths, scores):
+        print(f"{p}\t{score}")
     return 0
 
 

@@ -251,6 +251,16 @@ class TestAugmentCorpus:
         assert len(summary.failures) == 1
         assert "broken.wav" in summary.failures[0][0]
 
+    @pytest.mark.parametrize("snr_db", [6000.0, -6000.0])
+    def test_snr_past_float64_range_fails_each_file(self, tmp_path, snr_db):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=3, seconds=0.3)
+        src = build_interferer_dir(tmp_path / "src")
+        spec = AugmentSpec("noise", src, seed=1, snr_range_db=(snr_db, snr_db))
+        summary = augment_corpus(in_dir, tmp_path / "out", spec)
+        assert summary.entries == ()
+        reason = f"AugmentError: SNR {snr_db} dB scales the interferer out of float64 range"
+        assert [r for _, r in summary.failures] == [reason] * 3
+
     def test_length_preserved_every_category(self, tmp_path):
         in_dir = build_wav_corpus(tmp_path / "in", n_files=2, seconds=0.7)
         src = build_interferer_dir(tmp_path / "src", seconds=0.2)

@@ -295,6 +295,21 @@ class TestAugmentCli:
         assert exc.value.code == 2
         assert "no finite positive amplitude ratio" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["6000", "-6000"])
+    def test_snr_past_float64_range_leaves_only_the_error_record_on_stderr(self, tmp_path, snr):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=3, seconds=0.3)
+        src = build_interferer_dir(tmp_path / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "df_arena.cli", "augment", "--in", str(in_dir),
+             "--out", str(tmp_path / "o"), "--category", "noise", "--source", str(src),
+             "--seed", "1", f"--snr-low={snr}", f"--snr-high={snr}"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        reasons = [f["reason"] for f in json.loads(proc.stdout)["failures"]]
+        assert reasons == [f"AugmentError: SNR {float(snr)} dB scales the interferer out of float64 range"] * 3
+        assert [json.loads(line)["error"] for line in proc.stderr.splitlines()] == ["ArenaError"]
+
     def test_missing_source_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["augment", "--in", str(tmp_path), "--out", str(tmp_path / "o"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from df_arena.errors import MetricError
@@ -80,11 +80,12 @@ class TestEer:
         assert value == 0.0
         assert 1.6e308 < threshold < 1.7e308
 
-    def test_curve_without_crossing_falls_back_to_the_closest_point(self):
-        # past 2**53 the sentinels round onto the score, so FAR - FRR never reaches 0 or changes sign
-        value, threshold = eer(roc(joined([2.0**53], [2.0**53])))
-        assert value == 0.5
-        assert threshold == 2.0**53 - 1
+    def test_tie_past_two_to_the_53_keeps_the_curve_endpoints(self):
+        # past 2**53 the sentinels round onto the score; the rates are counted at the score instead
+        c = roc(joined([2.0**53], [2.0**53]))
+        assert eer(c)[0] == 0.5
+        assert (c.far[0], c.frr[0]) == (1.0, 0.0)
+        assert (c.far[-1], c.frr[-1]) == (0.0, 1.0)
 
     def test_all_scores_tied(self):
         value, _ = eer(roc(joined([0.5, 0.5], [0.5])))
@@ -115,6 +116,25 @@ class TestEer:
         base, _ = eer(roc(joined(bona, spoof)))
         flipped, _ = eer(roc(joined([-s for s in spoof], [-s for s in bona])))
         assert flipped == pytest.approx(base, abs=1e-12)
+
+
+finite_classes = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20)
+
+
+@given(finite_classes, finite_classes)
+@settings(max_examples=200)
+@example([1.0000000000000002], [1.0])  # adjacent floats: the midpoint rounds onto the spoof score
+@example([2.0**52 + 1], [2.0**52])
+@example([1e-323, 5e-324], [5e-324, 0.0])  # subnormals
+@example([2.0**53, 2.0**53 + 2], [2.0**53, 2.0**53 + 4])  # ties where a sentinel rounds onto the score
+def test_eer_and_auc_are_those_of_the_dense_ranks(bona, spoof):
+    _, ranks = np.unique(np.array(bona + spoof), return_inverse=True)
+    curve = roc(joined(bona, spoof))
+    ranked = roc(joined(ranks[:len(bona)].astype(float), ranks[len(bona):].astype(float)))
+    assert eer(curve)[0] == eer(ranked)[0]
+    assert auc(curve) == auc(ranked)
+    assert (curve.far[0], curve.frr[0]) == (1.0, 0.0)
+    assert (curve.far[-1], curve.frr[-1]) == (0.0, 1.0)
 
 
 MONOTONE_MAPS = [np.exp, lambda x: 3.0 * x + 7.0, lambda x: x**3]
@@ -252,6 +272,10 @@ class TestEvaluate:
         assert report.decision_threshold == 0.75
         assert report.f1 == pytest.approx(0.8)
 
+    def test_adjacent_floats_separate_perfectly(self):
+        report = evaluate(joined([1.0000000000000002], [1.0]))
+        assert (report.eer, report.accuracy) == (0.0, 1.0)
+
     def test_rates_in_unit_interval(self):
         rng = np.random.default_rng(3)
         rows = joined(rng.normal(0.2, 1, 50), rng.normal(-0.2, 1, 50))
@@ -278,7 +302,7 @@ def joined_sets(draw):
     mapping.update((f"x{i}", v) for i, v in enumerate(values[len(ids):]))
     polarity = draw(st.sampled_from(["higher-is-bonafide", "higher-is-spoof"]))
     sign = 1.0 if polarity == "higher-is-bonafide" else -1.0
-    result = join(trials, ScoreSet("sys", "ds", polarity, mapping), mode="intersect")
+    result = join(trials, ScoreSet("sys", polarity, mapping), mode="intersect")
     kept = [(b, sign * mapping[t]) for t, b in zip(ids, labels) if t in mapping]
     bona = [v for b, v in kept if b]
     spoof = [v for b, v in kept if not b]

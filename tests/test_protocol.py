@@ -118,20 +118,20 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
                        max_size=8))
 @settings(max_examples=150)
 def test_score_round_trip(tmp_path_factory, mapping):
-    ss = ScoreSet("sys", "ds", "higher-is-bonafide", mapping)
+    ss = ScoreSet("sys", "higher-is-bonafide", mapping)
     if not all(_writable(k, True) for k in mapping):
         with pytest.raises(ScoreFileError, match="cannot be written"):
             serialize_scores(ss)
         return
     path = tmp_path_factory.mktemp("rt") / "s.txt"
     path.write_text(serialize_scores(ss), encoding="utf-8")
-    parsed = parse_scores(path, system_id="sys", dataset_id="ds")
+    parsed = parse_scores(path, system_id="sys")
     assert parsed.scores == {k: float(v) for k, v in mapping.items()}
     assert all(type(v) is float for v in parsed.scores.values())
 
 
 def test_numpy_scores_serialize_as_plain_numbers():
-    ss = ScoreSet("sys", "ds", "higher-is-bonafide", {"t1": np.float64(0.5), "t2": np.float32(0.25)})
+    ss = ScoreSet("sys", "higher-is-bonafide", {"t1": np.float64(0.5), "t2": np.float32(0.25)})
     assert serialize_scores(ss) == "t1 0.5\nt2 0.25\n"
 
 
@@ -202,7 +202,7 @@ def _trials(*pairs):
 
 
 def _scores(mapping, polarity="higher-is-bonafide"):
-    return ScoreSet("sys", "ds", polarity, dict(mapping))
+    return ScoreSet("sys", polarity, dict(mapping))
 
 
 class TestJoin:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from df_arena.errors import ScorerError
@@ -44,6 +46,19 @@ def test_malformed_line(echo_scorer, audio_list):
 def test_timeout(echo_scorer, audio_list):
     with pytest.raises(ScorerError, match="timed out"):
         run_external_scorer(echo_scorer + ["--sleep", "5"], audio_list, timeout=0.5)
+
+
+@pytest.mark.parametrize("timeout", [3e6, math.nan])
+def test_timeout_out_of_range_refused_before_the_scorer_starts(audio_list, timeout):
+    # a command that cannot start shows the refusal comes first
+    with pytest.raises(ScorerError, match=r"timeout must be in \(0, 2147483\] seconds"):
+        run_external_scorer("definitely-not-a-scorer-binary", audio_list, timeout=timeout)
+
+
+@pytest.mark.parametrize("score, rule", [("abc", "non-numeric"), ("nan", "non-finite")])
+def test_bad_score_names_its_output_line(echo_scorer, audio_list, score, rule):
+    with pytest.raises(ScorerError, match=f"scorer output line 3: {rule} score '{score}'"):
+        run_external_scorer(echo_scorer + ["--last-score", score], audio_list)
 
 
 def test_missing_command(audio_list):
