@@ -316,6 +316,9 @@ def augment_corpus(
         raise AugmentError(f"input directory not found: {in_dir}")
     if in_dir.resolve() == out_dir.resolve():
         raise AugmentError("out_dir must differ from in_dir (outputs keep the input basenames)")
+    if out_dir.resolve().is_relative_to(spec.source_dir.resolve()):
+        raise AugmentError(f"out_dir {out_dir} lies inside the source directory {spec.source_dir} "
+                           "(a rerun would draw the outputs as sources)")
     if not spec.source_dir.is_dir():
         raise AugmentError(f"source directory not found: {spec.source_dir}")
     sources = _list_wavs(spec.source_dir, recursive=True)
@@ -326,7 +329,10 @@ def augment_corpus(
         raise AugmentError(f"input directory {in_dir} contains no WAV files")
     if jobs < 1:
         raise AugmentError(f"jobs must be >= 1, got {jobs}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise AugmentError(f"cannot create output directory {out_dir}: {e.strerror or e}") from e
     table = _SourceTable(spec.source_dir, sources)
 
     def work(p: Path):
@@ -342,9 +348,12 @@ def augment_corpus(
     failures = tuple(failure for _, failure in results if failure is not None)
 
     manifest_path = out_dir / MANIFEST_NAME
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        for outcome in entries:  # input order, independent of completion order
-            fh.write(json.dumps(asdict(outcome), sort_keys=True) + "\n")
+    try:
+        with open(manifest_path, "w", encoding="utf-8") as fh:
+            for outcome in entries:  # input order, independent of completion order
+                fh.write(json.dumps(asdict(outcome), sort_keys=True) + "\n")
+    except OSError as e:
+        raise AugmentError(f"cannot write {manifest_path}: {e.strerror or e}") from e
     return AugmentSummary(
         category=spec.category,
         seed=spec.seed,

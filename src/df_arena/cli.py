@@ -68,11 +68,15 @@ def _default_jobs() -> int:
         return 1
 
 
-def _write_payload(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+def _write_payload(text: str, out: str | Path | None) -> None:
+    """Write a payload to the file ``out``, or to stdout when there is none."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise ArenaError(f"cannot write {out}: {e.strerror or e}") from e
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -205,9 +209,12 @@ def cmd_leaderboard(args) -> int:
     payload = emit(record, args.format, sort=args.sort)
     if args.out is None and manifest.output_dir is not None:
         # manifest-declared output directory: keep a copy next to the run data
-        manifest.output_dir.mkdir(parents=True, exist_ok=True)
         report_path = manifest.output_dir / f"leaderboard.{_REPORT_SUFFIX[args.format]}"
-        report_path.write_text(payload, encoding="utf-8")
+        try:
+            manifest.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ArenaError(f"cannot write {report_path}: {e.strerror or e}") from e
+        _write_payload(payload, report_path)
         log.info("report written to %s", report_path)
     _write_payload(payload, args.out)
     return 0
@@ -253,35 +260,24 @@ def cmd_augment(args) -> int:
     return 0
 
 
+_RUN_LINE = ("{run_id}  {timestamp}  digest={manifest_digest:.12}  systems={n_systems}  "
+             "datasets={n_datasets}")
+_ISSUE_LINE = "unreadable record at line {line_number} (byte offset {byte_offset}): {reason}"
+
+
 def cmd_history(args) -> int:
     records, issues = store_list(args.store)
+    runs = [
+        {"run_id": r.run_id, "timestamp": r.timestamp, "manifest_digest": r.manifest_digest,
+         "tool_version": r.tool_version, "n_systems": len(r.summaries), "n_datasets": len(r.dataset_ids)}
+        for r in records
+    ]
+    issues = [dataclasses.asdict(i) for i in issues]
     if args.format == "json":
-        payload = {
-            "runs": [
-                {
-                    "run_id": r.run_id,
-                    "timestamp": r.timestamp,
-                    "manifest_digest": r.manifest_digest,
-                    "tool_version": r.tool_version,
-                    "n_systems": len(r.summaries),
-                    "n_datasets": len(r.dataset_ids),
-                }
-                for r in records
-            ],
-            "issues": [dataclasses.asdict(i) for i in issues],
-        }
-        _write_json(payload, args.out)
-    else:
-        lines = [
-            f"{r.run_id}  {r.timestamp}  digest={r.manifest_digest[:12]}  "
-            f"systems={len(r.summaries)}  datasets={len(r.dataset_ids)}"
-            for r in records
-        ]
-        lines += [
-            f"unreadable record at line {i.line_number} (byte offset {i.byte_offset}): {i.reason}"
-            for i in issues
-        ]
-        _write_payload("\n".join(lines) + ("\n" if lines else ""), args.out)
+        _write_json({"runs": runs, "issues": issues}, args.out)
+        return 0
+    lines = [_RUN_LINE.format_map(r) for r in runs] + [_ISSUE_LINE.format_map(i) for i in issues]
+    _write_payload("".join(line + "\n" for line in lines), args.out)
     return 0
 
 

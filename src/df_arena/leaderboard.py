@@ -61,27 +61,29 @@ class RunRecord:
     reports: tuple[EvalReport, ...]
     summaries: tuple[SystemSummary, ...]
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["dataset_ids"] = list(self.dataset_ids)
-        for s in doc["summaries"]:
-            s["gap_datasets"] = list(s["gap_datasets"])
-        return doc
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
+        return json.dumps(asdict(self), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
-        if doc["record_version"] > RECORD_VERSION:
-            raise ValueError(f"record_version {doc['record_version']} is newer than {RECORD_VERSION}")
+        for key in ("run_id", "timestamp", "manifest_digest", "tool_version"):
+            if not isinstance(doc[key], str):
+                raise TypeError(f"{key} must be a string, got {type(doc[key]).__name__}")
+        version = doc["record_version"]
+        if type(version) is not int or version < 1:
+            raise TypeError(f"record_version must be an integer >= 1, got {version!r}")
+        if version > RECORD_VERSION:
+            raise ValueError(f"record_version {version} is newer than {RECORD_VERSION}")
+        dataset_ids = doc["dataset_ids"]
+        if not isinstance(dataset_ids, list) or not all(isinstance(d, str) for d in dataset_ids):
+            raise TypeError("dataset_ids must be a list of strings")
         return cls(
             run_id=doc["run_id"],
             timestamp=doc["timestamp"],
             manifest_digest=doc["manifest_digest"],
             tool_version=doc["tool_version"],
-            record_version=doc["record_version"],
-            dataset_ids=tuple(doc["dataset_ids"]),
+            record_version=version,
+            dataset_ids=tuple(dataset_ids),
             reports=tuple(EvalReport(**r) for r in doc["reports"]),
             summaries=tuple(
                 SystemSummary(**{**s, "gap_datasets": tuple(s.get("gap_datasets", ()))})
@@ -167,15 +169,9 @@ def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0") -> RunRecor
 
 
 def _rank_tuple(summary: SystemSummary, key: str):
-    primary = getattr(summary, key)
-    other = summary.average_eer if key == "pooled_eer" else summary.pooled_eer
-    return (
-        primary is None,
-        primary if primary is not None else 0.0,
-        other is None,
-        other if other is not None else 0.0,
-        summary.system_id,
-    )
+    other = "average_eer" if key == "pooled_eer" else "pooled_eer"
+    pairs = [(v is None, v or 0.0) for v in (getattr(summary, key), getattr(summary, other))]
+    return (*pairs, summary.system_id)
 
 
 def rank(summaries, key: str = "pooled_eer") -> list[SystemSummary]:
@@ -191,11 +187,14 @@ def rank(summaries, key: str = "pooled_eer") -> list[SystemSummary]:
     return sorted(summaries, key=lambda s: _rank_tuple(s, key))
 
 
-def _fmt_cell(value: float | None, best: float | None) -> str:
+def _fmt_cell(value, fmt, best) -> str:
+    """Markdown cell: ``-`` for None, else the column's format, else a percent EER, bold if best."""
     if value is None:
         return "-"
+    if fmt is not None:
+        return fmt(value)
     text = format_percent(value)
-    return f"**{text}**" if best is not None and value == best else text
+    return f"**{text}**" if value == best else text
 
 
 def emit(record: RunRecord, format: str, sort: str = "pooled_eer") -> str:
@@ -208,67 +207,33 @@ def emit(record: RunRecord, format: str, sort: str = "pooled_eer") -> str:
     if format == "json":
         return record.to_json() + "\n"
     ranked = rank(record.summaries, key=sort)
-    datasets = list(record.dataset_ids)
-    has_params = any(s.param_count_millions is not None for s in ranked)
-    has_category = any(s.category is not None for s in ranked)
+    if format not in EMIT_FORMATS:
+        raise ValueError(f"unknown report format {format!r}; expected one of {EMIT_FORMATS}")
+    # (csv header, markdown header, value of a summary, markdown format or None for an
+    # EER column); category and params appear only when some system has one
+    optional = [("category", "Category", lambda s: s.category, lambda c: c or "-"),
+                ("param_count_millions", "Params (M)", lambda s: s.param_count_millions, "{:.2f}".format)]
+    columns = [c for c in optional if any(c[2](s) is not None for s in ranked)]
+    columns += [(d, d, lambda s, d=d: None if d in s.gap_datasets else s.per_dataset_eer.get(d), None)
+                for d in record.dataset_ids]
+    columns += [("average_eer", "Average", lambda s: s.average_eer, None),
+                ("pooled_eer", "Pooled", lambda s: s.pooled_eer, None)]
+    table = [[get(s) for _, _, get, _ in columns] for s in ranked]
 
     if format == "csv":
-        header = ["system_id"]
-        if has_category:
-            header.append("category")
-        if has_params:
-            header.append("param_count_millions")
-        header += datasets + ["average_eer", "pooled_eer"]
-        lines = [",".join(header)]
-        for s in ranked:
-            row = [s.system_id]
-            if has_category:
-                row.append(s.category or "")
-            if has_params:
-                row.append("" if s.param_count_millions is None else repr(s.param_count_millions))
-            row += ["" if d in s.gap_datasets else repr(s.per_dataset_eer[d]) for d in datasets]
-            row.append(repr(s.average_eer))
-            row.append("" if s.pooled_eer is None else repr(s.pooled_eer))
-            lines.append(",".join(row))
+        # str of a float is its repr, which reads back to the same float
+        lines = [",".join(["system_id"] + [csv for csv, _, _, _ in columns])]
+        lines += [",".join([s.system_id] + ["" if v is None else str(v) for v in row])
+                  for s, row in zip(ranked, table)]
         return "\n".join(lines) + "\n"
 
-    if format != "markdown":
-        raise ValueError(f"unknown report format {format!r}; expected one of {EMIT_FORMATS}")
-
-    def col_best(values):
-        values = [v for v in values if v is not None]
-        return min(values) if values else None
-
-    best_by_ds = {d: col_best([s.per_dataset_eer.get(d) for s in ranked]) for d in datasets}
-    best_avg = col_best([s.average_eer for s in ranked])
-    best_pooled = col_best([s.pooled_eer for s in ranked])
-
-    header = ["System"]
-    if has_category:
-        header.append("Category")
-    if has_params:
-        header.append("Params (M)")
-    header += datasets + ["Average", "Pooled"]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join(["---"] * len(header)) + " |",
-    ]
-    footnote = False
-    for s in ranked:
-        name = s.system_id + ("*" if s.gap_datasets else "")
-        footnote = footnote or bool(s.gap_datasets)
-        row = [name]
-        if has_category:
-            row.append(s.category or "-")
-        if has_params:
-            row.append("-" if s.param_count_millions is None else f"{s.param_count_millions:.2f}")
-        for d in datasets:
-            v = None if d in s.gap_datasets else s.per_dataset_eer.get(d)
-            row.append(_fmt_cell(v, best_by_ds[d]))
-        row.append(_fmt_cell(s.average_eer, best_avg))
-        row.append(_fmt_cell(s.pooled_eer, best_pooled))
-        lines.append("| " + " | ".join(row) + " |")
-    if footnote:
+    best = [min((v for v in col if v is not None), default=None) for col in zip(*table)]
+    header = ["System"] + [md for _, md, _, _ in columns]
+    lines = ["| " + " | ".join(header) + " |", "| " + " | ".join(["---"] * len(header)) + " |"]
+    for s, row in zip(ranked, table):
+        cells = [_fmt_cell(v, fmt, b) for v, (_, _, _, fmt), b in zip(row, columns, best)]
+        lines.append("| " + " | ".join([s.system_id + ("*" if s.gap_datasets else "")] + cells) + " |")
+    if any(s.gap_datasets for s in ranked):
         lines.append("")
         lines.append(
             "\\* evaluated with dataset gaps; average covers its datasets only and pooled EER is omitted."

@@ -13,6 +13,7 @@ default.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -62,17 +63,9 @@ def pearson(x, y) -> float:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based fractional ranks; ties get the mean of their rank span."""
-    order = np.argsort(x, kind="stable")
-    sx = x[order]
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x, y) -> float:
@@ -163,15 +156,6 @@ def ccc(x, y) -> float:
     if denom == 0.0:
         raise StatError("ccc undefined: both variances zero and means equal")
     return float(np.clip(2.0 * cov / denom, -1.0, 1.0))
-
-
-_METRIC_FUNCS = {
-    "pearson": pearson,
-    "spearman": spearman,
-    "kendall_tau": kendall_tau,
-    "distance_corr": distance_correlation,
-    "ccc": ccc,
-}
 
 
 @dataclass(frozen=True)
@@ -307,17 +291,16 @@ def correlate_matrix(matrix: EerMatrix, bins: int | None = None) -> CorrelationR
     if bins is None:
         bins = default_bins(n)
     avg = matrix.average
+    statistics = dict(zip(METRIC_NAMES, (pearson, spearman, kendall_tau, distance_correlation,
+                                         functools.partial(mutual_information, bins=bins), ccc)))
     values: dict[str, dict[str, float | None]] = {}
     notes: list[dict[str, str]] = []
     for j, ds in enumerate(matrix.dataset_ids):
         col = matrix.values[:, j]
         row: dict[str, float | None] = {}
-        for name in METRIC_NAMES:
+        for name, statistic in statistics.items():
             try:
-                if name == "mutual_info":
-                    row[name] = mutual_information(col, avg, bins=bins)
-                else:
-                    row[name] = _METRIC_FUNCS[name](col, avg)
+                row[name] = statistic(col, avg)
             except StatError as e:
                 row[name] = None
                 notes.append({"dataset": ds, "metric": name, "reason": str(e)})

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from df_arena.leaderboard import RECORD_VERSION, RunRecord, SystemSummary
 from df_arena.wavio import AudioBuffer, write_wav
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -156,6 +157,29 @@ def build_arena(root: Path) -> Path:
 @pytest.fixture
 def arena_manifest_path(tmp_path):
     return build_arena(tmp_path)
+
+
+def golden_record() -> RunRecord:
+    """A fixed RunRecord holding every kind of report cell.
+
+    Categories None, "" and a name; params 0.0, a value and None; a gap
+    system (sysC misses d2); and a tie for the best d1 EER (sysA, sysB).
+    """
+    return RunRecord(
+        run_id="0123456789ab",
+        timestamp="2025-01-01T00:00:00+00:00",
+        manifest_digest="9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
+        tool_version="test",
+        record_version=RECORD_VERSION,
+        dataset_ids=("d1", "d2"),
+        reports=(),
+        summaries=(
+            SystemSummary("sysA", 0.15, 0.15, {"d1": 0.1, "d2": 0.2}, param_count_millions=0.0),
+            SystemSummary("sysB", 0.2, 0.125, {"d1": 0.1, "d2": 0.3}, param_count_millions=95.5,
+                          category=""),
+            SystemSummary("sysC", 0.3, None, {"d1": 0.3}, category="CNN", gap_datasets=("d2",)),
+        ),
+    )
 
 
 def make_tone(seconds=1.0, freq=440.0, amplitude=0.5, rate=16000):

@@ -229,6 +229,22 @@ class TestAugmentCorpus:
             augment_corpus(in_dir, tmp_path / "out", AugmentSpec("noise", empty, seed=1))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out", [".", "sub/out"])
+    def test_out_inside_source_fails_before_writing(self, tmp_path, out):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=1)
+        src = build_interferer_dir(tmp_path / "src")
+        before = sorted(src.rglob("*"))
+        with pytest.raises(AugmentError, match="inside the source directory"):
+            augment_corpus(in_dir, src / out, AugmentSpec("noise", src, seed=1))
+        assert sorted(src.rglob("*")) == before
+
+    def test_unwritable_manifest_is_augment_error(self, tmp_path):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=1)
+        src = build_interferer_dir(tmp_path / "src")
+        (tmp_path / "out" / "augment_manifest.jsonl").mkdir(parents=True)
+        with pytest.raises(AugmentError, match="cannot write .*augment_manifest.jsonl"):
+            augment_corpus(in_dir, tmp_path / "out", AugmentSpec("noise", src, seed=1))
+
     def test_reverb_category(self, tmp_path):
         in_dir = build_wav_corpus(tmp_path / "in", n_files=2, seconds=0.5)
         rir_dir = tmp_path / "rirs"

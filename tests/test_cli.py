@@ -15,7 +15,9 @@ from df_arena import __version__
 from df_arena.cli import main
 from df_arena.errors import ArenaError
 
-from conftest import OPEN_SOURCE_SYSTEMS, build_arena, protocol_text, scores_text, write_text
+from df_arena.leaderboard import store_append
+
+from conftest import OPEN_SOURCE_SYSTEMS, build_arena, golden_record, protocol_text, scores_text, write_text
 from conftest import build_interferer_dir, build_wav_corpus
 
 
@@ -184,6 +186,24 @@ class TestLeaderboard:
         assert code == 1
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ManifestError"
 
+    def test_out_directory_is_an_error_record(self, capsys, tmp_path):
+        manifest = build_arena(tmp_path)
+        code, out, err = run_cli(capsys, ["leaderboard", "--manifest", str(manifest), "--out", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ArenaError", "message": f"cannot write {tmp_path}: Is a directory"}
+
+    def test_manifest_output_dir_that_is_a_file_is_an_error_record(self, capsys, tmp_path):
+        build_arena(tmp_path)
+        write_text(tmp_path / "reports", "not a directory\n")
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        doc["options"]["output_dir"] = "reports"
+        write_text(tmp_path / "m.json", json.dumps(doc))
+        code, out, err = run_cli(capsys, ["leaderboard", "--manifest", str(tmp_path / "m.json")])
+        assert (code, out) == (1, "")
+        record = json.loads(err)
+        assert record["error"] == "ArenaError"
+        assert record["message"].startswith(f"cannot write {tmp_path / 'reports' / 'leaderboard.md'}: ")
+
     def test_manifest_output_dir_gets_report_copy(self, capsys, tmp_path):
         build_arena(tmp_path)
         doc = json.loads((tmp_path / "manifest.json").read_text())
@@ -193,6 +213,79 @@ class TestLeaderboard:
         assert code == 0
         copy = tmp_path / "reports" / "leaderboard.md"
         assert copy.read_text(encoding="utf-8") == out
+
+
+@pytest.fixture
+def golden_store(tmp_path):
+    """A store holding the golden record and then one corrupt line."""
+    store = tmp_path / "runs.jsonl"
+    store_append(store, golden_record())
+    with open(store, "ab") as fh:
+        fh.write(b"not json\n")
+    return store
+
+
+class TestHistory:
+    def test_text_golden_bytes(self, capsys, golden_store):
+        code, out, _ = run_cli(capsys, ["history", "--store", str(golden_store)])
+        assert code == 0
+        assert out == (
+            "0123456789ab  2025-01-01T00:00:00+00:00  digest=9f86d081884c  systems=3  datasets=2\n"
+            "unreadable record at line 2 (byte offset 838): "
+            "JSONDecodeError: Expecting value: line 1 column 1 (char 0)\n"
+        )
+
+    def test_json_golden_bytes(self, capsys, golden_store):
+        code, out, _ = run_cli(capsys, ["history", "--store", str(golden_store), "--format", "json"])
+        assert code == 0
+        assert out == """\
+{
+  "runs": [
+    {
+      "run_id": "0123456789ab",
+      "timestamp": "2025-01-01T00:00:00+00:00",
+      "manifest_digest": "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08",
+      "tool_version": "test",
+      "n_systems": 3,
+      "n_datasets": 2
+    }
+  ],
+  "issues": [
+    {
+      "line_number": 2,
+      "byte_offset": 838,
+      "reason": "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"
+    }
+  ]
+}
+"""
+
+
+    def test_out_directory_is_an_error_record(self, capsys, golden_store, tmp_path):
+        code, out, err = run_cli(capsys, ["history", "--store", str(golden_store), "--out", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ArenaError", "message": f"cannot write {tmp_path}: Is a directory"}
+
+    @pytest.mark.parametrize("field, value", [
+        ("run_id", 5), ("timestamp", None), ("manifest_digest", 5), ("tool_version", 1.0),
+        ("record_version", True), ("record_version", 0), ("record_version", "1"),
+        ("dataset_ids", "d1"), ("dataset_ids", ["d1", 2]),
+    ])
+    def test_wrong_typed_header_is_an_issue(self, capsys, tmp_path, field, value):
+        store = tmp_path / "runs.jsonl"
+        store_append(store, golden_record())
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**json.loads(golden_record().to_json()), field: value}) + "\n")
+        code, out, _ = run_cli(capsys, ["history", "--store", str(store)])
+        assert code == 0
+        run, issue = out.splitlines()
+        assert run.startswith("0123456789ab  ")
+        assert issue.startswith("unreadable record at line 2 ") and field in issue
+        code, out, _ = run_cli(capsys, ["history", "--store", str(store), "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert [r["run_id"] for r in doc["runs"]] == ["0123456789ab"]
+        assert [i["line_number"] for i in doc["issues"]] == [2]
 
 
 class TestCorrelate:
@@ -309,6 +402,20 @@ class TestAugmentCli:
         reasons = [f["reason"] for f in json.loads(proc.stdout)["failures"]]
         assert reasons == [f"AugmentError: SNR {float(snr)} dB scales the interferer out of float64 range"] * 3
         assert [json.loads(line)["error"] for line in proc.stderr.splitlines()] == ["ArenaError"]
+
+    def test_out_under_a_file_is_an_error_record(self, capsys, tmp_path):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=1)
+        src = build_interferer_dir(tmp_path / "src")
+        write_text(tmp_path / "file", "x\n")
+        code, out, err = run_cli(
+            capsys,
+            ["augment", "--in", str(in_dir), "--out", str(tmp_path / "file" / "x"),
+             "--category", "noise", "--source", str(src), "--seed", "1"],
+        )
+        assert (code, out) == (1, "")
+        record = json.loads(err)
+        assert record["error"] == "AugmentError"
+        assert str(tmp_path / "file" / "x") in record["message"]
 
     def test_missing_source_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -27,6 +27,7 @@ from conftest import (
     ARENA_EXPECTED_POOLED,
     REFERENCE_SUMMARY,
     build_arena,
+    golden_record,
     protocol_text,
     scores_text,
     write_text,
@@ -223,6 +224,25 @@ class TestEmit:
         assert cells[0] == "solo"
         assert len(cells) == 1 + 3  # system + dataset, Average, Pooled
 
+    def test_markdown_golden_bytes(self):
+        assert emit(golden_record(), "markdown") == (
+            "| System | Category | Params (M) | d1 | d2 | Average | Pooled |\n"
+            "| --- | --- | --- | --- | --- | --- | --- |\n"
+            "| sysB | - | 95.50 | **10.00** | 30.00 | 20.00 | **12.50** |\n"
+            "| sysA | - | 0.00 | **10.00** | **20.00** | **15.00** | 15.00 |\n"
+            "| sysC* | CNN | - | 30.00 | - | 30.00 | - |\n"
+            "\n"
+            "\\* evaluated with dataset gaps; average covers its datasets only and pooled EER is omitted.\n"
+        )
+
+    def test_csv_golden_bytes(self):
+        assert emit(golden_record(), "csv") == (
+            "system_id,category,param_count_millions,d1,d2,average_eer,pooled_eer\n"
+            "sysB,,95.5,0.1,0.3,0.2,0.125\n"
+            "sysA,,0.0,0.1,0.2,0.15,0.15\n"
+            "sysC,CNN,,0.3,,0.3,\n"
+        )
+
     def test_markdown_percent_formatting(self, arena_record):
         text = emit(arena_record, "markdown")
         assert "33.33" in text  # sysA pooled EER = 1/3
@@ -292,7 +312,7 @@ class TestStore:
     def test_newer_record_version_reported_not_loaded(self, tmp_path, arena_record):
         store = tmp_path / "runs.jsonl"
         store_append(store, arena_record)
-        future = {**arena_record.to_dict(), "run_id": "future", "record_version": RECORD_VERSION + 98}
+        future = {**json.loads(arena_record.to_json()), "run_id": "future", "record_version": RECORD_VERSION + 98}
         with open(store, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(future) + "\n")
         store_append(store, dataclasses.replace(arena_record, run_id="after"))

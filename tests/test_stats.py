@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from df_arena.errors import StatError
 from df_arena.stats import (
     EerMatrix,
+    _average_ranks,
     ccc,
     correlate_matrix,
     default_bins,
@@ -26,6 +27,7 @@ from oracles import (
     kendall_tau_by_hand,
     mutual_information_by_hand,
     pearson_by_hand,
+    ranks_by_hand,
     spearman_by_hand,
 )
 
@@ -115,6 +117,13 @@ class TestSpearman:
         got = spearman([1, 1, 2], [1, 2, 3])
         want = pearson_by_hand([1.5, 1.5, 3.0], [1.0, 2.0, 3.0])
         assert got == pytest.approx(want, abs=1e-12)
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(-1e300, 1e300)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200)
+    @example([0.0, -0.0, 0.0, 1.0, -0.0])
+    def test_average_ranks_equal_the_oracle_exactly(self, x):
+        assert _average_ranks(np.asarray(x, dtype=np.float64)).tolist() == ranks_by_hand(x)
 
     @given(paired())
     @settings(max_examples=60)
