@@ -203,9 +203,6 @@ _REPORT_SUFFIX = {"markdown": "md", "csv": "csv", "json": "json"}
 def cmd_leaderboard(args) -> int:
     manifest = load_manifest(args.manifest)
     record = evaluate_arena(manifest, tool_version=__version__)
-    if args.store:
-        store_append(args.store, record)
-        log.info("appended run %s to %s", record.run_id, args.store)
     payload = emit(record, args.format, sort=args.sort)
     if args.out is None and manifest.output_dir is not None:
         # manifest-declared output directory: keep a copy next to the run data
@@ -217,6 +214,9 @@ def cmd_leaderboard(args) -> int:
         _write_payload(payload, report_path)
         log.info("report written to %s", report_path)
     _write_payload(payload, args.out)
+    if args.store:  # after every write, so a run that failed to report is not recorded
+        store_append(args.store, record)
+        log.info("appended run %s to %s", record.run_id, args.store)
     return 0
 
 
@@ -266,12 +266,8 @@ _ISSUE_LINE = "unreadable record at line {line_number} (byte offset {byte_offset
 
 
 def cmd_history(args) -> int:
-    records, issues = store_list(args.store)
-    runs = [
-        {"run_id": r.run_id, "timestamp": r.timestamp, "manifest_digest": r.manifest_digest,
-         "tool_version": r.tool_version, "n_systems": len(r.summaries), "n_datasets": len(r.dataset_ids)}
-        for r in records
-    ]
+    runs, issues = store_list(args.store)
+    runs = [dataclasses.asdict(r) for r in runs]
     issues = [dataclasses.asdict(i) for i in issues]
     if args.format == "json":
         _write_json({"runs": runs, "issues": issues}, args.out)

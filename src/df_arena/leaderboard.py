@@ -13,7 +13,7 @@ import fcntl
 import json
 import os
 import uuid
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,6 +50,48 @@ class SystemSummary:
     gap_datasets: tuple[str, ...] = ()
 
 
+_REPORT_FIELDS = frozenset(f.name for f in fields(EvalReport))
+_SUMMARY_FIELDS = frozenset(f.name for f in fields(SystemSummary))
+_SUMMARY_REQUIRED = frozenset(f.name for f in fields(SystemSummary) if f.default is MISSING)
+
+
+def _check_record(doc: dict) -> None:
+    """The v1 record schema, which ``RunRecord.from_dict`` and ``store_list`` both apply.
+
+    Header fields are type-checked. Reports and summaries are checked by their
+    field names, not their values: a report has exactly ``EvalReport``'s
+    fields, a summary every required ``SystemSummary`` field and no unknown
+    one, and its ``gap_datasets``, where present, is a list of strings. Every
+    record that passes constructs, so ``store_list`` lists exactly the lines
+    ``from_dict`` accepts. Raises KeyError, TypeError or ValueError.
+    """
+    for key in ("run_id", "timestamp", "manifest_digest", "tool_version"):
+        if not isinstance(doc[key], str):
+            raise TypeError(f"{key} must be a string, got {type(doc[key]).__name__}")
+    version = doc["record_version"]
+    if type(version) is not int or version < 1:
+        raise TypeError(f"record_version must be an integer >= 1, got {version!r}")
+    if version > RECORD_VERSION:
+        raise ValueError(f"record_version {version} is newer than {RECORD_VERSION}")
+    dataset_ids = doc["dataset_ids"]
+    if not isinstance(dataset_ids, list) or not all(isinstance(d, str) for d in dataset_ids):
+        raise TypeError("dataset_ids must be a list of strings")
+    reports, summaries = doc["reports"], doc["summaries"]
+    if not isinstance(reports, list):
+        raise TypeError(f"reports must be a list, got {type(reports).__name__}")
+    for i, r in enumerate(reports):
+        if not isinstance(r, dict) or r.keys() != _REPORT_FIELDS:
+            raise TypeError(f"reports[{i}] must be an object with exactly EvalReport's fields")
+    if not isinstance(summaries, list):
+        raise TypeError(f"summaries must be a list, got {type(summaries).__name__}")
+    for i, s in enumerate(summaries):
+        if not isinstance(s, dict) or not _SUMMARY_REQUIRED <= s.keys() <= _SUMMARY_FIELDS:
+            raise TypeError(f"summaries[{i}] must be an object with SystemSummary's fields")
+        gaps = s.get("gap_datasets", [])
+        if not isinstance(gaps, list) or not all(isinstance(d, str) for d in gaps):
+            raise TypeError(f"summaries[{i}].gap_datasets must be a list of strings")
+
+
 @dataclass(frozen=True)
 class RunRecord:
     run_id: str
@@ -66,24 +108,14 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
-        for key in ("run_id", "timestamp", "manifest_digest", "tool_version"):
-            if not isinstance(doc[key], str):
-                raise TypeError(f"{key} must be a string, got {type(doc[key]).__name__}")
-        version = doc["record_version"]
-        if type(version) is not int or version < 1:
-            raise TypeError(f"record_version must be an integer >= 1, got {version!r}")
-        if version > RECORD_VERSION:
-            raise ValueError(f"record_version {version} is newer than {RECORD_VERSION}")
-        dataset_ids = doc["dataset_ids"]
-        if not isinstance(dataset_ids, list) or not all(isinstance(d, str) for d in dataset_ids):
-            raise TypeError("dataset_ids must be a list of strings")
+        _check_record(doc)
         return cls(
             run_id=doc["run_id"],
             timestamp=doc["timestamp"],
             manifest_digest=doc["manifest_digest"],
             tool_version=doc["tool_version"],
-            record_version=version,
-            dataset_ids=tuple(dataset_ids),
+            record_version=doc["record_version"],
+            dataset_ids=tuple(doc["dataset_ids"]),
             reports=tuple(EvalReport(**r) for r in doc["reports"]),
             summaries=tuple(
                 SystemSummary(**{**s, "gap_datasets": tuple(s.get("gap_datasets", ()))})
@@ -271,10 +303,26 @@ class StoreIssue:
     reason: str
 
 
-def store_list(store_path: str | Path) -> tuple[list[RunRecord], list[StoreIssue]]:
-    """Read records in append order under a shared lock; corrupt lines become issues."""
+@dataclass(frozen=True)
+class StoredRun:
+    """One run as ``history`` lists it: its record's header and table size."""
+
+    run_id: str
+    timestamp: str
+    manifest_digest: str
+    tool_version: str
+    n_systems: int
+    n_datasets: int
+
+
+def store_list(store_path: str | Path) -> tuple[list[StoredRun], list[StoreIssue]]:
+    """List runs in append order under a shared lock; a line that breaks the schema becomes an issue.
+
+    Every line is checked against the whole record schema (``_check_record``),
+    but no report or summary object is built.
+    """
     store_path = Path(store_path)
-    records: list[RunRecord] = []
+    runs: list[StoredRun] = []
     issues: list[StoreIssue] = []
     offset = 0
     try:
@@ -283,15 +331,18 @@ def store_list(store_path: str | Path) -> tuple[list[RunRecord], list[StoreIssue
             for lineno, raw in enumerate(fh, start=1):
                 line_offset = offset
                 offset += len(raw)
-                text = raw.decode("utf-8", errors="replace").strip()
-                if not text:
+                if raw.isspace():
                     continue
                 try:
-                    records.append(RunRecord.from_dict(json.loads(text)))
-                except (ValueError, KeyError, TypeError, RecursionError) as e:  # incl. JSONDecodeError
+                    doc = json.loads(raw)
+                    _check_record(doc)
+                except (ValueError, KeyError, TypeError, RecursionError) as e:  # incl. JSON and UTF-8 errors
                     issues.append(StoreIssue(lineno, line_offset, f"{type(e).__name__}: {e}"))
+                else:
+                    runs.append(StoredRun(doc["run_id"], doc["timestamp"], doc["manifest_digest"],
+                                          doc["tool_version"], len(doc["summaries"]), len(doc["dataset_ids"])))
     except FileNotFoundError:
         return [], []
     except OSError as e:
         raise StoreError(f"cannot read store {store_path}: {e}") from e
-    return records, issues
+    return runs, issues

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from df_arena import __version__
+from df_arena import __version__, leaderboard
 from df_arena.cli import main
 from df_arena.errors import ArenaError
 
@@ -188,9 +188,14 @@ class TestLeaderboard:
 
     def test_out_directory_is_an_error_record(self, capsys, tmp_path):
         manifest = build_arena(tmp_path)
-        code, out, err = run_cli(capsys, ["leaderboard", "--manifest", str(manifest), "--out", str(tmp_path)])
+        store = tmp_path / "runs.jsonl"
+        store_append(store, golden_record())
+        before = store.read_bytes()
+        code, out, err = run_cli(capsys, ["leaderboard", "--manifest", str(manifest), "--out", str(tmp_path),
+                                          "--store", str(store)])
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "ArenaError", "message": f"cannot write {tmp_path}: Is a directory"}
+        assert store.read_bytes() == before  # a run that failed to report is not recorded
 
     def test_manifest_output_dir_that_is_a_file_is_an_error_record(self, capsys, tmp_path):
         build_arena(tmp_path)
@@ -198,11 +203,14 @@ class TestLeaderboard:
         doc = json.loads((tmp_path / "manifest.json").read_text())
         doc["options"]["output_dir"] = "reports"
         write_text(tmp_path / "m.json", json.dumps(doc))
-        code, out, err = run_cli(capsys, ["leaderboard", "--manifest", str(tmp_path / "m.json")])
+        store = tmp_path / "runs.jsonl"
+        code, out, err = run_cli(capsys, ["leaderboard", "--manifest", str(tmp_path / "m.json"),
+                                          "--store", str(store)])
         assert (code, out) == (1, "")
         record = json.loads(err)
         assert record["error"] == "ArenaError"
         assert record["message"].startswith(f"cannot write {tmp_path / 'reports' / 'leaderboard.md'}: ")
+        assert not store.exists()
 
     def test_manifest_output_dir_gets_report_copy(self, capsys, tmp_path):
         build_arena(tmp_path)
@@ -260,6 +268,22 @@ class TestHistory:
 }
 """
 
+
+    def test_builds_no_report_or_summary_objects(self, capsys, tmp_path, monkeypatch):
+        manifest = build_arena(tmp_path)
+        store = tmp_path / "runs.jsonl"
+        assert run_cli(capsys, ["leaderboard", "--manifest", str(manifest), "--store", str(store)])[0] == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("history built a report or summary object")
+
+        monkeypatch.setattr(leaderboard, "EvalReport", refuse)
+        monkeypatch.setattr(leaderboard, "SystemSummary", refuse)
+        code, out, err = run_cli(capsys, ["history", "--store", str(store), "--format", "json"])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert [(r["n_systems"], r["n_datasets"]) for r in doc["runs"]] == [(3, 3)]
+        assert doc["issues"] == []
 
     def test_out_directory_is_an_error_record(self, capsys, golden_store, tmp_path):
         code, out, err = run_cli(capsys, ["history", "--store", str(golden_store), "--out", str(tmp_path)])

@@ -6,13 +6,14 @@ import os
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from df_arena.errors import ManifestError, StoreError
 from df_arena.leaderboard import (
     RECORD_VERSION,
     RunRecord,
+    StoredRun,
     SystemSummary,
     emit,
     evaluate_arena,
@@ -20,6 +21,7 @@ from df_arena.leaderboard import (
     store_append,
     store_list,
 )
+from df_arena.metrics import EvalReport
 from df_arena.protocol import load_manifest
 
 from conftest import (
@@ -283,10 +285,12 @@ class TestStore:
     def test_append_then_list(self, tmp_path, arena_record):
         store = tmp_path / "runs.jsonl"
         store_append(store, arena_record)
-        records, issues = store_list(store)
+        runs, issues = store_list(store)
         assert not issues
-        assert len(records) == 1
-        assert records[0] == arena_record
+        assert runs == [StoredRun(arena_record.run_id, arena_record.timestamp, arena_record.manifest_digest,
+                                  arena_record.tool_version, n_systems=3, n_datasets=3)]
+        (line,) = store.read_bytes().splitlines()
+        assert RunRecord.from_dict(json.loads(line)) == arena_record
 
     def test_append_order_preserved(self, tmp_path, arena_record):
         store = tmp_path / "runs.jsonl"
@@ -308,6 +312,70 @@ class TestStore:
         assert len(issues) == 1
         assert issues[0].line_number == 2
         assert issues[0].byte_offset == first_len
+
+    @pytest.mark.parametrize("case, named", [
+        ("reports-object", "reports must be a list"),
+        ("reports-string", "reports must be a list"),
+        ("report-key-added", "reports[0]"),
+        ("report-key-removed", "reports[1]"),
+        ("summary-not-object", "summaries[2]"),
+        ("gap-datasets-string", "summaries[0].gap_datasets"),
+        ("invalid-utf-8", "UnicodeDecodeError"),
+    ])
+    def test_schema_breach_is_an_issue_and_a_rejection(self, tmp_path, arena_record, case, named):
+        doc = json.loads(arena_record.to_json())
+        if case == "reports-object":
+            doc["reports"] = {}
+        elif case == "reports-string":
+            doc["reports"] = ""
+        elif case == "report-key-added":
+            doc["reports"][0]["eer_ci"] = [0.1, 0.2]
+        elif case == "report-key-removed":
+            del doc["reports"][1]["auc"]
+        elif case == "summary-not-object":
+            doc["summaries"][2] = "sysC"
+        elif case == "gap-datasets-string":
+            doc["summaries"][0]["gap_datasets"] = "ab"
+        line = json.dumps(doc).encode("utf-8")
+        if case == "invalid-utf-8":
+            line = line.replace(b'"tool_version": "test"', b'"tool_version": "te\xffst"')
+        store = tmp_path / "runs.jsonl"
+        store_append(store, arena_record)
+        with open(store, "ab") as fh:
+            fh.write(line + b"\n")
+        runs, issues = store_list(store)
+        assert [r.run_id for r in runs] == [arena_record.run_id]
+        assert [i.line_number for i in issues] == [2]
+        assert named in issues[0].reason
+        with pytest.raises((TypeError, ValueError)):
+            RunRecord.from_dict(json.loads(line))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_listing_agrees_with_from_dict(self, tmp_path, data):
+        """One field dropped, added or retyped: listed exactly when from_dict accepts the line."""
+        doc = json.loads(_SCHEMA_RECORD.to_json())
+        part = data.draw(st.sampled_from(["header", "reports", "summaries"]))
+        target = doc if part == "header" else data.draw(st.sampled_from(doc[part]))
+        action = data.draw(st.sampled_from(["drop", "add", "retype"]))
+        if action == "drop":
+            del target[data.draw(st.sampled_from(sorted(target)))]
+        elif action == "add":
+            target[data.draw(st.text(max_size=12))] = data.draw(_json_values)
+        else:
+            target[data.draw(st.sampled_from(sorted(target)))] = data.draw(_json_values)
+        line = json.dumps(doc).encode("utf-8")
+        store = tmp_path / "runs.jsonl"
+        store.write_bytes(line + b"\n")
+        runs, issues = store_list(store)
+        try:
+            record = RunRecord.from_dict(json.loads(line))
+        except (KeyError, TypeError, ValueError):
+            assert (runs, len(issues)) == ([], 1)
+        else:
+            assert issues == []
+            assert runs == [StoredRun(record.run_id, record.timestamp, record.manifest_digest,
+                                      record.tool_version, len(record.summaries), len(record.dataset_ids))]
 
     def test_newer_record_version_reported_not_loaded(self, tmp_path, arena_record):
         store = tmp_path / "runs.jsonl"
@@ -407,6 +475,19 @@ class TestStore:
         records, issues = store_list(store)
         assert not issues
         assert sorted(r.run_id for r in records) == sorted(f"w{w}-{i}" for w in range(4) for i in range(5))
+
+
+# golden_record() with two reports, so every part of the schema has fields to mutate
+_SCHEMA_RECORD = dataclasses.replace(golden_record(), reports=(
+    EvalReport("sysA", "d1", 0.1, 0.5, 0.9, 0.9, 0.9, 0.5, 90, 210),
+    EvalReport("sysC", "d1", 0.3, -0.5, 0.7, 0.7, 0.6, -0.5, 90, 210),
+))
+
+_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3), st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
 
 
 def _append_five(store, record, worker):
