@@ -12,7 +12,6 @@ import dataclasses
 import json
 import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -58,14 +57,6 @@ def _number(kind, accept, requirement: str):
 
 
 _positive_int = _number(int, lambda v: v >= 1, ">= 1")
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("DF_ARENA_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_payload(text: str, out: str | Path | None) -> None:
@@ -118,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     lbp.add_argument("--store", default=None, help="append the run to this store file")
     lbp.add_argument("--out", default=None)
     # accepted for older command lines; leaderboard evaluates sequentially
-    lbp.add_argument("--jobs", type=_positive_int, default=_default_jobs(), help=argparse.SUPPRESS)
+    lbp.add_argument("--jobs", type=_positive_int, default=1, help=argparse.SUPPRESS)
     lbp.set_defaults(func=cmd_leaderboard)
 
     corrp = sub.add_parser("correlate", help="correlate dataset EER columns with the average")
@@ -139,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     augp.add_argument("--snr-high", type=float, default=None)
     augp.add_argument("--clip-policy", default="peak-normalize", choices=CLIP_POLICIES)
     augp.add_argument("--seed", type=int, required=True)
-    augp.add_argument("--jobs", type=_positive_int, default=_default_jobs())
+    augp.add_argument("--jobs", type=_positive_int, default=1)
     augp.set_defaults(func=cmd_augment)
 
     histp = sub.add_parser("history", help="list runs appended to a store")

@@ -69,6 +69,8 @@ def _split(joined) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(joined, JoinResult):
         is_bonafide, scores = joined.is_bonafide, joined.scores
     else:
+        # perfbench/ uses this until its next change (ROADMAP item 1):
+        # test_eer_and_auc_match_df_arena calls roc(rows)
         rows = list(joined)
         for label, _ in rows:
             if label not in (BONAFIDE, SPOOF):

@@ -55,13 +55,6 @@ LABEL_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class Trial:
-    trial_id: str
-    label: str
-    attack_tag: str | None = None
-
-
 def _labels(is_bonafide: np.ndarray) -> list[str]:
     return [BONAFIDE if b else SPOOF for b in is_bonafide.tolist()]
 
@@ -71,13 +64,12 @@ class TrialSet:
     """Ground-truth trial list of one dataset, in file order, as parallel columns.
 
     ``is_bonafide`` is a bool array and is treated as read-only. Trial ids are
-    unique: ``parse_protocol`` and ``from_trials`` check that where trials come in.
+    unique: ``parse_protocol`` checks that where trials come in.
     """
 
     dataset_id: str
     ids: tuple[str, ...]
     is_bonafide: np.ndarray
-    attack_tags: tuple[str | None, ...]
 
     def __post_init__(self):
         if self.n_bonafide == 0 or self.n_spoof == 0:
@@ -85,23 +77,6 @@ class TrialSet:
                 f"dataset {self.dataset_id!r} needs at least one bonafide and one spoof trial "
                 f"(got {self.n_bonafide} bonafide, {self.n_spoof} spoof)"
             )
-
-    @classmethod
-    def from_trials(cls, dataset_id: str, trials) -> TrialSet:
-        """Columns of Trial rows; every label must be bonafide or spoof and every id unique."""
-        trials = tuple(trials)
-        seen = set()
-        for t in trials:
-            if t.label not in (BONAFIDE, SPOOF):
-                raise ProtocolError(
-                    f"unknown label {t.label!r} for trial {t.trial_id!r} in dataset {dataset_id!r}"
-                )
-            if t.trial_id in seen:
-                raise ProtocolError(f"duplicate trial_id {t.trial_id!r} in dataset {dataset_id!r}")
-            seen.add(t.trial_id)
-        return cls(dataset_id, tuple(t.trial_id for t in trials),
-                   np.array([t.label == BONAFIDE for t in trials], dtype=bool),
-                   tuple(t.attack_tag for t in trials))
 
     @property
     def n_bonafide(self) -> int:
@@ -112,15 +87,16 @@ class TrialSet:
         return self.is_bonafide.size - self.n_bonafide
 
     @property
-    def trials(self) -> tuple[Trial, ...]:
-        """The trials as Trial rows, built on each access."""
-        return tuple(map(Trial, self.ids, _labels(self.is_bonafide), self.attack_tags))
+    def trials(self) -> tuple[tuple[str, str], ...]:
+        """``(trial_id, label)`` rows in file order, built on each access."""
+        # perfbench/ uses this until its next change (ROADMAP item 1):
+        # the tracer counts len(result.trials)
+        return tuple(zip(self.ids, _labels(self.is_bonafide)))
 
     def __eq__(self, other):
         if not isinstance(other, TrialSet):
             return NotImplemented
-        return ((self.dataset_id, self.ids, self.attack_tags)
-                == (other.dataset_id, other.ids, other.attack_tags)
+        return ((self.dataset_id, self.ids) == (other.dataset_id, other.ids)
                 and np.array_equal(self.is_bonafide, other.is_bonafide))
 
 
@@ -153,6 +129,8 @@ class JoinResult:
     @property
     def rows(self) -> tuple[tuple[str, float], ...]:
         """``(label, score)`` rows in trial order, built on each access."""
+        # perfbench/ uses this until its next change (ROADMAP item 1):
+        # the tracer counts len(result.rows)
         return tuple(zip(_labels(self.is_bonafide), self.scores.tolist()))
 
 
@@ -170,8 +148,9 @@ def _read_text(path: Path, error_cls) -> str:
 def _content_lines(text: str):
     """Yield (line_number, stripped_line), skipping blanks and '#' comments.
 
-    Lines end at '\\n' only, unlike str.splitlines(), which also breaks at
-    characters such as '\\x0c' or '\\u2028' and would shift the numbers.
+    Lines end at '\\n' only; files are read with universal newlines, so '\\r\\n'
+    and a lone '\\r' arrive as '\\n'. str.splitlines() would also break at
+    characters such as '\\x0c' or '\\u2028' and shift the numbers.
     """
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -226,10 +205,10 @@ def parse_protocol(
     """Parse a protocol file into a TrialSet.
 
     ``two-column`` lines are ``trial_id label`` with an optional third token
-    carried as the attack tag. ``asvspoof`` lines follow the 5-column key
-    layout: trial_id is column 2, the attack tag column 4 ('-' means none)
-    and the label is the last column. Labels are normalized through the
-    alias table; line order is preserved. A file in the layout
+    (an attack tag, not kept). ``asvspoof`` lines follow the 5-column key
+    layout: trial_id is column 2 and the label is the last column; the
+    attack column is not kept. Labels are normalized through the alias
+    table; line order is preserved. A file in the layout
     ``serialize_protocol`` writes is checked column by column; any other
     file, and one that fails those checks, is parsed line by line, which
     names the first bad line.
@@ -240,24 +219,19 @@ def parse_protocol(
     two_column = format == "two-column"
 
     def parse_line(tokens):
-        if two_column:
-            if len(tokens) not in (2, 3):
-                raise ValueError(f"expected 2 or 3 columns, got {len(tokens)}")
-            trial_id, label_token = tokens[0], tokens[1]
-            tag = tokens[2] if len(tokens) == 3 else None
-        else:
-            if len(tokens) < 5:
-                raise ValueError(f"expected at least 5 columns, got {len(tokens)}")
-            trial_id, label_token = tokens[1], tokens[-1]
-            tag = None if tokens[3] == "-" else tokens[3]
+        fields = _protocol_fields(tokens, two_column)
+        if fields is None:
+            expected = "2 or 3" if two_column else "at least 5"
+            raise ValueError(f"expected {expected} columns, got {len(tokens)}")
+        label_token = fields[1]
         if LABEL_ALIASES.get(label_token.lower()) not in (BONAFIDE, SPOOF):
             raise ValueError(f"unknown label token {label_token!r}")
-        return trial_id, (label_token, tag)
+        return fields
 
     text = _read_text(path, ProtocolError)
     fields = _protocol_fields(_columns(text), two_column)
     if fields is not None:
-        ids, label_tokens, _ = fields
+        ids, label_tokens = fields
         known = all(LABEL_ALIASES.get(tok.lower()) in (BONAFIDE, SPOOF) for tok in set(label_tokens))
         if not known or len(set(ids)) != len(ids):
             fields = None
@@ -265,24 +239,24 @@ def parse_protocol(
         rows = _parse_lines(path, text, ProtocolError, parse_line)
         if not rows:
             raise ProtocolError(f"{path}: empty protocol (no trials)")
-        fields = list(rows), *zip(*rows.values())
-    ids, label_tokens, tags = fields
+        fields = list(rows), list(rows.values())
+    ids, label_tokens = fields
     is_bona = {tok: LABEL_ALIASES[tok.lower()] == BONAFIDE for tok in set(label_tokens)}
     is_bonafide = np.fromiter(map(is_bona.__getitem__, label_tokens), dtype=bool, count=len(ids))
     name = dataset_id if dataset_id is not None else path.stem
     try:
-        return TrialSet(name, tuple(ids), is_bonafide, tuple(tags))
+        return TrialSet(name, tuple(ids), is_bonafide)
     except ProtocolError as e:
         raise ProtocolError(f"{path}: {e}") from None
 
 
 def _protocol_fields(columns, two_column: bool):
-    """(ids, label tokens, attack tags) of a protocol's token columns, or None for a wrong width."""
+    """(id, label) of a protocol's token columns or of one line's tokens, or None for a wrong width."""
     width = len(columns) if columns else 0
     if two_column and width in (2, 3):
-        return columns[0], columns[1], columns[2] if width == 3 else (None,) * len(columns[0])
+        return columns[0], columns[1]
     if not two_column and width >= 5:
-        return columns[1], columns[-1], [None if tag == "-" else tag for tag in columns[3]]
+        return columns[1], columns[-1]
     return None
 
 
@@ -295,10 +269,8 @@ def _write_lines(rows: list[list[str]], error_cls) -> str:
 
 
 def serialize_protocol(trial_set: TrialSet) -> str:
-    """Two-column text form of a TrialSet; inverse of parse_protocol."""
-    rows = [[trial_id, label] + ([] if tag is None else [tag])
-            for trial_id, label, tag in zip(trial_set.ids, _labels(trial_set.is_bonafide),
-                                            trial_set.attack_tags)]
+    """``trial_id label`` text form of a TrialSet; inverse of parse_protocol."""
+    rows = list(map(list, zip(trial_set.ids, _labels(trial_set.is_bonafide))))
     return _write_lines(rows, ProtocolError)
 
 
@@ -404,12 +376,18 @@ def run_external_scorer(
     """Score audio files through a subprocess.
 
     The scorer reads newline-separated audio paths on stdin and must emit one
-    ``path<TAB>score`` line per input path on stdout, exiting 0. Trial IDs
-    are the basename without extension, so the adapter stays agnostic to the
-    on-disk layout. ``timeout`` must lie in (0, MAX_SCORER_TIMEOUT_S] seconds.
+    ``path<TAB>score`` line per input path on stdout, exiting 0; both are
+    UTF-8. Trial IDs are the basename without extension, so the adapter stays
+    agnostic to the on-disk layout. ``timeout`` must lie in (0, MAX_SCORER_TIMEOUT_S] seconds.
     """
     if timeout is not None and not 0 < timeout <= MAX_SCORER_TIMEOUT_S:
         raise ScorerError(f"timeout must be in (0, {MAX_SCORER_TIMEOUT_S}] seconds, got {timeout}")
+    try:
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
+    except ValueError as e:
+        raise ScorerError(f"cannot parse scorer command {command!r}: {e}") from None
+    if not argv:
+        raise ScorerError(f"scorer command {command!r} is empty")
     audio_list = Path(audio_list)
     lines = list(_content_lines(_read_text(audio_list, ScorerError)))
     if not lines:
@@ -424,27 +402,27 @@ def run_external_scorer(
         expected[stem] = p
     paths = list(expected.values())
 
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
+    stdin = ("\n".join(paths) + "\n").encode("utf-8")
     try:
-        proc = subprocess.run(
-            argv,
-            input="\n".join(paths) + "\n",
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
+        proc = subprocess.run(argv, input=stdin, capture_output=True, timeout=timeout)
     except FileNotFoundError:
         raise ScorerError(f"scorer command not found: {argv[0]!r}") from None
     except subprocess.TimeoutExpired:
         raise ScorerError(f"scorer timed out after {timeout}s: {argv[0]!r}") from None
+    except OSError as e:
+        raise ScorerError(f"cannot start scorer {argv[0]!r}: {e.strerror or e}") from None
     if proc.returncode != 0:
-        tail = proc.stderr.strip().splitlines()[-5:]
-        raise ScorerError(
-            f"scorer exited {proc.returncode}; stderr: " + (" | ".join(tail) if tail else "<empty>")
-        )
+        tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-5:]
+        raise ScorerError(f"scorer {argv[0]!r} exited {proc.returncode}; stderr: "
+                          + (" | ".join(tail) if tail else "<empty>"))
+    try:
+        stdout = proc.stdout.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ScorerError(f"scorer {argv[0]!r} wrote stdout that is not UTF-8: {e}") from None
 
     scores: dict[str, float] = {}
-    for lineno, line in enumerate(proc.stdout.split("\n"), start=1):
+    # a line ends at '\n', '\r\n' or a lone '\r', as when the scorer's output was read as text
+    for lineno, line in enumerate(stdout.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -10,6 +10,8 @@ the basename. Flags simulate the failure modes the adapter must handle:
   --garbage      emit a malformed line first
   --last-score S print S as the last path's score
   --sleep S      sleep S seconds before answering (timeout testing)
+  --invalid-utf8 STREAM  write the byte 0xff to stdout or stderr first
+  --line-end E   end each output line with E instead of '\n'
 """
 
 import argparse
@@ -31,11 +33,15 @@ def main() -> int:
     parser.add_argument("--garbage", action="store_true")
     parser.add_argument("--last-score", default=None)
     parser.add_argument("--sleep", type=float, default=0.0)
+    parser.add_argument("--invalid-utf8", choices=["stdout", "stderr"], default=None)
+    parser.add_argument("--line-end", default="\n")
     args = parser.parse_args()
 
     if args.sleep:
         time.sleep(args.sleep)
     paths = [line.strip() for line in sys.stdin if line.strip()]
+    if args.invalid_utf8:
+        getattr(sys, args.invalid_utf8).buffer.write(b"\xff\n")
     if args.exit != 0:
         print("simulated scorer failure: model checkpoint not found", file=sys.stderr)
         return args.exit
@@ -47,7 +53,7 @@ def main() -> int:
     if args.last_score is not None:
         scores[-1] = args.last_score
     for p, score in zip(paths, scores):
-        print(f"{p}\t{score}")
+        print(f"{p}\t{score}", end=args.line_end)
     return 0
 
 

@@ -536,16 +536,6 @@ class TestUsage:
             main(["leaderboard", "--manifest", "m.json", "--jobs", "0"])
         assert exc.value.code == 2
 
-    def test_jobs_env_default(self, monkeypatch):
-        from df_arena.cli import build_parser
-
-        monkeypatch.setenv("DF_ARENA_JOBS", "6")
-        args = build_parser().parse_args(["leaderboard", "--manifest", "m.json"])
-        assert args.jobs == 6
-        monkeypatch.setenv("DF_ARENA_JOBS", "not-a-number")
-        args = build_parser().parse_args(["leaderboard", "--manifest", "m.json"])
-        assert args.jobs == 1
-
 
 def _error_names(cls) -> set[str]:
     return {cls.__name__}.union(*(_error_names(c) for c in cls.__subclasses__()))
@@ -633,7 +623,14 @@ def test_every_subcommand_keeps_the_exit_and_payload_contract(data, small_corpus
             if draw(st.booleans()):
                 argv += [f"--snr-low={draw(_numbers)}", f"--snr-high={draw(_numbers)}"]
         else:
-            argv = ["score", "--cmd", shlex.join(echo_scorer), "--list", file(draw(_audio_list_text)),
+            not_executable = file("#!/bin/sh\n")
+            cmd = draw(st.sampled_from([
+                echo_scorer, "", "'", [not_executable], [tmp],
+                echo_scorer + ["--invalid-utf8", "stdout"],
+                echo_scorer + ["--invalid-utf8", "stderr", "--exit", "3"],
+            ]))
+            argv = ["score", "--cmd", cmd if isinstance(cmd, str) else shlex.join(cmd),
+                    "--list", file(draw(_audio_list_text)),
                     f"--timeout={draw(st.floats(1.0, 30.0).map(repr) | _numbers)}"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -13,7 +13,7 @@ from df_arena.metrics import (
     roc,
     threshold_metrics,
 )
-from df_arena.protocol import BONAFIDE, SPOOF, ScoreSet, Trial, TrialSet, join
+from df_arena.protocol import ScoreSet, TrialSet, join
 
 from oracles import brute_force_auc, brute_force_eer, normal_cdf
 
@@ -293,7 +293,7 @@ def joined_sets(draw):
     """
     labels = draw(st.permutations([True, False] + draw(st.lists(st.booleans(), max_size=28))))
     ids = [f"t{i}" for i in range(len(labels))]
-    trials = TrialSet.from_trials("ds", [Trial(t, BONAFIDE if b else SPOOF) for t, b in zip(ids, labels)])
+    trials = TrialSet("ds", tuple(ids), np.array(labels))
     scored = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
     n_extra = draw(st.integers(0, 3))
     values = draw(st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=len(ids) + n_extra,

@@ -1,4 +1,7 @@
 import math
+import re
+import shlex
+import subprocess
 
 import pytest
 
@@ -59,6 +62,47 @@ def test_timeout_out_of_range_refused_before_the_scorer_starts(audio_list, timeo
 def test_bad_score_names_its_output_line(echo_scorer, audio_list, score, rule):
     with pytest.raises(ScorerError, match=f"scorer output line 3: {rule} score '{score}'"):
         run_external_scorer(echo_scorer + ["--last-score", score], audio_list)
+
+
+def _scorer_started(*args, **kwargs):
+    raise AssertionError("the scorer was started")
+
+
+@pytest.mark.parametrize("command, reason", [
+    pytest.param("", r"scorer command '' is empty", id="empty-string"),
+    pytest.param([], r"scorer command \[\] is empty", id="empty-list"),
+    pytest.param("'", r"cannot parse scorer command \"'\": No closing quotation", id="unclosed-quote"),
+])
+def test_empty_or_unparsable_command_fails_before_the_scorer_starts(monkeypatch, audio_list, command, reason):
+    monkeypatch.setattr(subprocess, "run", _scorer_started)
+    with pytest.raises(ScorerError, match=reason):
+        run_external_scorer(command, audio_list)
+
+
+@pytest.mark.parametrize("target", ["file", "directory"])
+def test_command_that_cannot_be_executed(tmp_path, audio_list, target):
+    path = write_text(tmp_path / "f.sh", "#!/bin/sh\n") if target == "file" else tmp_path  # no execute bit
+    message = f"cannot start scorer {str(path)!r}: Permission denied"
+    with pytest.raises(ScorerError, match=re.escape(message)):
+        run_external_scorer(shlex.quote(str(path)), audio_list)
+
+
+def test_stdout_that_is_not_utf8(echo_scorer, audio_list):
+    message = f"scorer {echo_scorer[0]!r} wrote stdout that is not UTF-8"
+    with pytest.raises(ScorerError, match=re.escape(message)):
+        run_external_scorer(echo_scorer + ["--invalid-utf8", "stdout"], audio_list)
+
+
+def test_stderr_that_is_not_utf8_keeps_the_exit_code_and_tail(echo_scorer, audio_list):
+    message = re.escape(f"scorer {echo_scorer[0]!r} exited 3; stderr: \ufffd | ") + ".*checkpoint not found"
+    with pytest.raises(ScorerError, match=message):
+        run_external_scorer(echo_scorer + ["--invalid-utf8", "stderr", "--exit", "3"], audio_list)
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+def test_scorer_lines_may_end_in_carriage_returns(echo_scorer, audio_list, line_end):
+    ss = run_external_scorer(echo_scorer + ["--line-end", line_end], audio_list)
+    assert ss.scores == run_external_scorer(echo_scorer, audio_list).scores
 
 
 def test_missing_command(audio_list):
