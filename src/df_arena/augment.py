@@ -13,6 +13,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from hashlib import blake2b
 from pathlib import Path
 
@@ -174,24 +175,44 @@ def mix_at_snr(
     return AudioBuffer(mixed)
 
 
-def _convolve_full(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _fft_size(n: int) -> int:
+    """The smallest 5-smooth number (2**a * 3**b * 5**c) that is at least n."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest odd * 2**a that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _convolve_full(x: np.ndarray, h: np.ndarray, spectrum=None) -> np.ndarray:
     if h.size <= _DIRECT_CONV_MAX:
         return np.convolve(x, h)
     n_out = x.size + h.size - 1
-    size = 1 << (n_out - 1).bit_length()
-    spectrum = np.fft.rfft(x, size) * np.fft.rfft(h, size)
-    return np.fft.irfft(spectrum, size)[:n_out]
+    size = _fft_size(n_out)
+    h_spectrum = np.fft.rfft(h, size) if spectrum is None else spectrum(size)
+    return np.fft.irfft(np.fft.rfft(x, size) * h_spectrum, size)[:n_out]
 
 
-def reverberate(clean: AudioBuffer, rir: AudioBuffer) -> AudioBuffer:
+def _check_rir(taps: np.ndarray) -> None:
+    if rms(taps) == 0.0:
+        raise AugmentError("RIR is silent (zero RMS)")
+
+
+def reverberate(clean: AudioBuffer, rir: AudioBuffer, spectrum=None) -> AudioBuffer:
     """Convolve with a room impulse response, preserving length and level.
 
     Full linear convolution truncated to the clean length, then rescaled so
-    the output RMS equals the input RMS.
+    the output RMS equals the input RMS. ``spectrum(size)``, when given, must
+    return ``np.fft.rfft(rir.samples, size)``; a corpus run passes its cached
+    transforms so that each RIR is transformed once per FFT size.
     """
-    if rms(rir) == 0.0:
-        raise AugmentError("RIR is silent (zero RMS)")
-    wet = _convolve_full(clean.samples, rir.samples)[: len(clean)]
+    _check_rir(rir.samples)
+    wet = _convolve_full(clean.samples, rir.samples, spectrum)[: len(clean)]
     rms_in = rms(clean)
     rms_out = rms(wet)
     if rms_in == 0.0 or rms_out == 0.0:
@@ -205,45 +226,78 @@ def _list_wavs(directory: Path, recursive: bool) -> list[Path]:
     return sorted(files, key=lambda p: p.relative_to(directory).as_posix())
 
 
-# Decoded sources are kept until they fill this many bytes; a source first
-# drawn after that is decoded again by every file that draws it.
+# Decoded sources, and the spectra of the RIRs among them, are kept until
+# they fill this many bytes; a source first drawn after that is decoded again
+# by every file that draws it, and a spectrum is computed again for every draw.
 _SOURCE_CACHE_BYTES = 32 << 20
+
+
+def _decode_rir(path: Path) -> tuple[np.ndarray, float]:
+    """An RIR as read-only float64 taps at scale 1.0; AugmentError when it is silent."""
+    stored, scale = decode_wav(path)
+    taps = stored.astype(np.float64) * scale
+    _check_rir(taps)
+    taps.flags.writeable = False
+    return taps, 1.0
 
 
 class _SourceTable:
     """The run's interferers/RIRs, each decoded on first draw and kept while
     the ``_SOURCE_CACHE_BYTES`` budget lasts.
 
-    Entries hold the stored-width samples and their scale (see
-    ``decode_wav``), or the message of the AudioError the decode raised,
-    which is raised again for every file that draws that source. Safe to
+    ``decode(path)`` returns ``(samples, scale)``: ``decode_wav`` for
+    interferers (stored-width samples), ``_decode_rir`` for RIRs. The
+    spectra of a kept RIR are kept beside it under the same budget, one per
+    FFT size drawn. A source whose decode raised keeps the error's type and
+    message, which are raised again for every file that draws it. Safe to
     share between the run's worker threads.
     """
 
-    def __init__(self, root: Path, paths: list[Path]):
+    def __init__(self, root: Path, paths: list[Path], decode):
         self.root = root
         self.paths = paths
+        self._decode = decode
         self._locks = {p: threading.Lock() for p in paths}
         self._budget_lock = threading.Lock()
         self._free_bytes = _SOURCE_CACHE_BYTES
-        self._kept: dict[Path, tuple[np.ndarray, float] | str] = {}
+        self._kept: dict[Path, tuple[np.ndarray, float]] = {}
+        self._failed: dict[Path, tuple[type[Exception], str]] = {}
+        self._spectra: dict[tuple[Path, int], np.ndarray] = {}
+
+    def _reserve(self, nbytes: int) -> bool:
+        with self._budget_lock:
+            if nbytes > self._free_bytes:
+                return False
+            self._free_bytes -= nbytes
+            return True
 
     def decode(self, path: Path) -> tuple[np.ndarray, float]:
         with self._locks[path]:
             entry = self._kept.get(path)
-            if entry is None:
+            if entry is None and path not in self._failed:
                 try:
-                    entry = decode_wav(path)
-                except AudioError as e:
-                    entry = self._kept[path] = str(e)
+                    entry = self._decode(path)
+                except (AudioError, AugmentError) as e:
+                    self._failed[path] = type(e), str(e)
                 else:
-                    with self._budget_lock:
-                        if entry[0].nbytes <= self._free_bytes:
-                            self._free_bytes -= entry[0].nbytes
-                            self._kept[path] = entry
-        if isinstance(entry, str):
-            raise AudioError(entry)
+                    if self._reserve(entry[0].nbytes):
+                        self._kept[path] = entry
+        if entry is None:
+            error, message = self._failed[path]
+            raise error(message)
         return entry
+
+    def spectrum(self, path: Path, taps: np.ndarray, size: int) -> np.ndarray:
+        """``np.fft.rfft(taps, size)`` for the RIR decoded from path."""
+        if path not in self._kept:
+            return np.fft.rfft(taps, size)
+        with self._locks[path]:
+            spectrum = self._spectra.get((path, size))
+            if spectrum is None:
+                spectrum = np.fft.rfft(taps, size)
+                if self._reserve(spectrum.nbytes):
+                    self._spectra[path, size] = spectrum
+        return spectrum
 
 
 def _process_one(
@@ -259,8 +313,8 @@ def _process_one(
     out_path = out_dir / in_path.name
 
     if spec.category == "reverb":
-        taps, tap_scale = sources.decode(src)
-        wet = reverberate(clean, AudioBuffer(taps.astype(np.float64) * tap_scale))
+        taps, _ = sources.decode(src)
+        wet = reverberate(clean, AudioBuffer(taps), partial(sources.spectrum, src, taps))
         samples, scale = _apply_clip_policy(wet.samples, spec.clip_policy)
         write_wav(out_path, AudioBuffer(samples))
         return FileOutcome(
@@ -333,7 +387,8 @@ def augment_corpus(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise AugmentError(f"cannot create output directory {out_dir}: {e.strerror or e}") from e
-    table = _SourceTable(spec.source_dir, sources)
+    table = _SourceTable(spec.source_dir, sources,
+                         _decode_rir if spec.category == "reverb" else decode_wav)
 
     def work(p: Path):
         try:

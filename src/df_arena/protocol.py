@@ -388,6 +388,8 @@ def run_external_scorer(
         raise ScorerError(f"cannot parse scorer command {command!r}: {e}") from None
     if not argv:
         raise ScorerError(f"scorer command {command!r} is empty")
+    if any("\0" in arg for arg in argv):
+        raise ScorerError(f"scorer command {command!r} holds a NUL byte")
     audio_list = Path(audio_list)
     lines = list(_content_lines(_read_text(audio_list, ScorerError)))
     if not lines:

@@ -301,6 +301,38 @@ def _outputs(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir()) if p.suffix == ".wav"}
 
 
+def _counting_decodes(monkeypatch):
+    """Patch ``augment.decode_wav`` to count the decodes of each source by file name."""
+    decode_wav = augment.decode_wav
+    decoded = Counter()
+    lock = threading.Lock()
+
+    def counting_decode(path):
+        with lock:
+            decoded[path.name] += 1
+        return decode_wav(path)
+
+    monkeypatch.setattr(augment, "decode_wav", counting_decode)
+    return decoded
+
+
+def _counting_rir_transforms(monkeypatch, tap_counts):
+    """Patch ``np.fft.rfft`` to count, by (taps, FFT size), the transforms of
+    arrays whose length is one of tap_counts (the RIRs, not the utterances)."""
+    rfft = np.fft.rfft
+    transforms = Counter()
+    lock = threading.Lock()
+
+    def counting_rfft(a, n=None, *args, **kwargs):
+        if len(a) in tap_counts:
+            with lock:
+                transforms[len(a), n] += 1
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    return transforms
+
+
 class TestDecodeOnceEquivalence:
     """Outputs equal the public full-decode path, recomputed from the manifest."""
 
@@ -394,20 +426,10 @@ class TestSourceFailures:
         }
         assert 0 < len(draws_bad) < len(inputs)
 
-        decode_wav = augment.decode_wav
         for jobs in (1, 4):
-            decoded = []
-            lock = threading.Lock()
-
-            def counting_decode(path):
-                with lock:
-                    decoded.append(path)
-                return decode_wav(path)
-
-            monkeypatch.setattr(augment, "decode_wav", counting_decode)
+            decoded = _counting_decodes(monkeypatch)
             summary = augment_corpus(in_dir, tmp_path / f"out{jobs}", spec, jobs=jobs)
-            assert max(Counter(decoded).values()) == 1
-            assert set(decoded) == {src / "a_good.wav", bad}
+            assert decoded == {"a_good.wav": 1, "b_bad.wav": 1}
             assert dict(summary.failures) == {p: reason for p in draws_bad}
             assert {e.input_path for e in summary.entries} == {str(p) for p in inputs} - draws_bad
         assert _outputs(tmp_path / "out1") == _outputs(tmp_path / "out4")
@@ -417,32 +439,22 @@ class TestSourceFailures:
 class TestSourceBudget:
     """Sources past the byte budget are decoded per draw; outputs do not change."""
 
-    @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("kept_sources", [0, 1])
-    def test_sources_past_the_budget_are_decoded_per_draw(
-        self, tmp_path, monkeypatch, jobs, kept_sources
-    ):
+    def _run_past_the_budget(self, tmp_path, monkeypatch, category, jobs, kept_sources):
         in_dir = build_wav_corpus(tmp_path / "in", n_files=16, seconds=0.25)
         src = tmp_path / "src"
         src.mkdir()
         for j in range(3):
             write_wav(src / f"s{j}.wav", make_noise(0.5, 0.2, 60 + j))
         (src / "t_bad.wav").write_bytes(wav_bytes(b"\x01\x00" * 800)[:-100])
-        spec = AugmentSpec("noise", src, seed=9)
+        spec = AugmentSpec(category, src, seed=9)
         reference = augment_corpus(in_dir, tmp_path / "ref", spec, jobs=jobs)
 
-        source_bytes = read_wav(src / "s0.wav").samples.size * 2  # stored as int16
+        # an interferer is kept as int16, an RIR as float64 taps
+        taps = read_wav(src / "s0.wav").samples.size
+        source_bytes = taps * (8 if category == "reverb" else 2)
         monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", kept_sources * source_bytes)
-        decode_wav = augment.decode_wav
-        decoded = []
-        lock = threading.Lock()
-
-        def counting_decode(path):
-            with lock:
-                decoded.append(path.name)
-            return decode_wav(path)
-
-        monkeypatch.setattr(augment, "decode_wav", counting_decode)
+        counts = _counting_decodes(monkeypatch)
+        transforms = _counting_rir_transforms(monkeypatch, {taps})
         summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
 
         assert _outputs(tmp_path / "out") == _outputs(tmp_path / "ref")
@@ -452,7 +464,6 @@ class TestSourceBudget:
         assert summary.failures == reference.failures
         draws = Counter(e.source_file for e in summary.entries)
         draws.update(Path(reason.split(": ")[1]).name for _, reason in summary.failures)
-        counts = Counter(decoded)
         assert draws["t_bad.wav"] > 1 and counts["t_bad.wav"] == 1  # errors are always kept
         good = [name for name in draws if name != "t_bad.wav"]
         assert len(good) == 3  # every source is drawn at this seed
@@ -460,3 +471,139 @@ class TestSourceBudget:
         assert len(kept) == (1 if kept_sources else 0)
         assert all(counts[name] == 1 for name in kept)
         assert all(counts[name] == draws[name] for name in good if name not in kept)
+        return summary, sum(transforms.values())
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("kept_sources", [0, 1])
+    def test_sources_past_the_budget_are_decoded_per_draw(
+        self, tmp_path, monkeypatch, jobs, kept_sources
+    ):
+        self._run_past_the_budget(tmp_path, monkeypatch, "noise", jobs, kept_sources)
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("kept_sources", [0, 1])
+    def test_rirs_past_the_budget_are_decoded_and_transformed_per_draw(
+        self, tmp_path, monkeypatch, jobs, kept_sources
+    ):
+        summary, transforms = self._run_past_the_budget(
+            tmp_path, monkeypatch, "reverb", jobs, kept_sources
+        )
+        # the kept RIR's taps fill the budget, so no spectrum is kept
+        assert transforms == len(summary.entries)
+
+
+def _write_utterances(directory, lengths, amplitude=0.1, seed=70):
+    """Noise utterances of the given sample counts."""
+    directory.mkdir(parents=True)
+    rng = np.random.default_rng(seed)
+    for i, n in enumerate(lengths):
+        write_wav(directory / f"utt{i:03d}.wav", AudioBuffer(amplitude * rng.standard_normal(n)))
+    return directory
+
+
+def _write_rirs(directory, tap_counts, seed=80):
+    directory.mkdir(parents=True)
+    rng = np.random.default_rng(seed)
+    for n in tap_counts:
+        write_wav(directory / f"r{n}.wav", AudioBuffer(0.3 * rng.standard_normal(n)))
+    return directory
+
+
+def _pcm16(path):
+    return np.rint(read_wav(path).samples * 32768).astype(np.int64)
+
+
+def _power_of_two_convolve(x, h):
+    """Full linear convolution through an FFT at the next power of two."""
+    n_out = x.size + h.size - 1
+    size = 1 << (n_out - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[:n_out]
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestRirSpectra:
+    """A run transforms each RIR once per FFT size, at the smallest 5-smooth size."""
+
+    @given(st.integers(1, 5000) | st.integers(1, 1 << 40))
+    @settings(max_examples=300, deadline=None)
+    def test_fft_size_is_the_smallest_5_smooth_size_that_holds_n(self, n):
+        size = augment._fft_size(n)
+        assert n <= size <= 1 << (n - 1).bit_length()
+        assert _is_5_smooth(size)
+        if n <= 5000:
+            assert not any(_is_5_smooth(m) for m in range(n, size))
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_each_rir_is_transformed_once_per_fft_size(self, tmp_path, monkeypatch, jobs):
+        # mixed utterance lengths put one RIR at several FFT sizes
+        in_dir = _write_utterances(tmp_path / "in", [3841, 4000, 5000] * 6)
+        tap_counts = {257, 800, 1200}
+        src = _write_rirs(tmp_path / "rirs", tap_counts)
+        reference = augment_corpus(in_dir, tmp_path / "ref", AugmentSpec("reverb", src, seed=3))
+        transforms = _counting_rir_transforms(monkeypatch, tap_counts)
+        summary = augment_corpus(in_dir, tmp_path / "out", AugmentSpec("reverb", src, seed=3), jobs=jobs)
+
+        assert not summary.failures and len(summary.entries) == 18
+        drawn = set()
+        for e in summary.entries:
+            taps = len(read_wav(src / e.rir_id))
+            drawn.add((taps, augment._fft_size(len(read_wav(e.input_path)) + taps - 1)))
+        assert transforms == Counter(dict.fromkeys(drawn, 1))
+        sizes_per_rir = Counter(taps for taps, _ in drawn)
+        assert len(sizes_per_rir) == 3 and max(sizes_per_rir.values()) > 1
+        assert _outputs(tmp_path / "out") == _outputs(tmp_path / "ref")
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_silent_rir_fails_every_file_that_draws_it(self, tmp_path, monkeypatch, jobs):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=12, seconds=0.25)
+        src = tmp_path / "rirs"
+        src.mkdir()
+        write_wav(src / "a_room.wav", make_noise(0.05, 0.4, 43))
+        write_wav(src / "b_silent.wav", AudioBuffer(np.zeros(800)))
+        spec = AugmentSpec("reverb", src, seed=21)
+        inputs = sorted(in_dir.iterdir())
+        draws_silent = {
+            str(p)
+            for p in inputs
+            if np.random.default_rng(file_seed(spec.seed, p.stem)).integers(0, 2) == 1
+        }
+        assert 0 < len(draws_silent) < len(inputs)
+
+        decoded = _counting_decodes(monkeypatch)
+        # with no budget, only the error is kept
+        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", 0)
+        transforms = _counting_rir_transforms(monkeypatch, {800})
+        summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
+        reason = "AugmentError: RIR is silent (zero RMS)"
+        assert dict(summary.failures) == dict.fromkeys(draws_silent, reason)
+        assert {e.input_path for e in summary.entries} == {str(p) for p in inputs} - draws_silent
+        ok = len(summary.entries)
+        assert decoded == {"a_room.wav": ok, "b_silent.wav": 1}
+        assert sum(transforms.values()) == ok  # b_silent.wav is never transformed
+
+    def test_outputs_within_one_lsb_of_direct_and_power_of_two_convolution(self, tmp_path):
+        # 3841 + 257 - 1 = 4097 output samples: FFT size 4320, where the
+        # next power of two is 8192; 256 taps convolve directly
+        assert augment._fft_size(4097) == 4320
+        in_dir = _write_utterances(tmp_path / "in", [3841, 4000] * 6)
+        src = _write_rirs(tmp_path / "rirs", [256, 257])
+        summary = augment_corpus(in_dir, tmp_path / "out", AugmentSpec("reverb", src, seed=4))
+        assert not summary.failures
+        assert {e.rir_id for e in summary.entries} == {"r256.wav", "r257.wav"}
+        assert {(e.rir_id, len(read_wav(e.input_path))) for e in summary.entries} >= {("r257.wav", 3841)}
+        expected = tmp_path / "expected.wav"
+        for e in summary.entries:
+            clean = read_wav(e.input_path).samples
+            taps = read_wav(src / e.rir_id).samples
+            assert e.scale == 1.0
+            got = _pcm16(e.output_path)
+            for full in (np.convolve(clean, taps), _power_of_two_convolve(clean, taps)):
+                wet = full[: clean.size]
+                write_wav(expected, AudioBuffer(wet * (rms(clean) / rms(wet))))
+                assert np.max(np.abs(got - _pcm16(expected))) <= 1, e.input_path

@@ -94,7 +94,7 @@ def _writable(token: str) -> bool:
 
 
 @given(ids=st.lists(tokens, min_size=2, max_size=8, unique=True), n_bona=st.integers(1, 7))
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_two_column_round_trip(tmp_path_factory, ids, n_bona):
     n_bona = min(n_bona, len(ids) - 1)
     ts = TrialSet("ds", tuple(ids), np.arange(len(ids)) < n_bona)
@@ -112,7 +112,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @given(st.dictionaries(tokens, finite | finite.map(np.float64) | st.integers(-10**6, 10**6).map(np.int64),
                        max_size=8))
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_score_round_trip(tmp_path_factory, mapping):
     ss = ScoreSet("sys", "higher-is-bonafide", mapping)
     if not all(map(_writable, mapping)):
@@ -422,7 +422,7 @@ _fragments = st.sampled_from([
 
 
 @given(st.binary(max_size=300) | st.lists(_fragments, max_size=60).map(lambda f: "".join(f).encode("utf-8")))
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_random_input_raises_only_the_parser_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "input.txt"
     path.write_bytes(data)
@@ -482,7 +482,7 @@ def _mutated_protocol(draw, fmt):
 
 @pytest.mark.parametrize("fmt", ["two-column", "asvspoof"])
 @given(data=st.data())
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_mutated_protocol_names_the_bad_line(tmp_path_factory, fmt, data):
     text, lineno = data.draw(_mutated_protocol(fmt))
     path = tmp_path_factory.mktemp("fuzz") / "p.txt"
@@ -515,7 +515,7 @@ def _mutated_scores(draw):
 
 
 @given(data=_mutated_scores())
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_mutated_scores_name_the_bad_line(tmp_path_factory, data):
     text, lineno = data
     path = tmp_path_factory.mktemp("fuzz") / "s.txt"
@@ -545,7 +545,7 @@ def _write_both(tmp, text_of, rows):
 
 
 @given(data=st.data())
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 def test_layout_does_not_change_the_parse(tmp_path_factory, data):
     """Text in the serialisers' layout is read column by column, other text line by line; both agree."""
     tmp = tmp_path_factory.mktemp("layout")
@@ -597,7 +597,7 @@ _DEEP = "__deep__"
 )
 @example(where=("systems", 0, "param_count_millions"), value=10**400)
 @example(where=("options",), value=_DEEP)
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_mutated_manifest_raises_only_manifest_error(tmp_path_factory, where, value):
     doc = json.loads(json.dumps(_BASE_MANIFEST))
     parent = doc

@@ -72,6 +72,9 @@ def _scorer_started(*args, **kwargs):
     pytest.param("", r"scorer command '' is empty", id="empty-string"),
     pytest.param([], r"scorer command \[\] is empty", id="empty-list"),
     pytest.param("'", r"cannot parse scorer command \"'\": No closing quotation", id="unclosed-quote"),
+    pytest.param("a\x00b", r"scorer command 'a\\x00b' holds a NUL byte", id="nul-in-string"),
+    pytest.param(["python3", "x\x00"], r"scorer command \['python3', 'x\\x00'\] holds a NUL byte",
+                 id="nul-in-argument"),
 ])
 def test_empty_or_unparsable_command_fails_before_the_scorer_starts(monkeypatch, audio_list, command, reason):
     monkeypatch.setattr(subprocess, "run", _scorer_started)
