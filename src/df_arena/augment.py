@@ -198,20 +198,16 @@ def _convolve_full(x: np.ndarray, h: np.ndarray, spectrum=None) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x, size) * h_spectrum, size)[:n_out]
 
 
-def _check_rir(taps: np.ndarray) -> None:
-    if rms(taps) == 0.0:
-        raise AugmentError("RIR is silent (zero RMS)")
-
-
 def reverberate(clean: AudioBuffer, rir: AudioBuffer, spectrum=None) -> AudioBuffer:
     """Convolve with a room impulse response, preserving length and level.
 
     Full linear convolution truncated to the clean length, then rescaled so
     the output RMS equals the input RMS. ``spectrum(size)``, when given, must
-    return ``np.fft.rfft(rir.samples, size)``; a corpus run passes its cached
-    transforms so that each RIR is transformed once per FFT size.
+    return ``np.fft.rfft(rir.samples, size)``; a corpus run passes the
+    spectra it keeps so that it need not transform an RIR for every draw.
     """
-    _check_rir(rir.samples)
+    if rms(rir) == 0.0:
+        raise AugmentError("RIR is silent (zero RMS)")
     wet = _convolve_full(clean.samples, rir.samples, spectrum)[: len(clean)]
     rms_in = rms(clean)
     rms_out = rms(wet)
@@ -226,78 +222,76 @@ def _list_wavs(directory: Path, recursive: bool) -> list[Path]:
     return sorted(files, key=lambda p: p.relative_to(directory).as_posix())
 
 
-# Decoded sources, and the spectra of the RIRs among them, are kept until
-# they fill this many bytes; a source first drawn after that is decoded again
-# by every file that draws it, and a spectrum is computed again for every draw.
+# Decoded sources are kept until they fill this many bytes; a source first
+# drawn after that is decoded again by every file that draws it. RIR spectra
+# get only what the sources' file sizes leave of it (see _SourceTable).
 _SOURCE_CACHE_BYTES = 32 << 20
 
 
-def _decode_rir(path: Path) -> tuple[np.ndarray, float]:
-    """An RIR as read-only float64 taps at scale 1.0; AugmentError when it is silent."""
-    stored, scale = decode_wav(path)
-    taps = stored.astype(np.float64) * scale
-    _check_rir(taps)
-    taps.flags.writeable = False
-    return taps, 1.0
+def _file_bytes(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0  # the decode reports it
 
 
 class _SourceTable:
     """The run's interferers/RIRs, each decoded on first draw and kept while
     the ``_SOURCE_CACHE_BYTES`` budget lasts.
 
-    ``decode(path)`` returns ``(samples, scale)``: ``decode_wav`` for
-    interferers (stored-width samples), ``_decode_rir`` for RIRs. The
-    spectra of a kept RIR are kept beside it under the same budget, one per
-    FFT size drawn. A source whose decode raised keeps the error's type and
-    message, which are raised again for every file that draws it. Safe to
-    share between the run's worker threads.
+    Entries hold the stored-width samples and their scale (see
+    ``decode_wav``), or the message of the AudioError the decode raised,
+    which is raised again for every file that draws that source. For an RIR,
+    ``spectrum`` keeps one transform: once two draws of the RIR in a row
+    share an FFT size, at that size, so a run whose utterances vary in
+    length keeps few. Spectra are kept from what the budget has left after
+    the file sizes of all sources (a decode never yields more bytes than its
+    file holds), so they never stop a source from being kept. Safe to share
+    between the run's worker threads.
     """
 
-    def __init__(self, root: Path, paths: list[Path], decode):
+    def __init__(self, root: Path, paths: list[Path]):
         self.root = root
         self.paths = paths
-        self._decode = decode
         self._locks = {p: threading.Lock() for p in paths}
         self._budget_lock = threading.Lock()
         self._free_bytes = _SOURCE_CACHE_BYTES
-        self._kept: dict[Path, tuple[np.ndarray, float]] = {}
-        self._failed: dict[Path, tuple[type[Exception], str]] = {}
-        self._spectra: dict[tuple[Path, int], np.ndarray] = {}
-
-    def _reserve(self, nbytes: int) -> bool:
-        with self._budget_lock:
-            if nbytes > self._free_bytes:
-                return False
-            self._free_bytes -= nbytes
-            return True
+        self._kept: dict[Path, tuple[np.ndarray, float] | str] = {}
+        self._spectrum_free_bytes = max(0, _SOURCE_CACHE_BYTES - sum(map(_file_bytes, paths)))
+        # per RIR: the FFT size of its last draw and None, until a spectrum
+        # is kept; then the kept spectrum's size and the spectrum
+        self._spectra: dict[Path, tuple[int, np.ndarray | None]] = {}
 
     def decode(self, path: Path) -> tuple[np.ndarray, float]:
         with self._locks[path]:
             entry = self._kept.get(path)
-            if entry is None and path not in self._failed:
+            if entry is None:
                 try:
-                    entry = self._decode(path)
-                except (AudioError, AugmentError) as e:
-                    self._failed[path] = type(e), str(e)
+                    entry = decode_wav(path)
+                except AudioError as e:
+                    entry = self._kept[path] = str(e)
                 else:
-                    if self._reserve(entry[0].nbytes):
-                        self._kept[path] = entry
-        if entry is None:
-            error, message = self._failed[path]
-            raise error(message)
+                    with self._budget_lock:
+                        if entry[0].nbytes <= self._free_bytes:
+                            self._free_bytes -= entry[0].nbytes
+                            self._kept[path] = entry
+        if isinstance(entry, str):
+            raise AudioError(entry)
         return entry
 
     def spectrum(self, path: Path, taps: np.ndarray, size: int) -> np.ndarray:
         """``np.fft.rfft(taps, size)`` for the RIR decoded from path."""
-        if path not in self._kept:
-            return np.fft.rfft(taps, size)
         with self._locks[path]:
-            spectrum = self._spectra.get((path, size))
-            if spectrum is None:
+            last_size, kept = self._spectra.get(path, (None, None))
+            if kept is None:
                 spectrum = np.fft.rfft(taps, size)
-                if self._reserve(spectrum.nbytes):
-                    self._spectra[path, size] = spectrum
-        return spectrum
+                with self._budget_lock:
+                    keep = size == last_size and spectrum.nbytes <= self._spectrum_free_bytes
+                    if keep:
+                        self._spectrum_free_bytes -= spectrum.nbytes
+                self._spectra[path] = size, spectrum if keep else None
+                return spectrum
+        return kept if size == last_size else np.fft.rfft(taps, size)
 
 
 def _process_one(
@@ -313,8 +307,9 @@ def _process_one(
     out_path = out_dir / in_path.name
 
     if spec.category == "reverb":
-        taps, _ = sources.decode(src)
-        wet = reverberate(clean, AudioBuffer(taps), partial(sources.spectrum, src, taps))
+        taps, tap_scale = sources.decode(src)
+        rir = AudioBuffer(taps.astype(np.float64) * tap_scale)
+        wet = reverberate(clean, rir, partial(sources.spectrum, src, rir.samples))
         samples, scale = _apply_clip_policy(wet.samples, spec.clip_policy)
         write_wav(out_path, AudioBuffer(samples))
         return FileOutcome(
@@ -387,8 +382,7 @@ def augment_corpus(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise AugmentError(f"cannot create output directory {out_dir}: {e.strerror or e}") from e
-    table = _SourceTable(spec.source_dir, sources,
-                         _decode_rir if spec.category == "reverb" else decode_wav)
+    table = _SourceTable(spec.source_dir, sources)
 
     def work(p: Path):
         try:

@@ -1,7 +1,9 @@
 import json
 import math
+import sys
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -449,9 +451,8 @@ class TestSourceBudget:
         spec = AugmentSpec(category, src, seed=9)
         reference = augment_corpus(in_dir, tmp_path / "ref", spec, jobs=jobs)
 
-        # an interferer is kept as int16, an RIR as float64 taps
         taps = read_wav(src / "s0.wav").samples.size
-        source_bytes = taps * (8 if category == "reverb" else 2)
+        source_bytes = taps * 2  # stored as int16
         monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", kept_sources * source_bytes)
         counts = _counting_decodes(monkeypatch)
         transforms = _counting_rir_transforms(monkeypatch, {taps})
@@ -488,7 +489,7 @@ class TestSourceBudget:
         summary, transforms = self._run_past_the_budget(
             tmp_path, monkeypatch, "reverb", jobs, kept_sources
         )
-        # the kept RIR's taps fill the budget, so no spectrum is kept
+        # the sources' file sizes fill the budget, so no spectrum is kept
         assert transforms == len(summary.entries)
 
 
@@ -520,6 +521,26 @@ def _power_of_two_convolve(x, h):
     return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[:n_out]
 
 
+def _draws_by_fft_size(summary, src):
+    """How many files drew each (RIR taps, FFT size)."""
+    draws = Counter()
+    for e in summary.entries:
+        taps = len(read_wav(src / e.rir_id))
+        draws[taps, augment._fft_size(len(read_wav(e.input_path)) + taps - 1)] += 1
+    return draws
+
+
+@contextmanager
+def _fast_thread_switches():
+    """Switch threads every microsecond, so that a race on shared state shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _is_5_smooth(m):
     for p in (2, 3, 5):
         while m % p == 0:
@@ -528,7 +549,8 @@ def _is_5_smooth(m):
 
 
 class TestRirSpectra:
-    """A run transforms each RIR once per FFT size, at the smallest 5-smooth size."""
+    """Reverb FFTs run at the smallest 5-smooth size, and a run keeps an
+    RIR's spectrum once two of its draws in a row share that size."""
 
     @given(st.integers(1, 5000) | st.integers(1, 1 << 40))
     @settings(max_examples=300, deadline=None)
@@ -540,24 +562,76 @@ class TestRirSpectra:
             assert not any(_is_5_smooth(m) for m in range(n, size))
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_each_rir_is_transformed_once_per_fft_size(self, tmp_path, monkeypatch, jobs):
+    def test_a_fixed_length_run_transforms_each_rir_twice(self, tmp_path, monkeypatch, jobs):
+        in_dir = _write_utterances(tmp_path / "in", [4000] * 12)
+        tap_counts = {257, 800, 1200}
+        src = _write_rirs(tmp_path / "rirs", tap_counts)
+        transforms = _counting_rir_transforms(monkeypatch, tap_counts)
+        with _fast_thread_switches():
+            summary = augment_corpus(in_dir, tmp_path / "out", AugmentSpec("reverb", src, seed=3), jobs=jobs)
+
+        assert not summary.failures and len(summary.entries) == 12
+        draws = _draws_by_fft_size(summary, src)
+        assert len(draws) == 3 and max(draws.values()) > 2
+        # the second draw keeps the spectrum, later draws use it
+        assert transforms == Counter({key: min(n, 2) for key, n in draws.items()})
+
+    def test_an_rir_keeps_its_spectrum_once_two_draws_in_a_row_share_a_size(
+        self, tmp_path, monkeypatch
+    ):
         # mixed utterance lengths put one RIR at several FFT sizes
         in_dir = _write_utterances(tmp_path / "in", [3841, 4000, 5000] * 6)
         tap_counts = {257, 800, 1200}
         src = _write_rirs(tmp_path / "rirs", tap_counts)
-        reference = augment_corpus(in_dir, tmp_path / "ref", AugmentSpec("reverb", src, seed=3))
         transforms = _counting_rir_transforms(monkeypatch, tap_counts)
-        summary = augment_corpus(in_dir, tmp_path / "out", AugmentSpec("reverb", src, seed=3), jobs=jobs)
+        summary = augment_corpus(in_dir, tmp_path / "out", AugmentSpec("reverb", src, seed=3))
 
         assert not summary.failures and len(summary.entries) == 18
-        drawn = set()
-        for e in summary.entries:
+        expected = Counter()
+        last_size, kept = {}, {}
+        for e in summary.entries:  # the order of the draws at one job
             taps = len(read_wav(src / e.rir_id))
-            drawn.add((taps, augment._fft_size(len(read_wav(e.input_path)) + taps - 1)))
-        assert transforms == Counter(dict.fromkeys(drawn, 1))
-        sizes_per_rir = Counter(taps for taps, _ in drawn)
-        assert len(sizes_per_rir) == 3 and max(sizes_per_rir.values()) > 1
+            size = augment._fft_size(len(read_wav(e.input_path)) + taps - 1)
+            if kept.get(taps) != size:
+                expected[taps, size] += 1
+                if taps not in kept:
+                    if last_size.get(taps) == size:
+                        kept[taps] = size
+                    last_size[taps] = size
+        assert transforms == expected
+        draws = _draws_by_fft_size(summary, src)
+        assert kept and transforms != draws  # some draws used a kept spectrum
+        assert any(transforms[taps, size] == n > 1 for (taps, size), n in draws.items()
+                   if kept.get(taps) != size)  # others transformed again
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_spectra_never_crowd_out_the_rirs(self, tmp_path, monkeypatch, jobs):
+        # Many RIRs at two FFT sizes, and room for one spectrum beside them.
+        # A spectrum outweighs several RIR files, so taking it from the
+        # bytes of RIRs not yet drawn would leave later RIRs undecoded.
+        in_dir = _write_utterances(tmp_path / "in", [400, 460] * 45)
+        tap_counts = set(range(2000, 2030))
+        src = _write_rirs(tmp_path / "rirs", tap_counts)
+        spec = AugmentSpec("reverb", src, seed=5)
+        reference = augment_corpus(in_dir, tmp_path / "ref", spec)
+        # every spectrum drawn is at least this large (complex128)
+        smallest_spectrum = (augment._fft_size(400 + 2000 - 1) // 2 + 1) * 16
+        file_bytes = sum(p.stat().st_size for p in src.iterdir())
+        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", file_bytes + smallest_spectrum)
+        decoded = _counting_decodes(monkeypatch)
+        transforms = _counting_rir_transforms(monkeypatch, tap_counts)
+        with _fast_thread_switches():
+            summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
+
+        assert not summary.failures and len(summary.entries) == 90
         assert _outputs(tmp_path / "out") == _outputs(tmp_path / "ref")
+        drawn = Counter(e.rir_id for e in summary.entries)
+        assert len(drawn) > 20 and max(drawn.values()) > 2
+        assert decoded == Counter(dict.fromkeys(drawn, 1))
+        draws = _draws_by_fft_size(summary, src)
+        # a kept spectrum saves transforms at its own size only
+        saved = {taps for (taps, size), n in draws.items() if transforms[taps, size] < n}
+        assert len(saved) <= 1
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_silent_rir_fails_every_file_that_draws_it(self, tmp_path, monkeypatch, jobs):
@@ -576,16 +650,14 @@ class TestRirSpectra:
         assert 0 < len(draws_silent) < len(inputs)
 
         decoded = _counting_decodes(monkeypatch)
-        # with no budget, only the error is kept
-        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", 0)
         transforms = _counting_rir_transforms(monkeypatch, {800})
         summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
         reason = "AugmentError: RIR is silent (zero RMS)"
         assert dict(summary.failures) == dict.fromkeys(draws_silent, reason)
         assert {e.input_path for e in summary.entries} == {str(p) for p in inputs} - draws_silent
-        ok = len(summary.entries)
-        assert decoded == {"a_room.wav": ok, "b_silent.wav": 1}
-        assert sum(transforms.values()) == ok  # b_silent.wav is never transformed
+        assert decoded == {"a_room.wav": 1, "b_silent.wav": 1}
+        # a_room.wav's second draw keeps its spectrum; b_silent.wav is never transformed
+        assert len(summary.entries) > 2 and sum(transforms.values()) == 2
 
     def test_outputs_within_one_lsb_of_direct_and_power_of_two_convolution(self, tmp_path):
         # 3841 + 257 - 1 = 4097 output samples: FFT size 4320, where the
