@@ -20,53 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AudioError, AugmentError
+from .spec import CLIP_POLICIES, AugmentSpec, _amplitude_ratio
 from .wavio import AudioBuffer, decode_wav, read_wav, rms, write_wav
-
-ADDITIVE_CATEGORIES = ("noise", "music", "speech")
-CATEGORIES = ADDITIVE_CATEGORIES + ("reverb",)
-CLIP_POLICIES = ("peak-normalize", "hard-clip")
-
-# Default target-SNR ranges (dB) per additive category.
-DEFAULT_SNR_RANGES = {
-    "noise": (0.0, 15.0),
-    "speech": (13.0, 20.0),
-    "music": (5.0, 15.0),
-}
 
 MANIFEST_NAME = "augment_manifest.jsonl"
 
 # Kernels at or below this length convolve directly (exact arithmetic for
 # impulse-like RIRs); longer ones go through the FFT path.
 _DIRECT_CONV_MAX = 256
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    """Perturbation recipe for one corpus run."""
-
-    category: str
-    source_dir: Path
-    seed: int
-    snr_range_db: tuple[float, float] | None = None
-    clip_policy: str = "peak-normalize"
-
-    def __post_init__(self):
-        if self.category not in CATEGORIES:
-            raise AugmentError(f"unknown category {self.category!r}; expected one of {CATEGORIES}")
-        if self.clip_policy not in CLIP_POLICIES:
-            raise AugmentError(f"unknown clip policy {self.clip_policy!r}; expected one of {CLIP_POLICIES}")
-        if self.category == "reverb":
-            if self.snr_range_db is not None:
-                raise AugmentError("snr_range_db applies to additive categories only, not reverb")
-        else:
-            snr = self.snr_range_db if self.snr_range_db is not None else DEFAULT_SNR_RANGES[self.category]
-            low, high = float(snr[0]), float(snr[1])
-            for bound in (low, high):
-                _amplitude_ratio(bound)
-            if low > high:
-                raise AugmentError(f"invalid SNR range: low {low} > high {high}")
-            object.__setattr__(self, "snr_range_db", (low, high))
-        object.__setattr__(self, "source_dir", Path(self.source_dir))
 
 
 @dataclass(frozen=True)
@@ -96,17 +57,6 @@ def file_seed(run_seed: int, trial_id: str) -> int:
     """Stable 64-bit per-file seed from the run seed and the trial id."""
     h = blake2b(f"{run_seed}:{trial_id}".encode("utf-8"), digest_size=8)
     return int.from_bytes(h.digest(), "little")
-
-
-def _amplitude_ratio(snr_db: float) -> float:
-    """The RMS ratio ``10 ** (snr_db / 20)``; AugmentError unless it is a finite positive float."""
-    try:
-        ratio = 10.0 ** (snr_db / 20.0)
-    except OverflowError:
-        ratio = math.inf
-    if not 0.0 < ratio < math.inf:
-        raise AugmentError(f"SNR {snr_db} dB has no finite positive amplitude ratio")
-    return ratio
 
 
 def _fit_length(w: np.ndarray, n: int, offset: int) -> np.ndarray:

@@ -12,29 +12,15 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .augment import CATEGORIES, CLIP_POLICIES, AugmentSpec, augment_corpus
 from .errors import ArenaError, AugmentError
-from .leaderboard import (EMIT_FORMATS, RANK_KEYS, RECORD_VERSION, emit, evaluate_arena, store_append,
-                          store_list)
-from .metrics import evaluate, pooled_eer
-from .protocol import (
-    JOIN_MODES,
-    MANIFEST_VERSION,
-    MAX_SCORER_TIMEOUT_S,
-    POLARITIES,
-    PROTOCOL_FORMATS,
-    join,
-    load_manifest,
-    parse_protocol,
-    parse_scores,
-    run_external_scorer,
-    serialize_scores,
-)
-from .stats import correlate_matrix, load_matrix_csv
+from .spec import (CATEGORIES, CLIP_POLICIES, JOIN_MODES, MANIFEST_VERSION, MAX_SCORER_TIMEOUT_S, POLARITIES,
+                   PROTOCOL_FORMATS, AugmentSpec, load_manifest)
+from .store import EMIT_FORMATS, RANK_KEYS, RECORD_VERSION, emit, store_append, store_list
 
 log = logging.getLogger("df_arena")
 
@@ -56,13 +42,41 @@ def _number(kind, accept, requirement: str):
     return parse
 
 
+# The numeric modules load inside the subcommands that compute, so --version,
+# history and usage errors start without numpy. perfbench/tracer.py rebinds
+# cli.evaluate_arena and cli.augment_corpus, so these two stay names of this
+# module: each imports its owner on first call. Once the tracer hooks the owning
+# modules (ROADMAP item 1), the handlers can import them directly and these go.
+def evaluate_arena(*args, **kwargs):
+    from .leaderboard import evaluate_arena
+
+    return evaluate_arena(*args, **kwargs)
+
+
+def augment_corpus(*args, **kwargs):
+    from .augment import augment_corpus
+
+    return augment_corpus(*args, **kwargs)
+
+
 _positive_int = _number(int, lambda v: v >= 1, ">= 1")
 
 
 def _write_payload(text: str, out: str | Path | None) -> None:
     """Write a payload to the file ``out``, or to stdout when there is none."""
     if not out:
-        sys.stdout.write(text)
+        if sys.stdout is None:  # the interpreter started with file descriptor 1 closed
+            raise ArenaError("cannot write stdout: it is closed")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as e:
+            # the unwritten text stays buffered: send it to devnull, so that the
+            # flush at interpreter exit cannot fail again and change the exit code
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ArenaError(f"cannot write stdout: {e.strerror or e}") from e
         return
     try:
         Path(out).write_text(text, encoding="utf-8")
@@ -154,6 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_eval(args) -> int:
+    from .metrics import evaluate
+    from .protocol import join, parse_protocol, parse_scores
+
     trials = parse_protocol(args.protocol, args.protocol_format, dataset_id=args.dataset_id)
     scores = parse_scores(args.scores, polarity=args.polarity, system_id=args.system_id)
     joined = join(trials, scores, mode=args.mode)
@@ -167,6 +184,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pool(args) -> int:
+    from .metrics import pooled_eer
+    from .protocol import join, parse_protocol, parse_scores
+
     joined_sets = []
     n_bona = n_spoof = 0
     for protocol_path, score_path in args.pair:
@@ -212,6 +232,8 @@ def cmd_leaderboard(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    from .stats import correlate_matrix, load_matrix_csv
+
     matrix = load_matrix_csv(args.matrix)
     if args.systems:
         wanted = [s.strip() for s in args.systems.split(",") if s.strip()]
@@ -269,6 +291,9 @@ def cmd_history(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .protocol import serialize_scores
+    from .scorer import run_external_scorer
+
     score_set = run_external_scorer(
         args.cmd, args.audio_list, timeout=args.timeout, system_id=args.system_id
     )

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import MetricError
 from .protocol import BONAFIDE, SPOOF, JoinResult
+from .store import EvalReport
 
 
 @dataclass(frozen=True)
@@ -46,22 +47,6 @@ class ThresholdMetrics:
     fn: int
     fp: int
     tn: int
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-(system, dataset) metric bundle. EER/AUC/rates are in [0, 1]."""
-
-    system_id: str
-    dataset_id: str
-    eer: float
-    eer_threshold: float
-    auc: float
-    accuracy: float
-    f1: float
-    decision_threshold: float
-    n_bonafide: int
-    n_spoof: int
 
 
 def _split(joined) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +194,3 @@ def evaluate(
         n_bonafide=tm.tp + tm.fn,
         n_spoof=tm.fp + tm.tn,
     )
-
-
-def format_percent(rate: float) -> str:
-    """Rate in [0,1] as a percent string with 2 decimals (round-half-even)."""
-    return f"{rate * 100.0:.2f}"

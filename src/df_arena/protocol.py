@@ -1,4 +1,4 @@
-"""Dataset protocols, score files, the arena manifest, and the scorer adapter.
+"""Dataset protocols and score files: parse, serialise and join.
 
 All types here are plain dataclasses that are never mutated after
 construction, so they can be shared freely across worker threads.
@@ -6,33 +6,17 @@ construction, so they can be shared freely across worker threads.
 
 from __future__ import annotations
 
-import json
 import math
-import shlex
-import subprocess
-import sys
 from dataclasses import dataclass
-from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 
-from .errors import JoinError, ManifestError, ProtocolError, ScoreFileError, ScorerError
+from .errors import JoinError, ProtocolError, ScoreFileError
+from .spec import HIGHER_IS_BONAFIDE, HIGHER_IS_SPOOF, JOIN_MODES, POLARITIES, PROTOCOL_FORMATS, _preview
 
 BONAFIDE = "bonafide"
 SPOOF = "spoof"
-
-HIGHER_IS_BONAFIDE = "higher-is-bonafide"
-HIGHER_IS_SPOOF = "higher-is-spoof"
-POLARITIES = (HIGHER_IS_BONAFIDE, HIGHER_IS_SPOOF)
-
-PROTOCOL_FORMATS = ("two-column", "asvspoof")
-
-JOIN_MODES = ("strict", "intersect")
-
-MANIFEST_VERSION = 1
-
-MAX_SCORER_TIMEOUT_S = 2_147_483  # the scorer is awaited by select.poll: whole ms in a C int
 
 # The evaluation corpora are inconsistent about label tokens; this table maps
 # the common variants onto the two canonical labels. Lookups are
@@ -325,13 +309,6 @@ def serialize_scores(score_set: ScoreSet) -> str:
     return _write_lines([[k, repr(float(v))] for k, v in score_set.scores.items()], ScoreFileError)
 
 
-def _preview(ids, limit=10) -> str:
-    ids = sorted(ids)
-    head = ", ".join(ids[:limit])
-    extra = len(ids) - limit
-    return head + (f" (+{extra} more)" if extra > 0 else "")
-
-
 def join(trials: TrialSet, scores: ScoreSet, mode: str = "strict") -> JoinResult:
     """Join labels with scores by trial_id.
 
@@ -365,239 +342,3 @@ def join(trials: TrialSet, scores: ScoreSet, mode: str = "strict") -> JoinResult
     if scores.polarity == HIGHER_IS_SPOOF:
         np.negative(joined, out=joined)
     return JoinResult(is_bonafide, joined, dropped_trials=len(missing), dropped_scores=len(extra))
-
-
-def run_external_scorer(
-    command: str | list[str],
-    audio_list: str | Path,
-    timeout: float | None = None,
-    system_id: str = "external",
-) -> ScoreSet:
-    """Score audio files through a subprocess.
-
-    The scorer reads newline-separated audio paths on stdin and must emit one
-    ``path<TAB>score`` line per input path on stdout, exiting 0; both are
-    UTF-8. Trial IDs are the basename without extension, so the adapter stays
-    agnostic to the on-disk layout. ``timeout`` must lie in (0, MAX_SCORER_TIMEOUT_S] seconds.
-    """
-    if timeout is not None and not 0 < timeout <= MAX_SCORER_TIMEOUT_S:
-        raise ScorerError(f"timeout must be in (0, {MAX_SCORER_TIMEOUT_S}] seconds, got {timeout}")
-    try:
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
-    except ValueError as e:
-        raise ScorerError(f"cannot parse scorer command {command!r}: {e}") from None
-    if not argv:
-        raise ScorerError(f"scorer command {command!r} is empty")
-    if any("\0" in arg for arg in argv):
-        raise ScorerError(f"scorer command {command!r} holds a NUL byte")
-    audio_list = Path(audio_list)
-    lines = list(_content_lines(_read_text(audio_list, ScorerError)))
-    if not lines:
-        raise ScorerError(f"audio list {audio_list} is empty")
-    expected = {}
-    for lineno, p in lines:
-        stem = Path(p).stem
-        if stem in expected:
-            raise ScorerError(
-                f"audio list {audio_list}: line {lineno}: duplicate trial id {stem!r} (from {p!r})"
-            )
-        expected[stem] = p
-    paths = list(expected.values())
-
-    stdin = ("\n".join(paths) + "\n").encode("utf-8")
-    try:
-        proc = subprocess.run(argv, input=stdin, capture_output=True, timeout=timeout)
-    except FileNotFoundError:
-        raise ScorerError(f"scorer command not found: {argv[0]!r}") from None
-    except subprocess.TimeoutExpired:
-        raise ScorerError(f"scorer timed out after {timeout}s: {argv[0]!r}") from None
-    except OSError as e:
-        raise ScorerError(f"cannot start scorer {argv[0]!r}: {e.strerror or e}") from None
-    if proc.returncode != 0:
-        tail = proc.stderr.decode("utf-8", "replace").strip().splitlines()[-5:]
-        raise ScorerError(f"scorer {argv[0]!r} exited {proc.returncode}; stderr: "
-                          + (" | ".join(tail) if tail else "<empty>"))
-    try:
-        stdout = proc.stdout.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ScorerError(f"scorer {argv[0]!r} wrote stdout that is not UTF-8: {e}") from None
-
-    scores: dict[str, float] = {}
-    # a line ends at '\n', '\r\n' or a lone '\r', as when the scorer's output was read as text
-    for lineno, line in enumerate(stdout.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ScorerError(f"scorer output line {lineno}: expected 'path<TAB>score', got {line!r}")
-        try:
-            path, value = _score_fields(parts)
-        except ValueError as e:
-            raise ScorerError(f"scorer output line {lineno}: {e}") from None
-        stem = Path(path).stem
-        if stem not in expected:
-            raise ScorerError(f"scorer output line {lineno}: unknown path {path!r}")
-        if stem in scores:
-            raise ScorerError(f"scorer output line {lineno}: duplicate path {path!r}")
-        scores[stem] = value
-
-    missing = set(expected) - set(scores)
-    if missing:
-        raise ScorerError(f"scorer output incomplete; missing: {_preview(missing)}")
-    return ScoreSet(system_id, HIGHER_IS_BONAFIDE, scores)
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    dataset_id: str
-    protocol_path: Path
-    format: str = "two-column"
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    system_id: str
-    score_paths: dict[str, Path]
-    polarity: str
-    param_count_millions: float | None = None
-    category: str | None = None
-
-
-@dataclass(frozen=True)
-class ArenaManifest:
-    """Binding of systems to datasets, loaded from a versioned JSON file."""
-
-    manifest_version: int
-    datasets: tuple[DatasetSpec, ...]
-    systems: tuple[SystemSpec, ...]
-    output_dir: Path | None = None
-    allow_gaps: bool = False
-    join_mode: str = "strict"
-    digest: str = ""
-
-    def dataset_ids(self) -> list[str]:
-        return [d.dataset_id for d in self.datasets]
-
-
-def load_manifest(path: str | Path) -> ArenaManifest:
-    """Load and validate an arena manifest (JSON, versioned).
-
-    Relative protocol/score paths are resolved against the manifest's own
-    directory. Every score entry must reference a declared dataset; unless
-    ``options.allow_gaps`` is set, every system must cover every dataset.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise ManifestError(f"manifest not found: {path}")
-    except OSError as e:
-        raise ManifestError(f"cannot read manifest {path}: {e.strerror or e}")
-    digest = sha256(raw).hexdigest()
-    try:
-        doc = json.loads(raw.decode("utf-8-sig"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        raise ManifestError(f"{path}: not valid JSON: {e}")
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{path}: manifest must be a JSON object")
-    version = doc.get("manifest_version")
-    if type(version) is not int or version != MANIFEST_VERSION:
-        raise ManifestError(f"{path}: manifest_version must be {MANIFEST_VERSION}, got {version!r}")
-
-    options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise ManifestError(f"{path}: options must be an object")
-    default_polarity = options.get("default_polarity")
-    if default_polarity is not None and default_polarity not in POLARITIES:
-        raise ManifestError(f"{path}: options.default_polarity {default_polarity!r} not in {POLARITIES}")
-    join_mode = options.get("join_mode", "strict")
-    if join_mode not in JOIN_MODES:
-        raise ManifestError(f"{path}: options.join_mode {join_mode!r} must be strict or intersect")
-    allow_gaps = options.get("allow_gaps", False)
-    if not isinstance(allow_gaps, bool):
-        raise ManifestError(f"{path}: options.allow_gaps must be true or false, got {allow_gaps!r}")
-    output_dir = options.get("output_dir")
-
-    base = path.parent
-
-    def resolve(p, field: str) -> Path:
-        if not isinstance(p, str) or not p:
-            raise ManifestError(f"{path}: {field} must be a non-empty string, got {p!r}")
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
-    def entries(key: str) -> list[dict]:
-        items = doc.get(key, [])
-        if not isinstance(items, list) or not all(isinstance(e, dict) for e in items):
-            raise ManifestError(f"{path}: {key} must be a list of objects")
-        return items
-
-    datasets = []
-    seen_ds = set()
-    for entry in entries("datasets"):
-        ds_id = entry.get("dataset_id")
-        if not ds_id or not isinstance(ds_id, str):
-            raise ManifestError(f"{path}: every dataset needs a string dataset_id")
-        if ds_id in seen_ds:
-            raise ManifestError(f"{path}: duplicate dataset_id {ds_id!r}")
-        seen_ds.add(ds_id)
-        fmt = entry.get("format", "two-column")
-        if fmt not in PROTOCOL_FORMATS:
-            raise ManifestError(f"{path}: dataset {ds_id!r}: unknown format {fmt!r}")
-        protocol_path = resolve(entry.get("protocol_path"), f"dataset {ds_id!r}: protocol_path")
-        datasets.append(DatasetSpec(ds_id, protocol_path, fmt))
-    if not datasets:
-        raise ManifestError(f"{path}: manifest declares no datasets")
-
-    systems = []
-    seen_sys = set()
-    for entry in entries("systems"):
-        sys_id = entry.get("system_id")
-        if not sys_id or not isinstance(sys_id, str):
-            raise ManifestError(f"{path}: every system needs a string system_id")
-        if sys_id in seen_sys:
-            raise ManifestError(f"{path}: duplicate system_id {sys_id!r}")
-        seen_sys.add(sys_id)
-        polarity = entry.get("polarity", default_polarity)
-        if polarity is None:
-            raise ManifestError(
-                f"{path}: system {sys_id!r} has no polarity and options.default_polarity is unset; "
-                "score polarity is never guessed"
-            )
-        if polarity not in POLARITIES:
-            raise ManifestError(f"{path}: system {sys_id!r}: polarity {polarity!r} not in {POLARITIES}")
-        raw_scores = entry.get("scores", {})
-        if not isinstance(raw_scores, dict) or not raw_scores:
-            raise ManifestError(f"{path}: system {sys_id!r} declares no score files")
-        score_paths = {}
-        for ds_id, score_path in raw_scores.items():
-            if ds_id not in seen_ds:
-                raise ManifestError(f"{path}: system {sys_id!r} scores undeclared dataset {ds_id!r}")
-            score_paths[ds_id] = resolve(score_path, f"system {sys_id!r}: score path for {ds_id!r}")
-        if not allow_gaps:
-            gaps = seen_ds - set(score_paths)
-            if gaps:
-                raise ManifestError(
-                    f"{path}: system {sys_id!r} has no scores for: {_preview(gaps)} "
-                    "(set options.allow_gaps to permit this)"
-                )
-        params, category = entry.get("param_count_millions"), entry.get("category")
-        if params is not None and (isinstance(params, bool) or not isinstance(params, (int, float))
-                                   or abs(params) > sys.float_info.max):
-            raise ManifestError(f"{path}: system {sys_id!r}: param_count_millions must be a number")
-        if category is not None and not isinstance(category, str):
-            raise ManifestError(f"{path}: system {sys_id!r}: category must be a string")
-        params = None if params is None else float(params)
-        systems.append(SystemSpec(sys_id, score_paths, polarity, params, category))
-    if not systems:
-        raise ManifestError(f"{path}: manifest declares no systems")
-
-    return ArenaManifest(
-        manifest_version=version,
-        datasets=tuple(datasets),
-        systems=tuple(systems),
-        output_dir=resolve(output_dir, "options.output_dir") if output_dir else None,
-        allow_gaps=allow_gaps,
-        join_mode=join_mode,
-        digest=digest,
-    )

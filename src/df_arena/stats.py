@@ -46,17 +46,21 @@ def _sqrt_product(a: float, b: float) -> float:
 
 def pearson(x, y) -> float:
     """Sample Pearson correlation; errors on constant input."""
-    x, y = _pair(x, y)
+    return _pearson(*_pair(x, y), "pearson")
+
+
+def _pearson(x: np.ndarray, y: np.ndarray, name: str) -> float:
+    """Pearson correlation of checked vectors; a StatError names the statistic ``name``."""
     # constancy is checked as max == min: the mean of a constant vector does
     # not round-trip in floats, so a sum-of-squares test can miss it
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise StatError("pearson undefined: zero variance in x or y")
+        raise StatError(f"{name} undefined: zero variance in x or y")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(np.sum(dx * dx))
     syy = float(np.sum(dy * dy))
     if sxx == 0.0 or syy == 0.0:
-        raise StatError("pearson undefined: zero variance in x or y")
+        raise StatError(f"{name} undefined: zero variance in x or y")
     r = float(np.sum(dx * dy)) / _sqrt_product(sxx, syy)
     return float(np.clip(r, -1.0, 1.0))
 
@@ -71,7 +75,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 def spearman(x, y) -> float:
     """Pearson correlation of fractional ranks."""
     x, y = _pair(x, y)
-    return pearson(_average_ranks(x), _average_ranks(y))
+    return _pearson(_average_ranks(x), _average_ranks(y), "spearman")
 
 
 def kendall_tau(x, y) -> float:
@@ -125,9 +129,9 @@ def mutual_information(x, y, bins: int | None = None) -> float:
     if bins is None:
         bins = default_bins(x.size)
     if bins < 2:
-        raise StatError(f"need at least 2 bins, got {bins}")
+        raise StatError(f"mutual_info needs at least 2 bins, got {bins}")
     if bins > 1024:  # the joint histogram holds bins x bins cells: 8 MiB at 1024
-        raise StatError(f"at most 1024 bins, got {bins}")
+        raise StatError(f"mutual_info needs at most 1024 bins, got {bins}")
     if x.max() == x.min() or y.max() == y.min():
         return 0.0
     joint, _, _ = np.histogram2d(x, y, bins=bins)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from df_arena.leaderboard import RECORD_VERSION, RunRecord, SystemSummary
+from df_arena.store import RECORD_VERSION, RunRecord, SystemSummary
 from df_arena.wavio import AudioBuffer, write_wav
 
 TESTS_DIR = Path(__file__).resolve().parent

@@ -13,9 +13,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from df_arena.augment import DEFAULT_SNR_RANGES, AugmentSpec, augment_corpus
+from df_arena.augment import augment_corpus
 from df_arena.cli import main
 from df_arena.metrics import auc, eer, pooled_eer, roc
+from df_arena.spec import DEFAULT_SNR_RANGES, AugmentSpec
 from df_arena.stats import (
     ccc,
     distance_correlation,

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 import df_arena.augment as augment
 from df_arena.augment import (
-    AugmentSpec,
     augment_corpus,
     file_seed,
     mix_at_snr,
     reverberate,
 )
 from df_arena.errors import AudioError, AugmentError
+from df_arena.spec import AugmentSpec
 from df_arena.wavio import AudioBuffer, read_wav, rms, write_wav
 
 from conftest import (

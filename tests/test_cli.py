@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from df_arena import __version__, leaderboard
+from df_arena import __version__
 from df_arena.cli import main
 from df_arena.errors import ArenaError
 
-from df_arena.leaderboard import store_append
+from df_arena.store import store_append
 
 from conftest import OPEN_SOURCE_SYSTEMS, build_arena, golden_record, protocol_text, scores_text, write_text
 from conftest import build_interferer_dir, build_wav_corpus
@@ -277,8 +278,8 @@ class TestHistory:
         def refuse(*args, **kwargs):
             raise AssertionError("history built a report or summary object")
 
-        monkeypatch.setattr(leaderboard, "EvalReport", refuse)
-        monkeypatch.setattr(leaderboard, "SystemSummary", refuse)
+        monkeypatch.setattr("df_arena.store.EvalReport", refuse)
+        monkeypatch.setattr("df_arena.store.SystemSummary", refuse)
         code, out, err = run_cli(capsys, ["history", "--store", str(store), "--format", "json"])
         assert code == 0, err
         doc = json.loads(out)
@@ -535,6 +536,132 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["leaderboard", "--manifest", "m.json", "--jobs", "0"])
         assert exc.value.code == 2
+
+
+def _modules_after(argv) -> set[str]:
+    """sys.modules of a fresh interpreter after ``import df_arena.cli`` and, unless argv is None, main(argv)."""
+    code = ("import json, sys\nfrom df_arena.cli import main\n"
+            f"argv = {argv!r}\n"
+            "if argv is not None:\n"
+            "    try:\n        main(argv)\n    except SystemExit:\n        pass\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+_NUMERIC = {"numpy", "concurrent.futures"} | {
+    f"df_arena.{m}" for m in ("protocol", "metrics", "leaderboard", "augment", "wavio", "stats", "scorer")}
+
+
+class TestFrontDoor:
+    @pytest.mark.parametrize("argv", [
+        None,
+        ["--version"],
+        ["history", "--store", "no-such-dir/runs.jsonl"],
+        ["eval", "--protocol", "p.txt"],  # usage error: --scores is required
+    ])
+    def test_starts_without_numpy(self, argv):
+        assert _modules_after(argv) & _NUMERIC == set()
+
+    def test_eval_loads_no_augment_stats_or_subprocess(self, perfect_pair):
+        protocol, scores = perfect_pair
+        loaded = _modules_after(["eval", "--protocol", str(protocol), "--scores", str(scores)])
+        assert "df_arena.metrics" in loaded
+        assert loaded & {"df_arena.augment", "df_arena.wavio", "df_arena.stats", "subprocess"} == set()
+
+    def test_leaderboard_loads_no_augment_or_subprocess(self, tmp_path):
+        loaded = _modules_after(["leaderboard", "--manifest", str(build_arena(tmp_path)),
+                                 "--out", str(tmp_path / "lb.md")])
+        assert "df_arena.leaderboard" in loaded
+        assert loaded & {"df_arena.augment", "df_arena.wavio", "subprocess"} == set()
+
+
+# The names perfbench/tracer.py rebinds on df_arena.cli to time the layers below it.
+_HOOKED = ("evaluate_arena", "emit", "store_append", "store_list", "augment_corpus")
+
+
+class TestTracerContract:
+    @pytest.fixture
+    def commands(self, tmp_path):
+        manifest = build_arena(tmp_path / "arena")
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=2, seconds=0.1)
+        src = build_interferer_dir(tmp_path / "src")
+        store = str(tmp_path / "runs.jsonl")
+        return [
+            ["leaderboard", "--manifest", str(manifest), "--store", store],
+            ["history", "--store", store],
+            ["augment", "--in", str(in_dir), "--out", str(tmp_path / "out"), "--category", "noise",
+             "--source", str(src), "--seed", "1"],
+        ]
+
+    def test_hooked_names_exist_after_import(self):
+        code = ("import df_arena.cli as cli\n"
+                f"print(all(callable(getattr(cli, name, None)) for name in {_HOOKED!r}))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout == "True\n"
+
+    def test_commands_bind_no_module_global(self, capsys, commands):
+        from df_arena import cli
+
+        before = dict(vars(cli))
+        for argv in commands:
+            assert run_cli(capsys, argv)[0] == 0
+        after = vars(cli)
+        assert after.keys() == before.keys()
+        assert [k for k, v in before.items() if after[k] is not v] == []
+
+    def test_handlers_call_the_module_globals(self, capsys, commands, monkeypatch):
+        from df_arena import cli
+
+        called = []
+        for name in _HOOKED:
+            def spy(*args, _name=name, _original=getattr(cli, name), **kwargs):
+                called.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        for argv in commands:
+            assert run_cli(capsys, argv)[0] == 0
+        assert sorted(set(called)) == sorted(_HOOKED)
+
+
+_needs_dev_full = pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+
+
+class TestStdoutFailure:
+    @pytest.fixture(params=["1", ""], ids=["unbuffered", "buffered"])
+    def env(self, request):
+        return {**os.environ, "PYTHONUNBUFFERED": request.param}
+
+    def _run(self, argv, env):
+        with open("/dev/full", "w") as full:
+            return subprocess.run([sys.executable, "-m", "df_arena.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+
+    @_needs_dev_full
+    @pytest.mark.parametrize("command", ["eval", "history"])
+    def test_full_stdout_is_an_error_record(self, command, env, perfect_pair, tmp_path):
+        protocol, scores = perfect_pair
+        argv = {"eval": ["eval", "--protocol", str(protocol), "--scores", str(scores)],
+                "history": ["history", "--store", str(tmp_path / "runs.jsonl"), "--format", "json"]}[command]
+        proc = self._run(argv, env)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr) == {"error": "ArenaError",
+                                           "message": "cannot write stdout: No space left on device"}
+
+    @_needs_dev_full
+    def test_leaderboard_that_cannot_report_is_not_stored(self, env, tmp_path):
+        store = tmp_path / "runs.jsonl"
+        proc = self._run(["leaderboard", "--manifest", str(build_arena(tmp_path)), "--store", str(store)], env)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["message"] == "cannot write stdout: No space left on device"
+        assert not store.exists()
+
+    def test_closed_stdout_is_an_error_record(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "df_arena.cli", "history", "--store", str(tmp_path / "r")],
+                              stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr) == {"error": "ArenaError", "message": "cannot write stdout: it is closed"}
 
 
 def _error_names(cls) -> set[str]:

@@ -10,19 +10,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from df_arena.errors import ManifestError, StoreError
-from df_arena.leaderboard import (
+from df_arena.leaderboard import evaluate_arena
+from df_arena.spec import load_manifest
+from df_arena.store import (
     RECORD_VERSION,
+    EvalReport,
     RunRecord,
     StoredRun,
     SystemSummary,
     emit,
-    evaluate_arena,
     rank,
     store_append,
     store_list,
 )
-from df_arena.metrics import EvalReport
-from df_arena.protocol import load_manifest
 
 from conftest import (
     ARENA_EXPECTED_EER,

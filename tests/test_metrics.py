@@ -8,12 +8,12 @@ from df_arena.metrics import (
     auc,
     eer,
     evaluate,
-    format_percent,
     pooled_eer,
     roc,
     threshold_metrics,
 )
 from df_arena.protocol import ScoreSet, TrialSet, join
+from df_arena.store import format_percent
 
 from oracles import brute_force_auc, brute_force_eer, normal_cdf
 

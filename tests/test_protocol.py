@@ -15,12 +15,12 @@ from df_arena.protocol import (
     ScoreSet,
     TrialSet,
     join,
-    load_manifest,
     parse_protocol,
     parse_scores,
     serialize_protocol,
     serialize_scores,
 )
+from df_arena.spec import load_manifest
 
 from conftest import build_arena, write_text
 

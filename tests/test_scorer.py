@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 from df_arena.errors import ScorerError
-from df_arena.protocol import run_external_scorer
+from df_arena.scorer import run_external_scorer
 
 from conftest import write_text
 

@@ -414,6 +414,17 @@ class TestCorrelateMatrix:
         reasons = {(n["dataset"], n["metric"]) for n in report.notes}
         assert ("flat", "pearson") in reasons
 
+    def test_each_note_names_its_own_statistic(self):
+        m = EerMatrix.build(
+            ["a", "b", "c"], ["flat", "ok"], [[0.2, 0.1], [0.2, 0.3], [0.2, 0.5]]
+        )
+        notes = correlate_matrix(m).notes
+        assert {n["metric"] for n in notes} == {"pearson", "spearman", "kendall_tau"}
+        assert all(n["reason"].startswith(n["metric"]) for n in notes), notes
+        notes = correlate_matrix(m, bins=2000).notes
+        assert "mutual_info" in {n["metric"] for n in notes}
+        assert all(n["reason"].startswith(n["metric"]) for n in notes), notes
+
     def test_csv_rendering_four_decimals(self):
         col = [0.1, 0.2, 0.4]
         m = EerMatrix.build(["a", "b", "c"], ["d1"], [[v] for v in col])
