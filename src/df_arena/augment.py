@@ -13,7 +13,6 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 from hashlib import blake2b
 from pathlib import Path
 
@@ -139,26 +138,39 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _convolve_full(x: np.ndarray, h: np.ndarray, spectrum=None) -> np.ndarray:
+def _rir_spectrum(h: np.ndarray) -> np.ndarray:
+    """The RIR's transform at a size set by its length alone, whatever the
+    utterance's: at 4 * taps, each block is over three RIRs long, so a
+    block's tail (taps - 1 samples) reaches into the next block only."""
+    return np.fft.rfft(h, _fft_size(4 * h.size))
+
+
+def _convolve(x: np.ndarray, h: np.ndarray, spectrum=None) -> np.ndarray:
+    """The first x.size samples of x convolved with h. A long h goes by overlap-add: the
+    blocks of x share one batched FFT, and each block's tail is added into the next."""
     if h.size <= _DIRECT_CONV_MAX:
-        return np.convolve(x, h)
-    n_out = x.size + h.size - 1
-    size = _fft_size(n_out)
-    h_spectrum = np.fft.rfft(h, size) if spectrum is None else spectrum(size)
-    return np.fft.irfft(np.fft.rfft(x, size) * h_spectrum, size)[:n_out]
+        return np.convolve(x, h)[: x.size]
+    size = _fft_size(4 * h.size)  # as in _rir_spectrum
+    step = size - h.size + 1
+    blocks = np.zeros((-(-x.size // step), step))
+    blocks.reshape(-1)[: x.size] = x
+    spectrum = _rir_spectrum(h) if spectrum is None else spectrum
+    wet = np.fft.irfft(np.fft.rfft(blocks, size, axis=1) * spectrum, size, axis=1)
+    wet[1:, : h.size - 1] += wet[:-1, step:]
+    return wet[:, :step].reshape(-1)[: x.size]
 
 
 def reverberate(clean: AudioBuffer, rir: AudioBuffer, spectrum=None) -> AudioBuffer:
     """Convolve with a room impulse response, preserving length and level.
 
-    Full linear convolution truncated to the clean length, then rescaled so
-    the output RMS equals the input RMS. ``spectrum(size)``, when given, must
-    return ``np.fft.rfft(rir.samples, size)``; a corpus run passes the
-    spectra it keeps so that it need not transform an RIR for every draw.
+    Linear convolution truncated to the clean length, then rescaled so the
+    output RMS equals the input RMS. ``spectrum``, when given, must equal
+    ``_rir_spectrum(rir.samples)``; a corpus run passes the one it keeps per
+    RIR so that it need not transform an RIR for every draw.
     """
     if rms(rir) == 0.0:
         raise AugmentError("RIR is silent (zero RMS)")
-    wet = _convolve_full(clean.samples, rir.samples, spectrum)[: len(clean)]
+    wet = _convolve(clean.samples, rir.samples, spectrum)
     rms_in = rms(clean)
     rms_out = rms(wet)
     if rms_in == 0.0 or rms_out == 0.0:
@@ -191,13 +203,11 @@ class _SourceTable:
 
     Entries hold the stored-width samples and their scale (see
     ``decode_wav``), or the message of the AudioError the decode raised,
-    which is raised again for every file that draws that source. For an RIR,
-    ``spectrum`` keeps one transform: once two draws of the RIR in a row
-    share an FFT size, at that size, so a run whose utterances vary in
-    length keeps few. Spectra are kept from what the budget has left after
-    the file sizes of all sources (a decode never yields more bytes than its
-    file holds), so they never stop a source from being kept. Safe to share
-    between the run's worker threads.
+    which is raised again for every file that draws that source. An RIR's
+    spectrum is kept from its first draw, from what the budget has left
+    after the file sizes of all sources (a decode never yields more bytes
+    than its file holds), so a spectrum never stops a source from being
+    kept. Safe to share between the run's worker threads.
     """
 
     def __init__(self, root: Path, paths: list[Path]):
@@ -208,9 +218,7 @@ class _SourceTable:
         self._free_bytes = _SOURCE_CACHE_BYTES
         self._kept: dict[Path, tuple[np.ndarray, float] | str] = {}
         self._spectrum_free_bytes = max(0, _SOURCE_CACHE_BYTES - sum(map(_file_bytes, paths)))
-        # per RIR: the FFT size of its last draw and None, until a spectrum
-        # is kept; then the kept spectrum's size and the spectrum
-        self._spectra: dict[Path, tuple[int, np.ndarray | None]] = {}
+        self._spectra: dict[Path, np.ndarray] = {}
 
     def decode(self, path: Path) -> tuple[np.ndarray, float]:
         with self._locks[path]:
@@ -229,19 +237,21 @@ class _SourceTable:
             raise AudioError(entry)
         return entry
 
-    def spectrum(self, path: Path, taps: np.ndarray, size: int) -> np.ndarray:
-        """``np.fft.rfft(taps, size)`` for the RIR decoded from path."""
+    def spectrum(self, path: Path, rir: AudioBuffer) -> np.ndarray | None:
+        """``_rir_spectrum`` of the RIR decoded from path, or None where
+        ``reverberate`` needs none: a short RIR convolves directly, and a
+        silent one is refused before it is transformed."""
+        if len(rir) <= _DIRECT_CONV_MAX or rms(rir) == 0.0:
+            return None
         with self._locks[path]:
-            last_size, kept = self._spectra.get(path, (None, None))
-            if kept is None:
-                spectrum = np.fft.rfft(taps, size)
+            spectrum = self._spectra.get(path)
+            if spectrum is None:
+                spectrum = _rir_spectrum(rir.samples)
                 with self._budget_lock:
-                    keep = size == last_size and spectrum.nbytes <= self._spectrum_free_bytes
-                    if keep:
+                    if spectrum.nbytes <= self._spectrum_free_bytes:
                         self._spectrum_free_bytes -= spectrum.nbytes
-                self._spectra[path] = size, spectrum if keep else None
-                return spectrum
-        return kept if size == last_size else np.fft.rfft(taps, size)
+                        self._spectra[path] = spectrum
+        return spectrum
 
 
 def _process_one(
@@ -259,41 +269,24 @@ def _process_one(
     if spec.category == "reverb":
         taps, tap_scale = sources.decode(src)
         rir = AudioBuffer(taps.astype(np.float64) * tap_scale)
-        wet = reverberate(clean, rir, partial(sources.spectrum, src, rir.samples))
+        wet = reverberate(clean, rir, sources.spectrum(src, rir))
         samples, scale = _apply_clip_policy(wet.samples, spec.clip_policy)
-        write_wav(out_path, AudioBuffer(samples))
-        return FileOutcome(
-            input_path=str(in_path),
-            output_path=str(out_path),
-            category=spec.category,
-            source_file=source_rel,
-            file_seed=seed,
-            rir_id=source_rel,
-            scale=scale,
-        )
-
-    low, high = spec.snr_range_db
-    snr_db = float(rng.uniform(low, high))
-    stored, stored_scale = sources.decode(src)
-    n = len(clean)
-    span = stored.size - n + 1 if stored.size >= n else stored.size
-    offset = int(rng.integers(0, max(1, span)))
-    # Only the n mixed samples are converted; elementwise this equals
-    # fitting the fully converted source.
-    fitted = _fit_length(stored, n, offset).astype(np.float64) * stored_scale
-    mixed, realized, scale = _mix(clean.samples, fitted, snr_db, spec.clip_policy)
-    write_wav(out_path, AudioBuffer(mixed))
-    return FileOutcome(
-        input_path=str(in_path),
-        output_path=str(out_path),
-        category=spec.category,
-        source_file=source_rel,
-        file_seed=seed,
-        snr_db=snr_db,
-        realized_snr_db=realized,
-        loop_offset=offset,
-        scale=scale,
-    )
+        drawn = {"rir_id": source_rel}
+    else:
+        low, high = spec.snr_range_db
+        snr_db = float(rng.uniform(low, high))
+        stored, stored_scale = sources.decode(src)
+        n = len(clean)
+        span = stored.size - n + 1 if stored.size >= n else stored.size
+        offset = int(rng.integers(0, max(1, span)))
+        # Only the n mixed samples are converted; elementwise this equals
+        # fitting the fully converted source.
+        fitted = _fit_length(stored, n, offset).astype(np.float64) * stored_scale
+        samples, realized, scale = _mix(clean.samples, fitted, snr_db, spec.clip_policy)
+        drawn = {"snr_db": snr_db, "realized_snr_db": realized, "loop_offset": offset}
+    write_wav(out_path, AudioBuffer(samples))
+    return FileOutcome(input_path=str(in_path), output_path=str(out_path), category=spec.category,
+                       source_file=source_rel, file_seed=seed, scale=scale, **drawn)
 
 
 def augment_corpus(

@@ -8,6 +8,7 @@ stdout carries only the documented payload; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -62,6 +63,15 @@ def augment_corpus(*args, **kwargs):
 _positive_int = _number(int, lambda v: v >= 1, ">= 1")
 
 
+def _discard_unwritten(stream) -> None:
+    """Send the text a failed write left buffered in stream to devnull, so that
+    the flush at interpreter exit cannot fail again and change the exit code."""
+    fd = stream.fileno()
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _write_payload(text: str, out: str | Path | None) -> None:
     """Write a payload to the file ``out``, or to stdout when there is none."""
     if not out:
@@ -71,11 +81,7 @@ def _write_payload(text: str, out: str | Path | None) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as e:
-            # the unwritten text stays buffered: send it to devnull, so that the
-            # flush at interpreter exit cannot fail again and change the exit code
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+            _discard_unwritten(sys.stdout)
             raise ArenaError(f"cannot write stdout: {e.strerror or e}") from e
         return
     try:
@@ -88,9 +94,21 @@ def _write_json(payload: dict, out: str | None) -> None:
     _write_payload(json.dumps(payload, indent=2, allow_nan=False) + "\n", out)
 
 
+class _Version(argparse.Action):
+    """--version, written as a payload: argparse's own action ignores a failed write."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        _write_payload(_VERSION_TEXT + "\n", None)
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="df-arena", description=__doc__)
-    p.add_argument("--version", action="version", version=_VERSION_TEXT)
+    p.add_argument("--version", action=_Version)
     p.add_argument("--log-level", default="warning", choices=["debug", "info", "warning", "error"])
     sub = p.add_subparsers(dest="subcommand", required=True)
 
@@ -315,14 +333,21 @@ def _setup_logging(level: str) -> None:
 
 def _error_record(exc: Exception) -> None:
     record = {"error": type(exc).__name__, "message": str(exc)}
-    sys.stderr.write(json.dumps(record) + "\n")
+    if sys.stderr is None:  # the interpreter started with file descriptor 2 closed
+        return
+    try:
+        sys.stderr.write(json.dumps(record) + "\n")
+        sys.stderr.flush()
+    except OSError:  # nowhere left to report to; the exit code still says 1
+        with contextlib.suppress(OSError):
+            _discard_unwritten(sys.stderr)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    _setup_logging(args.log_level)
     try:
+        args = parser.parse_args(argv)  # --version writes its payload here
+        _setup_logging(args.log_level)
         return args.func(args)
     except UsageError as e:
         parser.error(str(e))  # exits 2

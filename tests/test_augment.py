@@ -170,6 +170,26 @@ class TestReverberate:
         wet = reverberate(clean, AudioBuffer(taps))
         assert np.allclose(wet.samples, direct, atol=1e-9)
 
+    @pytest.mark.parametrize("taps", [257, 1600])  # 257: the shortest FFT path
+    @pytest.mark.parametrize("length", ["short", "one block", "k blocks", "k blocks + 1"])
+    def test_overlap_add_agrees_with_direct_at_block_edges(self, taps, length):
+        block = augment._fft_size(4 * taps) - taps + 1
+        n = {"short": 100, "one block": block, "k blocks": 3 * block, "k blocks + 1": 3 * block + 1}[length]
+        rng = np.random.default_rng(taps + n)
+        clean = AudioBuffer(0.2 * rng.standard_normal(n))
+        h = 0.3 * rng.standard_normal(taps)
+        direct = np.convolve(clean.samples, h)[:n]
+        direct *= rms(clean.samples) / rms(direct)
+        wet = reverberate(clean, AudioBuffer(h))
+        assert wet.samples.shape == (n,)
+        assert np.allclose(wet.samples, direct, atol=1e-9)
+
+    @pytest.mark.parametrize("taps", [64, 900])  # the direct and the FFT path
+    def test_silent_clean_gives_silence_of_the_clean_length(self, taps):
+        rir = AudioBuffer(0.3 * np.random.default_rng(14).standard_normal(taps))
+        wet = reverberate(AudioBuffer(np.zeros(3000)), rir)
+        assert np.array_equal(wet.samples, np.zeros(3000))
+
 
 class TestFileSeed:
     def test_stable_and_distinct(self):
@@ -319,16 +339,16 @@ def _counting_decodes(monkeypatch):
 
 
 def _counting_rir_transforms(monkeypatch, tap_counts):
-    """Patch ``np.fft.rfft`` to count, by (taps, FFT size), the transforms of
-    arrays whose length is one of tap_counts (the RIRs, not the utterances)."""
+    """Patch ``np.fft.rfft`` to count, by length, the transforms of 1-D arrays
+    whose length is one of tap_counts (the RIRs, not the utterance blocks)."""
     rfft = np.fft.rfft
     transforms = Counter()
     lock = threading.Lock()
 
     def counting_rfft(a, n=None, *args, **kwargs):
-        if len(a) in tap_counts:
+        if np.ndim(a) == 1 and len(a) in tap_counts:
             with lock:
-                transforms[len(a), n] += 1
+                transforms[len(a)] += 1
         return rfft(a, n, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
@@ -521,15 +541,6 @@ def _power_of_two_convolve(x, h):
     return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(h, size), size)[:n_out]
 
 
-def _draws_by_fft_size(summary, src):
-    """How many files drew each (RIR taps, FFT size)."""
-    draws = Counter()
-    for e in summary.entries:
-        taps = len(read_wav(src / e.rir_id))
-        draws[taps, augment._fft_size(len(read_wav(e.input_path)) + taps - 1)] += 1
-    return draws
-
-
 @contextmanager
 def _fast_thread_switches():
     """Switch threads every microsecond, so that a race on shared state shows."""
@@ -549,8 +560,8 @@ def _is_5_smooth(m):
 
 
 class TestRirSpectra:
-    """Reverb FFTs run at the smallest 5-smooth size, and a run keeps an
-    RIR's spectrum once two of its draws in a row share that size."""
+    """Reverb FFTs run at a 5-smooth size set by the RIR alone, and a run
+    transforms each RIR once, whatever its utterances' lengths."""
 
     @given(st.integers(1, 5000) | st.integers(1, 1 << 40))
     @settings(max_examples=300, deadline=None)
@@ -562,62 +573,35 @@ class TestRirSpectra:
             assert not any(_is_5_smooth(m) for m in range(n, size))
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_a_fixed_length_run_transforms_each_rir_twice(self, tmp_path, monkeypatch, jobs):
-        in_dir = _write_utterances(tmp_path / "in", [4000] * 12)
+    @pytest.mark.parametrize("lengths", [[4000] * 12, [3841, 4000, 5000] * 6], ids=["fixed", "mixed"])
+    def test_each_rir_is_transformed_once_per_run(self, tmp_path, monkeypatch, jobs, lengths):
+        in_dir = _write_utterances(tmp_path / "in", lengths)
         tap_counts = {257, 800, 1200}
         src = _write_rirs(tmp_path / "rirs", tap_counts)
         transforms = _counting_rir_transforms(monkeypatch, tap_counts)
         with _fast_thread_switches():
             summary = augment_corpus(in_dir, tmp_path / "out", AugmentSpec("reverb", src, seed=3), jobs=jobs)
 
-        assert not summary.failures and len(summary.entries) == 12
-        draws = _draws_by_fft_size(summary, src)
-        assert len(draws) == 3 and max(draws.values()) > 2
-        # the second draw keeps the spectrum, later draws use it
-        assert transforms == Counter({key: min(n, 2) for key, n in draws.items()})
-
-    def test_an_rir_keeps_its_spectrum_once_two_draws_in_a_row_share_a_size(
-        self, tmp_path, monkeypatch
-    ):
-        # mixed utterance lengths put one RIR at several FFT sizes
-        in_dir = _write_utterances(tmp_path / "in", [3841, 4000, 5000] * 6)
-        tap_counts = {257, 800, 1200}
-        src = _write_rirs(tmp_path / "rirs", tap_counts)
-        transforms = _counting_rir_transforms(monkeypatch, tap_counts)
-        summary = augment_corpus(in_dir, tmp_path / "out", AugmentSpec("reverb", src, seed=3))
-
-        assert not summary.failures and len(summary.entries) == 18
-        expected = Counter()
-        last_size, kept = {}, {}
-        for e in summary.entries:  # the order of the draws at one job
-            taps = len(read_wav(src / e.rir_id))
-            size = augment._fft_size(len(read_wav(e.input_path)) + taps - 1)
-            if kept.get(taps) != size:
-                expected[taps, size] += 1
-                if taps not in kept:
-                    if last_size.get(taps) == size:
-                        kept[taps] = size
-                    last_size[taps] = size
-        assert transforms == expected
-        draws = _draws_by_fft_size(summary, src)
-        assert kept and transforms != draws  # some draws used a kept spectrum
-        assert any(transforms[taps, size] == n > 1 for (taps, size), n in draws.items()
-                   if kept.get(taps) != size)  # others transformed again
+        assert not summary.failures and len(summary.entries) == len(lengths)
+        drawn = Counter(len(read_wav(src / e.rir_id)) for e in summary.entries)
+        assert drawn.keys() == tap_counts and min(drawn.values()) > 1
+        assert transforms == Counter(dict.fromkeys(tap_counts, 1))
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_spectra_never_crowd_out_the_rirs(self, tmp_path, monkeypatch, jobs):
-        # Many RIRs at two FFT sizes, and room for one spectrum beside them.
-        # A spectrum outweighs several RIR files, so taking it from the
-        # bytes of RIRs not yet drawn would leave later RIRs undecoded.
+        # Many RIRs, and room for one spectrum beside them. A spectrum
+        # outweighs several RIR files, so taking it from the bytes of RIRs
+        # not yet drawn would leave later RIRs undecoded.
         in_dir = _write_utterances(tmp_path / "in", [400, 460] * 45)
         tap_counts = set(range(2000, 2030))
         src = _write_rirs(tmp_path / "rirs", tap_counts)
         spec = AugmentSpec("reverb", src, seed=5)
         reference = augment_corpus(in_dir, tmp_path / "ref", spec)
-        # every spectrum drawn is at least this large (complex128)
-        smallest_spectrum = (augment._fft_size(400 + 2000 - 1) // 2 + 1) * 16
+        # room for the largest spectrum (complex128), not for two of the smallest
+        largest, smallest = ((augment._fft_size(4 * taps) // 2 + 1) * 16 for taps in (2029, 2000))
+        assert largest < 2 * smallest
         file_bytes = sum(p.stat().st_size for p in src.iterdir())
-        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", file_bytes + smallest_spectrum)
+        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", file_bytes + largest)
         decoded = _counting_decodes(monkeypatch)
         transforms = _counting_rir_transforms(monkeypatch, tap_counts)
         with _fast_thread_switches():
@@ -628,18 +612,17 @@ class TestRirSpectra:
         drawn = Counter(e.rir_id for e in summary.entries)
         assert len(drawn) > 20 and max(drawn.values()) > 2
         assert decoded == Counter(dict.fromkeys(drawn, 1))
-        draws = _draws_by_fft_size(summary, src)
-        # a kept spectrum saves transforms at its own size only
-        saved = {taps for (taps, size), n in draws.items() if transforms[taps, size] < n}
-        assert len(saved) <= 1
+        by_taps = {len(read_wav(src / name)): n for name, n in drawn.items()}
+        saved = {taps for taps, n in by_taps.items() if transforms[taps] < n}
+        assert len(saved) == 1 and transforms[saved.pop()] == 1
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_silent_rir_fails_every_file_that_draws_it(self, tmp_path, monkeypatch, jobs):
         in_dir = build_wav_corpus(tmp_path / "in", n_files=12, seconds=0.25)
         src = tmp_path / "rirs"
         src.mkdir()
-        write_wav(src / "a_room.wav", make_noise(0.05, 0.4, 43))
-        write_wav(src / "b_silent.wav", AudioBuffer(np.zeros(800)))
+        write_wav(src / "a_room.wav", make_noise(0.05, 0.4, 43))  # 800 taps
+        write_wav(src / "b_silent.wav", AudioBuffer(np.zeros(900)))
         spec = AugmentSpec("reverb", src, seed=21)
         inputs = sorted(in_dir.iterdir())
         draws_silent = {
@@ -650,14 +633,13 @@ class TestRirSpectra:
         assert 0 < len(draws_silent) < len(inputs)
 
         decoded = _counting_decodes(monkeypatch)
-        transforms = _counting_rir_transforms(monkeypatch, {800})
+        transforms = _counting_rir_transforms(monkeypatch, {800, 900})
         summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
         reason = "AugmentError: RIR is silent (zero RMS)"
         assert dict(summary.failures) == dict.fromkeys(draws_silent, reason)
         assert {e.input_path for e in summary.entries} == {str(p) for p in inputs} - draws_silent
         assert decoded == {"a_room.wav": 1, "b_silent.wav": 1}
-        # a_room.wav's second draw keeps its spectrum; b_silent.wav is never transformed
-        assert len(summary.entries) > 2 and sum(transforms.values()) == 2
+        assert len(summary.entries) > 2 and transforms == Counter({800: 1})
 
     def test_outputs_within_one_lsb_of_direct_and_power_of_two_convolution(self, tmp_path):
         # 3841 + 257 - 1 = 4097 output samples: FFT size 4320, where the

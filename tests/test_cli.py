@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -639,11 +640,12 @@ class TestStdoutFailure:
                                   stderr=subprocess.PIPE, text=True, env=env)
 
     @_needs_dev_full
-    @pytest.mark.parametrize("command", ["eval", "history"])
+    @pytest.mark.parametrize("command", ["eval", "history", "--version"])
     def test_full_stdout_is_an_error_record(self, command, env, perfect_pair, tmp_path):
         protocol, scores = perfect_pair
         argv = {"eval": ["eval", "--protocol", str(protocol), "--scores", str(scores)],
-                "history": ["history", "--store", str(tmp_path / "runs.jsonl"), "--format", "json"]}[command]
+                "history": ["history", "--store", str(tmp_path / "runs.jsonl"), "--format", "json"],
+                "--version": ["--version"]}[command]
         proc = self._run(argv, env)
         assert proc.returncode == 1
         assert json.loads(proc.stderr) == {"error": "ArenaError",
@@ -656,6 +658,23 @@ class TestStdoutFailure:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["message"] == "cannot write stdout: No space left on device"
         assert not store.exists()
+
+    @_needs_dev_full
+    def test_full_stderr_still_exits_one(self, env, tmp_path):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "df_arena.cli", "eval", "--protocol",
+                                   str(tmp_path / "missing.txt"), "--scores", str(tmp_path / "s.txt")],
+                                  stdout=subprocess.PIPE, stderr=full, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (1, "")
+
+    @pytest.mark.parametrize("stderr", ["full", "closed"])
+    def test_error_record_that_cannot_be_written_returns_one(self, monkeypatch, tmp_path, stderr):
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stderr", FullStream() if stderr == "full" else None)
+        assert main(["eval", "--protocol", str(tmp_path / "missing.txt"), "--scores", str(tmp_path / "s.txt")]) == 1
 
     def test_closed_stdout_is_an_error_record(self, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "df_arena.cli", "history", "--store", str(tmp_path / "r")],

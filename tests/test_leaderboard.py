@@ -300,6 +300,18 @@ class TestStore:
         records, _ = store_list(store)
         assert [r.run_id for r in records] == [arena_record.run_id, "second"]
 
+    def test_blank_lines_between_records_are_skipped(self, tmp_path, arena_record):
+        store = tmp_path / "runs.jsonl"
+        store_append(store, arena_record)
+        with open(store, "ab") as fh:
+            fh.write(b"\n   \n\t\r\n")
+        store_append(store, dataclasses.replace(arena_record, run_id="second"))
+        with open(store, "ab") as fh:
+            fh.write(b" \n")
+        runs, issues = store_list(store)
+        assert [r.run_id for r in runs] == [arena_record.run_id, "second"]
+        assert issues == []
+
     def test_corrupt_line_reported_with_offset(self, tmp_path, arena_record):
         store = tmp_path / "runs.jsonl"
         store_append(store, arena_record)
