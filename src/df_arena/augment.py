@@ -165,8 +165,8 @@ def reverberate(clean: AudioBuffer, rir: AudioBuffer, spectrum=None) -> AudioBuf
 
     Linear convolution truncated to the clean length, then rescaled so the
     output RMS equals the input RMS. ``spectrum``, when given, must equal
-    ``_rir_spectrum(rir.samples)``; a corpus run passes the one it keeps per
-    RIR so that it need not transform an RIR for every draw.
+    ``_rir_spectrum(rir.samples)``; a corpus run passes the one it keeps with
+    the RIR so that it need not transform an RIR for every draw.
     """
     if rms(rir) == 0.0:
         raise AugmentError("RIR is silent (zero RMS)")
@@ -184,74 +184,58 @@ def _list_wavs(directory: Path, recursive: bool) -> list[Path]:
     return sorted(files, key=lambda p: p.relative_to(directory).as_posix())
 
 
-# Decoded sources are kept until they fill this many bytes; a source first
-# drawn after that is decoded again by every file that draws it. RIR spectra
-# get only what the sources' file sizes leave of it (see _SourceTable).
+# Decoded sources, each RIR with its spectrum, are kept until they fill this
+# many bytes; a source first drawn after that is decoded (and an RIR
+# transformed) again by every file that draws it.
 _SOURCE_CACHE_BYTES = 32 << 20
-
-
-def _file_bytes(path: Path) -> int:
-    try:
-        return path.stat().st_size
-    except OSError:
-        return 0  # the decode reports it
 
 
 class _SourceTable:
     """The run's interferers/RIRs, each decoded on first draw and kept while
     the ``_SOURCE_CACHE_BYTES`` budget lasts.
 
-    Entries hold the stored-width samples and their scale (see
-    ``decode_wav``), or the message of the AudioError the decode raised,
-    which is raised again for every file that draws that source. An RIR's
-    spectrum is kept from its first draw, from what the budget has left
-    after the file sizes of all sources (a decode never yields more bytes
-    than its file holds), so a spectrum never stops a source from being
-    kept. Safe to share between the run's worker threads.
+    An entry holds the stored-width samples, their scale (see ``decode_wav``)
+    and, in a reverb run, the RIR's ``_rir_spectrum``: None where
+    ``reverberate`` needs none, since a short RIR convolves directly and a
+    silent one is refused before it is transformed. Samples and spectrum are
+    charged to the budget together, so an entry is kept whole or not at all.
+    A decode that raised an AudioError is kept as its message, whatever the
+    budget, and raised again for every file that draws that source. Safe to
+    share between the run's worker threads.
     """
 
-    def __init__(self, root: Path, paths: list[Path]):
+    def __init__(self, root: Path, paths: list[Path], reverb: bool):
         self.root = root
         self.paths = paths
+        self._reverb = reverb
         self._locks = {p: threading.Lock() for p in paths}
         self._budget_lock = threading.Lock()
         self._free_bytes = _SOURCE_CACHE_BYTES
-        self._kept: dict[Path, tuple[np.ndarray, float] | str] = {}
-        self._spectrum_free_bytes = max(0, _SOURCE_CACHE_BYTES - sum(map(_file_bytes, paths)))
-        self._spectra: dict[Path, np.ndarray] = {}
+        self._kept: dict[Path, tuple[np.ndarray, float, np.ndarray | None] | str] = {}
 
-    def decode(self, path: Path) -> tuple[np.ndarray, float]:
+    def decode(self, path: Path) -> tuple[np.ndarray, float, np.ndarray | None]:
         with self._locks[path]:
             entry = self._kept.get(path)
             if entry is None:
                 try:
-                    entry = decode_wav(path)
+                    samples, scale = decode_wav(path)
                 except AudioError as e:
                     entry = self._kept[path] = str(e)
                 else:
+                    spectrum = None
+                    if self._reverb and samples.size > _DIRECT_CONV_MAX:
+                        h = samples.astype(np.float64) * scale
+                        if rms(h) != 0.0:
+                            spectrum = _rir_spectrum(h)
+                    entry = samples, scale, spectrum
+                    nbytes = samples.nbytes + (0 if spectrum is None else spectrum.nbytes)
                     with self._budget_lock:
-                        if entry[0].nbytes <= self._free_bytes:
-                            self._free_bytes -= entry[0].nbytes
+                        if nbytes <= self._free_bytes:
+                            self._free_bytes -= nbytes
                             self._kept[path] = entry
         if isinstance(entry, str):
             raise AudioError(entry)
         return entry
-
-    def spectrum(self, path: Path, rir: AudioBuffer) -> np.ndarray | None:
-        """``_rir_spectrum`` of the RIR decoded from path, or None where
-        ``reverberate`` needs none: a short RIR convolves directly, and a
-        silent one is refused before it is transformed."""
-        if len(rir) <= _DIRECT_CONV_MAX or rms(rir) == 0.0:
-            return None
-        with self._locks[path]:
-            spectrum = self._spectra.get(path)
-            if spectrum is None:
-                spectrum = _rir_spectrum(rir.samples)
-                with self._budget_lock:
-                    if spectrum.nbytes <= self._spectrum_free_bytes:
-                        self._spectrum_free_bytes -= spectrum.nbytes
-                        self._spectra[path] = spectrum
-        return spectrum
 
 
 def _process_one(
@@ -267,15 +251,14 @@ def _process_one(
     out_path = out_dir / in_path.name
 
     if spec.category == "reverb":
-        taps, tap_scale = sources.decode(src)
-        rir = AudioBuffer(taps.astype(np.float64) * tap_scale)
-        wet = reverberate(clean, rir, sources.spectrum(src, rir))
+        taps, tap_scale, spectrum = sources.decode(src)
+        wet = reverberate(clean, AudioBuffer(taps.astype(np.float64) * tap_scale), spectrum)
         samples, scale = _apply_clip_policy(wet.samples, spec.clip_policy)
         drawn = {"rir_id": source_rel}
     else:
         low, high = spec.snr_range_db
         snr_db = float(rng.uniform(low, high))
-        stored, stored_scale = sources.decode(src)
+        stored, stored_scale, _ = sources.decode(src)
         n = len(clean)
         span = stored.size - n + 1 if stored.size >= n else stored.size
         offset = int(rng.integers(0, max(1, span)))
@@ -325,7 +308,7 @@ def augment_corpus(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise AugmentError(f"cannot create output directory {out_dir}: {e.strerror or e}") from e
-    table = _SourceTable(spec.source_dir, sources)
+    table = _SourceTable(spec.source_dir, sources, reverb=spec.category == "reverb")
 
     def work(p: Path):
         try:

@@ -196,7 +196,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
         manifest_version=version,
         datasets=tuple(datasets),
         systems=tuple(systems),
-        output_dir=resolve(output_dir, "options.output_dir") if output_dir else None,
+        output_dir=resolve(output_dir, "options.output_dir") if output_dir is not None else None,
         allow_gaps=allow_gaps,
         join_mode=join_mode,
         digest=digest,

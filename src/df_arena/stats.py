@@ -263,14 +263,16 @@ class CorrelationReport:
     n_systems: int
 
     def to_csv(self) -> str:
-        lines = ["dataset," + ",".join(METRIC_NAMES)]
+        import csv
+        import io
+
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")  # quotes a cell only where it must
+        writer.writerow(["dataset", *METRIC_NAMES])
         for ds in self.dataset_ids:
-            cells = []
-            for m in METRIC_NAMES:
-                v = self.values[ds][m]
-                cells.append("" if v is None else f"{v:.4f}")
-            lines.append(ds + "," + ",".join(cells))
-        return "\n".join(lines) + "\n"
+            values = (self.values[ds][m] for m in METRIC_NAMES)
+            writer.writerow([ds] + ["" if v is None else f"{v:.4f}" for v in values])
+        return out.getvalue()
 
     def to_json(self) -> str:
         doc = {

@@ -202,18 +202,26 @@ def emit(record: RunRecord, format: str, sort: str = "pooled_eer") -> str:
     table = [[get(s) for _, _, get, _ in columns] for s in ranked]
 
     if format == "csv":
+        import csv
+        import io
+
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")  # quotes a cell only where it must
+        writer.writerow(["system_id"] + [name for name, _, _, _ in columns])
         # str of a float is its repr, which reads back to the same float
-        lines = [",".join(["system_id"] + [csv for csv, _, _, _ in columns])]
-        lines += [",".join([s.system_id] + ["" if v is None else str(v) for v in row])
-                  for s, row in zip(ranked, table)]
-        return "\n".join(lines) + "\n"
+        writer.writerows([s.system_id] + ["" if v is None else str(v) for v in row]
+                         for s, row in zip(ranked, table))
+        return out.getvalue()
+
+    def md_row(cells):  # an escaped | does not split the row
+        return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
 
     best = [min((v for v in col if v is not None), default=None) for col in zip(*table)]
     header = ["System"] + [md for _, md, _, _ in columns]
-    lines = ["| " + " | ".join(header) + " |", "| " + " | ".join(["---"] * len(header)) + " |"]
+    lines = [md_row(header), md_row(["---"] * len(header))]
     for s, row in zip(ranked, table):
         cells = [_fmt_cell(v, fmt, b) for v, (_, _, _, fmt), b in zip(row, columns, best)]
-        lines.append("| " + " | ".join([s.system_id + ("*" if s.gap_datasets else "")] + cells) + " |")
+        lines.append(md_row([s.system_id + ("*" if s.gap_datasets else "")] + cells))
     if any(s.gap_datasets for s in ranked):
         lines.append("")
         lines.append(

@@ -472,8 +472,10 @@ class TestSourceBudget:
         reference = augment_corpus(in_dir, tmp_path / "ref", spec, jobs=jobs)
 
         taps = read_wav(src / "s0.wav").samples.size
-        source_bytes = taps * 2  # stored as int16
-        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", kept_sources * source_bytes)
+        entry_bytes = taps * 2  # stored as int16
+        if category == "reverb":  # an RIR is kept with its spectrum (complex128)
+            entry_bytes += (augment._fft_size(4 * taps) // 2 + 1) * 16
+        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", kept_sources * entry_bytes)
         counts = _counting_decodes(monkeypatch)
         transforms = _counting_rir_transforms(monkeypatch, {taps})
         summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
@@ -492,7 +494,7 @@ class TestSourceBudget:
         assert len(kept) == (1 if kept_sources else 0)
         assert all(counts[name] == 1 for name in kept)
         assert all(counts[name] == draws[name] for name in good if name not in kept)
-        return summary, sum(transforms.values())
+        return summary, draws, kept, sum(transforms.values())
 
     @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize("kept_sources", [0, 1])
@@ -506,11 +508,11 @@ class TestSourceBudget:
     def test_rirs_past_the_budget_are_decoded_and_transformed_per_draw(
         self, tmp_path, monkeypatch, jobs, kept_sources
     ):
-        summary, transforms = self._run_past_the_budget(
+        summary, draws, kept, transforms = self._run_past_the_budget(
             tmp_path, monkeypatch, "reverb", jobs, kept_sources
         )
-        # the sources' file sizes fill the budget, so no spectrum is kept
-        assert transforms == len(summary.entries)
+        # a kept RIR is transformed once, with its decode; any other on every draw
+        assert transforms == len(summary.entries) - sum(draws[name] - 1 for name in kept)
 
 
 def _write_utterances(directory, lengths, amplitude=0.1, seed=70):
@@ -588,33 +590,35 @@ class TestRirSpectra:
         assert transforms == Counter(dict.fromkeys(tap_counts, 1))
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_spectra_never_crowd_out_the_rirs(self, tmp_path, monkeypatch, jobs):
-        # Many RIRs, and room for one spectrum beside them. A spectrum
-        # outweighs several RIR files, so taking it from the bytes of RIRs
-        # not yet drawn would leave later RIRs undecoded.
-        in_dir = _write_utterances(tmp_path / "in", [400, 460] * 45)
-        tap_counts = set(range(2000, 2030))
+    def test_an_rir_is_kept_with_its_spectrum_or_not_at_all(self, tmp_path, monkeypatch, jobs):
+        # Six RIRs, each drawn several times, and room for any two entries of
+        # samples and spectrum, not for three: the two kept are decoded and
+        # transformed once, the others on every draw.
+        in_dir = _write_utterances(tmp_path / "in", [400, 460] * 30)
+        tap_counts = set(range(2000, 2006))
         src = _write_rirs(tmp_path / "rirs", tap_counts)
         spec = AugmentSpec("reverb", src, seed=5)
+        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", 1 << 62)
         reference = augment_corpus(in_dir, tmp_path / "ref", spec)
-        # room for the largest spectrum (complex128), not for two of the smallest
-        largest, smallest = ((augment._fft_size(4 * taps) // 2 + 1) * 16 for taps in (2029, 2000))
-        assert largest < 2 * smallest
-        file_bytes = sum(p.stat().st_size for p in src.iterdir())
-        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", file_bytes + largest)
+        smallest, largest = (taps * 2 + (augment._fft_size(4 * taps) // 2 + 1) * 16
+                             for taps in (2000, 2005))
+        assert 3 * smallest > 2 * largest
+        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", 2 * largest)
         decoded = _counting_decodes(monkeypatch)
         transforms = _counting_rir_transforms(monkeypatch, tap_counts)
         with _fast_thread_switches():
             summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
 
-        assert not summary.failures and len(summary.entries) == 90
+        assert not summary.failures and len(summary.entries) == 60
         assert _outputs(tmp_path / "out") == _outputs(tmp_path / "ref")
-        drawn = Counter(e.rir_id for e in summary.entries)
-        assert len(drawn) > 20 and max(drawn.values()) > 2
-        assert decoded == Counter(dict.fromkeys(drawn, 1))
-        by_taps = {len(read_wav(src / name)): n for name, n in drawn.items()}
-        saved = {taps for taps, n in by_taps.items() if transforms[taps] < n}
-        assert len(saved) == 1 and transforms[saved.pop()] == 1
+        assert [e.rir_id for e in summary.entries] == [e.rir_id for e in reference.entries]
+        drawn = Counter(len(read_wav(src / e.rir_id)) for e in summary.entries)
+        assert drawn.keys() == tap_counts and min(drawn.values()) > 1
+        kept = {taps for taps in tap_counts if decoded[f"r{taps}.wav"] == 1}
+        assert len(kept) == 2
+        per_draw = {taps: 1 if taps in kept else n for taps, n in drawn.items()}
+        assert transforms == per_draw
+        assert decoded == {f"r{taps}.wav": n for taps, n in per_draw.items()}
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_silent_rir_fails_every_file_that_draws_it(self, tmp_path, monkeypatch, jobs):

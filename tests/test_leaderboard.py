@@ -1,8 +1,11 @@
+import csv
 import dataclasses
 import fcntl
+import io
 import json
 import multiprocessing
 import os
+import re
 import threading
 
 import pytest
@@ -34,6 +37,21 @@ from conftest import (
     scores_text,
     write_text,
 )
+
+
+def _renamed(record, systems, datasets):
+    """The record with its system ids, and the dataset ids in datasets, renamed."""
+    summaries = tuple(
+        dataclasses.replace(
+            s,
+            system_id=systems[s.system_id],
+            per_dataset_eer={datasets.get(d, d): v for d, v in s.per_dataset_eer.items()},
+            gap_datasets=tuple(datasets.get(d, d) for d in s.gap_datasets),
+        )
+        for s in record.summaries
+    )
+    dataset_ids = tuple(datasets.get(d, d) for d in record.dataset_ids)
+    return dataclasses.replace(record, dataset_ids=dataset_ids, summaries=summaries)
 
 
 @pytest.fixture
@@ -244,6 +262,28 @@ class TestEmit:
             "sysA,,0.0,0.1,0.2,0.15,0.15\n"
             "sysC,CNN,,0.3,,0.3,\n"
         )
+
+    def test_csv_quotes_ids_and_reads_back(self):
+        systems = {"sysA": "sys,A", "sysB": 'say "B"', "sysC": "line\nbreak"}
+        datasets = {"d1": "d,1", "d2": 'd"2'}
+        plain = list(csv.reader(io.StringIO(emit(golden_record(), "csv"))))
+        odd = list(csv.reader(io.StringIO(emit(_renamed(golden_record(), systems, datasets), "csv"))))
+        assert odd[0] == [datasets.get(c, c) for c in plain[0]]
+        assert [[systems[row[0]]] + row[1:] for row in plain[1:]] == odd[1:]
+        assert {len(row) for row in odd} == {7}
+
+    def test_markdown_escapes_pipes_in_ids(self):
+        record = _renamed(golden_record(), {"sysA": "A|a", "sysB": "B|x|", "sysC": "|C"}, {"d1": "d|1"})
+        record = dataclasses.replace(record, summaries=tuple(
+            dataclasses.replace(s, category="CNN|LSTM") if s.category else s for s in record.summaries
+        ))
+        rows = [l for l in emit(record, "markdown").splitlines() if l.startswith("|")]
+        cells = [re.split(r"(?<!\\)\|", row)[1:-1] for row in rows]
+        assert {len(c) for c in cells} == {7}
+        text = [[c.strip().replace("\\|", "|") for c in row] for row in cells]
+        assert text[0][3] == "d|1"
+        assert [row[0] for row in text[2:]] == ["B|x|", "A|a", "|C*"]
+        assert text[4][1] == "CNN|LSTM"
 
     def test_markdown_percent_formatting(self, arena_record):
         text = emit(arena_record, "markdown")

@@ -388,6 +388,10 @@ def _options(**fields):
     pytest.param(_options(allow_gaps="no"), "allow_gaps must be true or false", id="allow-gaps-string"),
     pytest.param(_options(allow_gaps=0), "allow_gaps must be true or false", id="allow-gaps-int"),
     pytest.param(_options(output_dir=3), "output_dir must be a non-empty string", id="output-dir-int"),
+    pytest.param(_options(output_dir=False), "output_dir must be a non-empty string", id="output-dir-false"),
+    pytest.param(_options(output_dir=0), "output_dir must be a non-empty string", id="output-dir-zero"),
+    pytest.param(_options(output_dir=""), "output_dir must be a non-empty string", id="output-dir-empty"),
+    pytest.param(_options(output_dir=[]), "output_dir must be a non-empty string", id="output-dir-empty-list"),
     pytest.param(lambda doc: doc.update(manifest_version=True), "manifest_version must be 1", id="version-bool"),
     pytest.param(lambda doc: doc.update(manifest_version=1.0), "manifest_version must be 1", id="version-float"),
 ])

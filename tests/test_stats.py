@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -432,6 +434,17 @@ class TestCorrelateMatrix:
         lines = text.strip().splitlines()
         assert lines[0] == "dataset,pearson,spearman,kendall_tau,distance_corr,mutual_info,ccc"
         assert lines[1].startswith("d1,1.0000,1.0000,1.0000,1.0000,")
+
+    def test_csv_quotes_dataset_ids_and_reads_back(self):
+        cols = [[0.1, 0.3], [0.2, 0.2], [0.4, 0.1], [0.3, 0.5]]
+        ids = ["d,1", 'say "2"']
+        plain = correlate_matrix(EerMatrix.build(list("abcd"), ["d1", "d2"], cols)).to_csv()
+        odd = correlate_matrix(EerMatrix.build(list("abcd"), ids, cols)).to_csv()
+        plain, odd = (list(csv.reader(io.StringIO(text))) for text in (plain, odd))
+        assert {len(row) for row in odd} == {7}
+        assert odd[0] == plain[0]
+        assert [row[0] for row in odd[1:]] == ids
+        assert [row[1:] for row in odd[1:]] == [row[1:] for row in plain[1:]]
 
     def test_reference_grid_ranking(self, reference_grid_path):
         matrix = load_matrix_csv(reference_grid_path).subset(OPEN_SOURCE_SYSTEMS)
