@@ -45,8 +45,6 @@ class FileOutcome:
 
 @dataclass(frozen=True)
 class AugmentSummary:
-    category: str
-    seed: int
     entries: tuple[FileOutcome, ...]
     failures: tuple[tuple[str, str], ...]
     manifest_path: str
@@ -329,10 +327,4 @@ def augment_corpus(
                 fh.write(json.dumps(asdict(outcome), sort_keys=True) + "\n")
     except OSError as e:
         raise AugmentError(f"cannot write {manifest_path}: {e.strerror or e}") from e
-    return AugmentSummary(
-        category=spec.category,
-        seed=spec.seed,
-        entries=entries,
-        failures=failures,
-        manifest_path=str(manifest_path),
-    )
+    return AugmentSummary(entries=entries, failures=failures, manifest_path=str(manifest_path))

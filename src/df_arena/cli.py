@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ArenaError, AugmentError
-from .spec import (CATEGORIES, CLIP_POLICIES, JOIN_MODES, MANIFEST_VERSION, MAX_SCORER_TIMEOUT_S, POLARITIES,
-                   PROTOCOL_FORMATS, AugmentSpec, load_manifest)
+from .spec import (CATEGORIES, CLIP_POLICIES, HIGHER_IS_BONAFIDE, JOIN_MODES, MANIFEST_VERSION,
+                   MAX_SCORER_TIMEOUT_S, POLARITIES, PROTOCOL_FORMATS, AugmentSpec, load_manifest)
 from .store import EMIT_FORMATS, RANK_KEYS, RECORD_VERSION, emit, store_append, store_list
 
 log = logging.getLogger("df_arena")
@@ -111,46 +111,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action=_Version)
     p.add_argument("--log-level", default="warning", choices=["debug", "info", "warning", "error"])
     sub = p.add_subparsers(dest="subcommand", required=True)
+    # flags that several subcommands share, each defined once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    joining = argparse.ArgumentParser(add_help=False)
+    joining.add_argument("--protocol-format", default=PROTOCOL_FORMATS[0], choices=PROTOCOL_FORMATS)
+    joining.add_argument("--polarity", default=HIGHER_IS_BONAFIDE, choices=POLARITIES)
+    joining.add_argument("--mode", default=JOIN_MODES[0], choices=JOIN_MODES)
 
-    evalp = sub.add_parser("eval", help="evaluate one score file against one protocol")
+    evalp = sub.add_parser("eval", parents=[joining, out], help="evaluate one score file against one protocol")
     evalp.add_argument("--protocol", required=True)
     evalp.add_argument("--scores", required=True)
-    evalp.add_argument("--protocol-format", default="two-column", choices=PROTOCOL_FORMATS)
-    evalp.add_argument("--polarity", default="higher-is-bonafide", choices=POLARITIES)
-    evalp.add_argument("--mode", default="strict", choices=JOIN_MODES)
     evalp.add_argument("--threshold", type=_number(float, math.isfinite, "a finite number"), default=None,
                        help="fixed accuracy/F1 threshold (default: the EER threshold)")
     evalp.add_argument("--system-id", default=None)
     evalp.add_argument("--dataset-id", default=None)
-    evalp.add_argument("--out", default=None)
     evalp.set_defaults(func=cmd_eval)
 
-    poolp = sub.add_parser("pool", help="pooled EER over several protocol/score pairs")
+    poolp = sub.add_parser("pool", parents=[joining, out], help="pooled EER over several protocol/score pairs")
     poolp.add_argument("--pair", nargs=2, action="append", required=True,
                        metavar=("PROTOCOL", "SCORES"))
-    poolp.add_argument("--protocol-format", default="two-column", choices=PROTOCOL_FORMATS)
-    poolp.add_argument("--polarity", default="higher-is-bonafide", choices=POLARITIES)
-    poolp.add_argument("--mode", default="strict", choices=JOIN_MODES)
-    poolp.add_argument("--out", default=None)
     poolp.set_defaults(func=cmd_pool)
 
-    lbp = sub.add_parser("leaderboard", help="evaluate a manifest and render the ranking")
+    lbp = sub.add_parser("leaderboard", parents=[out], help="evaluate a manifest and render the ranking")
     lbp.add_argument("--manifest", required=True)
     lbp.add_argument("--sort", default="pooled_eer", choices=RANK_KEYS)
     lbp.add_argument("--format", default="markdown", choices=EMIT_FORMATS)
     lbp.add_argument("--store", default=None, help="append the run to this store file")
-    lbp.add_argument("--out", default=None)
     # accepted for older command lines; leaderboard evaluates sequentially
     lbp.add_argument("--jobs", type=_positive_int, default=1, help=argparse.SUPPRESS)
     lbp.set_defaults(func=cmd_leaderboard)
 
-    corrp = sub.add_parser("correlate", help="correlate dataset EER columns with the average")
+    corrp = sub.add_parser("correlate", parents=[out], help="correlate dataset EER columns with the average")
     corrp.add_argument("--matrix", required=True, help="CSV: rows=systems, columns=datasets")
     corrp.add_argument("--bins", type=_number(int, lambda v: v >= 2, ">= 2"), default=None,
                        help="mutual-information bins")
     corrp.add_argument("--systems", default=None, help="comma-separated system subset")
     corrp.add_argument("--format", default="csv", choices=["csv", "json"])
-    corrp.add_argument("--out", default=None)
     corrp.set_defaults(func=cmd_correlate)
 
     augp = sub.add_parser("augment", help="perturb a WAV corpus deterministically")
@@ -165,21 +162,18 @@ def build_parser() -> argparse.ArgumentParser:
     augp.add_argument("--jobs", type=_positive_int, default=1)
     augp.set_defaults(func=cmd_augment)
 
-    histp = sub.add_parser("history", help="list runs appended to a store")
+    histp = sub.add_parser("history", parents=[out], help="list runs appended to a store")
     histp.add_argument("--store", required=True)
     histp.add_argument("--format", default="text", choices=["text", "json"])
-    histp.add_argument("--out", default=None)
     histp.set_defaults(func=cmd_history)
 
-    scorep = sub.add_parser("score", help="run an external scorer and write a score file")
+    scorep = sub.add_parser("score", parents=[out], help="run an external scorer and write a score file")
     scorep.add_argument("--cmd", required=True, help="scorer command line")
     scorep.add_argument("--list", dest="audio_list", required=True,
                         help="file of newline-separated audio paths")
     scorep.add_argument("--timeout", default=None,
                         type=_number(float, lambda v: 0 < v <= MAX_SCORER_TIMEOUT_S,
                                      f"seconds in (0, {MAX_SCORER_TIMEOUT_S}]"))
-    scorep.add_argument("--system-id", default="external")
-    scorep.add_argument("--out", default=None)
     scorep.set_defaults(func=cmd_score)
 
     return p
@@ -195,8 +189,10 @@ def cmd_eval(args) -> int:
     if joined.dropped_trials or joined.dropped_scores:
         log.info("intersect join dropped %d trials and %d scores",
                  joined.dropped_trials, joined.dropped_scores)
-    report = evaluate(joined, scores.system_id, trials.dataset_id,
-                      decision_threshold=args.threshold)
+    try:
+        report = evaluate(joined, scores.system_id, trials.dataset_id, decision_threshold=args.threshold)
+    except ArenaError as e:
+        raise type(e)(f"scores {args.scores}, protocol {args.protocol}: {e}") from e
     _write_json(dataclasses.asdict(report), args.out)
     return 0
 
@@ -277,8 +273,8 @@ def cmd_augment(args) -> int:
         raise UsageError(str(e)) from None
     summary = augment_corpus(args.in_dir, args.out_dir, spec, jobs=args.jobs)
     payload = {
-        "category": summary.category,
-        "seed": summary.seed,
+        "category": spec.category,
+        "seed": spec.seed,
         "files_processed": len(summary.entries),
         "manifest": summary.manifest_path,
         "entries": [dataclasses.asdict(e) for e in summary.entries],
@@ -312,9 +308,7 @@ def cmd_score(args) -> int:
     from .protocol import serialize_scores
     from .scorer import run_external_scorer
 
-    score_set = run_external_scorer(
-        args.cmd, args.audio_list, timeout=args.timeout, system_id=args.system_id
-    )
+    score_set = run_external_scorer(args.cmd, args.audio_list, timeout=args.timeout)
     _write_payload(serialize_scores(score_set), args.out)
     return 0
 

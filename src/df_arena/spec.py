@@ -49,7 +49,7 @@ def _preview(ids, limit=10) -> str:
 class DatasetSpec:
     dataset_id: str
     protocol_path: Path
-    format: str = "two-column"
+    format: str
 
 
 @dataclass(frozen=True)
@@ -57,21 +57,20 @@ class SystemSpec:
     system_id: str
     score_paths: dict[str, Path]
     polarity: str
-    param_count_millions: float | None = None
-    category: str | None = None
+    param_count_millions: float | None
+    category: str | None
 
 
 @dataclass(frozen=True)
 class ArenaManifest:
     """Binding of systems to datasets, loaded from a versioned JSON file."""
 
-    manifest_version: int
     datasets: tuple[DatasetSpec, ...]
     systems: tuple[SystemSpec, ...]
-    output_dir: Path | None = None
-    allow_gaps: bool = False
-    join_mode: str = "strict"
-    digest: str = ""
+    output_dir: Path | None
+    allow_gaps: bool
+    join_mode: str
+    digest: str
 
     def dataset_ids(self) -> list[str]:
         return [d.dataset_id for d in self.datasets]
@@ -110,7 +109,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     default_polarity = options.get("default_polarity")
     if default_polarity is not None and default_polarity not in POLARITIES:
         raise ManifestError(f"{path}: options.default_polarity {default_polarity!r} not in {POLARITIES}")
-    join_mode = options.get("join_mode", "strict")
+    join_mode = options.get("join_mode", JOIN_MODES[0])
     if join_mode not in JOIN_MODES:
         raise ManifestError(f"{path}: options.join_mode {join_mode!r} must be strict or intersect")
     allow_gaps = options.get("allow_gaps", False)
@@ -141,7 +140,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
         if ds_id in seen_ds:
             raise ManifestError(f"{path}: duplicate dataset_id {ds_id!r}")
         seen_ds.add(ds_id)
-        fmt = entry.get("format", "two-column")
+        fmt = entry.get("format", PROTOCOL_FORMATS[0])
         if fmt not in PROTOCOL_FORMATS:
             raise ManifestError(f"{path}: dataset {ds_id!r}: unknown format {fmt!r}")
         protocol_path = resolve(entry.get("protocol_path"), f"dataset {ds_id!r}: protocol_path")
@@ -193,7 +192,6 @@ def load_manifest(path: str | Path) -> ArenaManifest:
         raise ManifestError(f"{path}: manifest declares no systems")
 
     return ArenaManifest(
-        manifest_version=version,
         datasets=tuple(datasets),
         systems=tuple(systems),
         output_dir=resolve(output_dir, "options.output_dir") if output_dir is not None else None,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StatError
+from .store import csv_text
 
 METRIC_NAMES = ("pearson", "spearman", "kendall_tau", "distance_corr", "mutual_info", "ccc")
 
@@ -224,14 +225,20 @@ def load_matrix_csv(path) -> EerMatrix:
         raise StatError(f"{path}: not valid CSV: {e}") from None
     if len(rows) < 2 or len(rows[0][1]) < 2:
         raise StatError(f"{path}: need a header row, an index column, and at least one data row")
-    header = rows[0][1]
+    header_line, header = rows[0]
     dataset_ids = [c.strip() for c in header[1:]]
+    for i, ds in enumerate(dataset_ids):
+        if ds in dataset_ids[:i]:
+            raise StatError(f"{path}: line {header_line}: duplicate dataset_id {ds!r}")
     width = len(header)
     system_ids, values = [], []
     for lineno, row in rows[1:]:
         if len(row) != width:
             raise StatError(f"{path}: line {lineno}: ragged row ({len(row)} cells, expected {width})")
-        system_ids.append(row[0].strip())
+        system_id = row[0].strip()
+        if system_id in system_ids:
+            raise StatError(f"{path}: line {lineno}: duplicate system_id {system_id!r}")
+        system_ids.append(system_id)
         try:
             values.append([float(c) for c in row[1:]])
         except ValueError as e:
@@ -263,16 +270,11 @@ class CorrelationReport:
     n_systems: int
 
     def to_csv(self) -> str:
-        import csv
-        import io
-
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")  # quotes a cell only where it must
-        writer.writerow(["dataset", *METRIC_NAMES])
+        rows = [["dataset", *METRIC_NAMES]]
         for ds in self.dataset_ids:
             values = (self.values[ds][m] for m in METRIC_NAMES)
-            writer.writerow([ds] + ["" if v is None else f"{v:.4f}" for v in values])
-        return out.getvalue()
+            rows.append([ds] + ["" if v is None else f"{v:.4f}" for v in values])
+        return csv_text(rows)
 
     def to_json(self) -> str:
         doc = {

@@ -178,6 +178,21 @@ def _fmt_cell(value, fmt, best) -> str:
     return f"**{text}**" if value == best else text
 
 
+def csv_text(rows) -> str:
+    """Rows as CSV text, lines ending in a newline, a cell quoted only where it must be.
+
+    The writer ends each row (written in one call) with CRLF, which makes it quote a
+    cell holding a carriage return too: before Python 3.13 it quotes only the
+    characters of its terminator. Each CRLF is then cut to a newline.
+    """
+    import csv
+    from types import SimpleNamespace
+
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
+
+
 def emit(record: RunRecord, format: str, sort: str = "pooled_eer") -> str:
     """Render a RunRecord as markdown, csv, or json.
 
@@ -202,16 +217,10 @@ def emit(record: RunRecord, format: str, sort: str = "pooled_eer") -> str:
     table = [[get(s) for _, _, get, _ in columns] for s in ranked]
 
     if format == "csv":
-        import csv
-        import io
-
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")  # quotes a cell only where it must
-        writer.writerow(["system_id"] + [name for name, _, _, _ in columns])
         # str of a float is its repr, which reads back to the same float
-        writer.writerows([s.system_id] + ["" if v is None else str(v) for v in row]
-                         for s, row in zip(ranked, table))
-        return out.getvalue()
+        return csv_text([["system_id"] + [name for name, _, _, _ in columns]]
+                        + [[s.system_id] + ["" if v is None else str(v) for v in row]
+                           for s, row in zip(ranked, table)])
 
     def md_row(cells):  # an escaped | does not split the row
         return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"

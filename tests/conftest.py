@@ -4,9 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from df_arena.store import RECORD_VERSION, RunRecord, SystemSummary
 from df_arena.wavio import AudioBuffer, write_wav
+
+# Every property test runs without hypothesis's per-example deadline: it times an
+# example against the load of a shared machine, which checks nothing of df-arena.
+settings.register_profile("df-arena", deadline=None)
+settings.load_profile("df-arena")
 
 TESTS_DIR = Path(__file__).resolve().parent
 

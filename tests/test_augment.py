@@ -121,7 +121,7 @@ class TestMixAtSnr:
         assert np.max(np.abs(mixed.samples)) <= 1.0
 
     @given(st.floats(0.25, 4.0))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_joint_scaling_scales_output_linearly(self, a):
         clean = make_noise(seconds=0.05, amplitude=0.02, seed=8)
         noise = make_noise(seconds=0.05, amplitude=0.03, seed=9)
@@ -566,7 +566,7 @@ class TestRirSpectra:
     transforms each RIR once, whatever its utterances' lengths."""
 
     @given(st.integers(1, 5000) | st.integers(1, 1 << 40))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_fft_size_is_the_smallest_5_smooth_size_that_holds_n(self, n):
         size = augment._fft_size(n)
         assert n <= size <= 1 << (n - 1).bit_length()

@@ -96,6 +96,16 @@ class TestEval:
         assert code == 0, err
         assert json.loads(out)["eer"] == 0.0
 
+    def test_one_class_after_the_join_names_both_files(self, capsys, tmp_path):
+        protocol = write_text(tmp_path / "p.txt", protocol_text(["b1"], ["s1", "s2"]))
+        scores = write_text(tmp_path / "s.txt", scores_text({"s1": 0.0, "s2": 1.0}))
+        code, out, err = run_cli(capsys, ["eval", "--protocol", str(protocol), "--scores", str(scores),
+                                          "--mode", "intersect"])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["message"] == (f"scores {scores}, protocol {protocol}: "
+                                     "ROC needs both classes; got 0 bonafide and 2 spoof scores")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_threshold_exits_two(self, perfect_pair, value):
         protocol, scores = perfect_pair
@@ -500,6 +510,13 @@ class TestScore:
                   f"--timeout={timeout}"])
         assert exc.value.code == 2
 
+    def test_system_id_is_not_an_option(self, tmp_path, echo_scorer):
+        # the score file holds only trial ids and scores, so a system id has nowhere to go
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--cmd", shlex.join(echo_scorer), "--list", str(tmp_path / "l.txt"),
+                  "--system-id", "X"])
+        assert exc.value.code == 2
+
     def test_missing_cmd_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["score", "--list", str(tmp_path / "l.txt")])
@@ -735,7 +752,7 @@ def small_corpus(tmp_path_factory):
 
 
 @given(data=st.data())
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 def test_every_subcommand_keeps_the_exit_and_payload_contract(data, small_corpus, echo_scorer):
     """Exit 0, 1 or 2; exit 1 writes one ArenaError record; stdout JSON is strict."""

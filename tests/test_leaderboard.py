@@ -272,6 +272,12 @@ class TestEmit:
         assert [[systems[row[0]]] + row[1:] for row in plain[1:]] == odd[1:]
         assert {len(row) for row in odd} == {7}
 
+    def test_csv_quotes_a_carriage_return_in_ids(self):
+        renamed = _renamed(golden_record(), {"sysA": "sys\rA", "sysB": "sysB", "sysC": "sysC"}, {"d1": "d\r1"})
+        rows = list(csv.reader(io.StringIO(emit(renamed, "csv"))))
+        assert [len(row) for row in rows] == [7] * 4
+        assert rows[0][3] == "d\r1" and rows[2][0] == "sys\rA"
+
     def test_markdown_escapes_pipes_in_ids(self):
         record = _renamed(golden_record(), {"sysA": "A|a", "sysB": "B|x|", "sysC": "|C"}, {"d1": "d|1"})
         record = dataclasses.replace(record, summaries=tuple(
@@ -403,7 +409,7 @@ class TestStore:
             RunRecord.from_dict(json.loads(line))
 
     @given(data=st.data())
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_listing_agrees_with_from_dict(self, tmp_path, data):
         """One field dropped, added or retyped: listed exactly when from_dict accepts the line."""
         doc = json.loads(_SCHEMA_RECORD.to_json())

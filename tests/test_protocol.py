@@ -94,7 +94,7 @@ def _writable(token: str) -> bool:
 
 
 @given(ids=st.lists(tokens, min_size=2, max_size=8, unique=True), n_bona=st.integers(1, 7))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_two_column_round_trip(tmp_path_factory, ids, n_bona):
     n_bona = min(n_bona, len(ids) - 1)
     ts = TrialSet("ds", tuple(ids), np.arange(len(ids)) < n_bona)
@@ -112,7 +112,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @given(st.dictionaries(tokens, finite | finite.map(np.float64) | st.integers(-10**6, 10**6).map(np.int64),
                        max_size=8))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_score_round_trip(tmp_path_factory, mapping):
     ss = ScoreSet("sys", "higher-is-bonafide", mapping)
     if not all(map(_writable, mapping)):
@@ -285,7 +285,6 @@ def test_polarity_negation_is_involution(mapping):
 class TestManifest:
     def test_loads_and_resolves_paths(self, tmp_path):
         manifest = load_manifest(build_arena(tmp_path))
-        assert manifest.manifest_version == 1
         assert [d.dataset_id for d in manifest.datasets] == ["d1", "d2", "d3"]
         assert len(manifest.systems) == 3
         assert manifest.datasets[0].protocol_path.is_file()
@@ -426,7 +425,7 @@ _fragments = st.sampled_from([
 
 
 @given(st.binary(max_size=300) | st.lists(_fragments, max_size=60).map(lambda f: "".join(f).encode("utf-8")))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_random_input_raises_only_the_parser_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "input.txt"
     path.write_bytes(data)
@@ -486,7 +485,7 @@ def _mutated_protocol(draw, fmt):
 
 @pytest.mark.parametrize("fmt", ["two-column", "asvspoof"])
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_mutated_protocol_names_the_bad_line(tmp_path_factory, fmt, data):
     text, lineno = data.draw(_mutated_protocol(fmt))
     path = tmp_path_factory.mktemp("fuzz") / "p.txt"
@@ -519,7 +518,7 @@ def _mutated_scores(draw):
 
 
 @given(data=_mutated_scores())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_mutated_scores_name_the_bad_line(tmp_path_factory, data):
     text, lineno = data
     path = tmp_path_factory.mktemp("fuzz") / "s.txt"
@@ -549,7 +548,7 @@ def _write_both(tmp, text_of, rows):
 
 
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_layout_does_not_change_the_parse(tmp_path_factory, data):
     """Text in the serialisers' layout is read column by column, other text line by line; both agree."""
     tmp = tmp_path_factory.mktemp("layout")
@@ -601,7 +600,7 @@ _DEEP = "__deep__"
 )
 @example(where=("systems", 0, "param_count_millions"), value=10**400)
 @example(where=("options",), value=_DEEP)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_mutated_manifest_raises_only_manifest_error(tmp_path_factory, where, value):
     doc = json.loads(json.dumps(_BASE_MANIFEST))
     parent = doc

@@ -359,6 +359,18 @@ class TestEerMatrix:
         with pytest.raises(StatError, match=r"m\.csv: line 5: "):
             load_matrix_csv(p)
 
+    def test_duplicate_dataset_id_names_its_file_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("\nsys,d1,d2,d1\na,0.1,0.2,0.3\n", encoding="utf-8")
+        with pytest.raises(StatError, match=r"m\.csv: line 2: duplicate dataset_id 'd1'$"):
+            load_matrix_csv(p)
+
+    def test_duplicate_system_id_names_its_file_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("sys,d1\na,0.1\nb,0.2\n\n a ,0.3\n", encoding="utf-8")
+        with pytest.raises(StatError, match=r"m\.csv: line 5: duplicate system_id 'a'$"):
+            load_matrix_csv(p)
+
     def test_missing_csv_is_stat_error(self, tmp_path):
         with pytest.raises(StatError, match="file not found: .*absent.csv"):
             load_matrix_csv(tmp_path / "absent.csv")
@@ -445,6 +457,13 @@ class TestCorrelateMatrix:
         assert odd[0] == plain[0]
         assert [row[0] for row in odd[1:]] == ids
         assert [row[1:] for row in odd[1:]] == [row[1:] for row in plain[1:]]
+
+    def test_csv_quotes_a_carriage_return_in_dataset_ids(self):
+        cols = [[0.1, 0.3], [0.2, 0.2], [0.4, 0.1], [0.3, 0.5]]
+        report = correlate_matrix(EerMatrix.build(list("abcd"), ["d\r1", "d2"], cols))
+        rows = list(csv.reader(io.StringIO(report.to_csv())))
+        assert [len(row) for row in rows] == [7] * 3
+        assert [row[0] for row in rows[1:]] == ["d\r1", "d2"]
 
     def test_reference_grid_ranking(self, reference_grid_path):
         matrix = load_matrix_csv(reference_grid_path).subset(OPEN_SOURCE_SYSTEMS)

@@ -238,9 +238,7 @@ def _decode_both(path):
     return buf.samples
 
 
-_FUZZ = settings(
-    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
+_FUZZ = settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 @given(st.binary(max_size=96) | st.binary(max_size=96).map(lambda b: b"RIFF\0\0\0\0WAVE" + b))
