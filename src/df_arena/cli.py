@@ -183,14 +183,16 @@ def cmd_eval(args) -> int:
     from .metrics import evaluate
     from .protocol import join, parse_protocol, parse_scores
 
-    trials = parse_protocol(args.protocol, args.protocol_format, dataset_id=args.dataset_id)
-    scores = parse_scores(args.scores, polarity=args.polarity, system_id=args.system_id)
-    joined = join(trials, scores, mode=args.mode)
-    if joined.dropped_trials or joined.dropped_scores:
-        log.info("intersect join dropped %d trials and %d scores",
-                 joined.dropped_trials, joined.dropped_scores)
+    trials = parse_protocol(args.protocol, args.protocol_format)
+    scores = parse_scores(args.scores, polarity=args.polarity)
+    system_id = Path(args.scores).stem if args.system_id is None else args.system_id
+    dataset_id = Path(args.protocol).stem if args.dataset_id is None else args.dataset_id
     try:
-        report = evaluate(joined, scores.system_id, trials.dataset_id, decision_threshold=args.threshold)
+        joined = join(trials, scores, mode=args.mode)
+        if joined.dropped_trials or joined.dropped_scores:
+            log.info("intersect join dropped %d trials and %d scores",
+                     joined.dropped_trials, joined.dropped_scores)
+        report = evaluate(joined, system_id, dataset_id, decision_threshold=args.threshold)
     except ArenaError as e:
         raise type(e)(f"scores {args.scores}, protocol {args.protocol}: {e}") from e
     _write_json(dataclasses.asdict(report), args.out)
@@ -206,11 +208,18 @@ def cmd_pool(args) -> int:
     for protocol_path, score_path in args.pair:
         trials = parse_protocol(protocol_path, args.protocol_format)
         scores = parse_scores(score_path, polarity=args.polarity)
-        joined = join(trials, scores, mode=args.mode)
+        try:
+            joined = join(trials, scores, mode=args.mode)
+        except ArenaError as e:
+            raise type(e)(f"scores {score_path}, protocol {protocol_path}: {e}") from e
         joined_sets.append(joined)
         n_bona += int(joined.is_bonafide.sum())
         n_spoof += int((~joined.is_bonafide).sum())
-    value, threshold = pooled_eer(joined_sets)
+    try:
+        value, threshold = pooled_eer(joined_sets)
+    except ArenaError as e:
+        pairs = "; ".join(f"scores {s}, protocol {p}" for p, s in args.pair)
+        raise type(e)(f"{pairs}: {e}") from e
     payload = {
         "pooled_eer": value,
         "pooled_eer_threshold": threshold,

@@ -31,8 +31,7 @@ def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0") -> RunRecor
     trial_sets = {}
     for d in manifest.datasets:
         try:
-            trial_sets[d.dataset_id] = parse_protocol(d.protocol_path, d.format,
-                                                      dataset_id=d.dataset_id)
+            trial_sets[d.dataset_id] = parse_protocol(d.protocol_path, d.format)
         except ArenaError as e:
             raise type(e)(f"dataset {d.dataset_id!r}: {e}") from e
     if not manifest.allow_gaps:
@@ -52,8 +51,7 @@ def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0") -> RunRecor
                 gaps.append(dataset_id)
                 continue
             try:
-                scores = parse_scores(system.score_paths[dataset_id], polarity=system.polarity,
-                                      system_id=system.system_id)
+                scores = parse_scores(system.score_paths[dataset_id], polarity=system.polarity)
                 joined = join(trial_sets[dataset_id], scores, mode=manifest.join_mode)
                 own_reports.append(evaluate(joined, system.system_id, dataset_id))
             except ArenaError as e:

@@ -37,18 +37,6 @@ class RocCurve:
     frr: np.ndarray
 
 
-@dataclass(frozen=True)
-class ThresholdMetrics:
-    accuracy: float
-    f1: float
-    precision: float
-    recall: float
-    tp: int
-    fn: int
-    fp: int
-    tn: int
-
-
 def _split(joined) -> tuple[np.ndarray, np.ndarray]:
     """Unsorted (bonafide, spoof) score arrays of a JoinResult or of ``(label, score)`` rows."""
     if isinstance(joined, JoinResult):
@@ -63,12 +51,6 @@ def _split(joined) -> tuple[np.ndarray, np.ndarray]:
         is_bonafide = np.array([label == BONAFIDE for label, _ in rows], dtype=bool)
         scores = np.array([s for _, s in rows], dtype=np.float64)
     return scores[is_bonafide], scores[~is_bonafide]
-
-
-def _class_scores(joined) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted (bonafide, spoof) score arrays of a JoinResult or of ``(label, score)`` rows."""
-    bona, spoof = _split(joined)
-    return np.sort(bona), np.sort(spoof)
 
 
 def _roc(bona: np.ndarray, spoof: np.ndarray) -> RocCurve:
@@ -96,7 +78,7 @@ def _roc(bona: np.ndarray, spoof: np.ndarray) -> RocCurve:
 
 def roc(joined) -> RocCurve:
     """FAR/FRR counted at the distinct scores, reported at midpoint thresholds with sentinels."""
-    return _roc(*_class_scores(joined))
+    return _roc(*map(np.sort, _split(joined)))
 
 
 def eer(curve: RocCurve) -> tuple[float, float]:
@@ -139,32 +121,6 @@ def auc(curve: RocCurve) -> float:
     return float(np.clip(np.trapezoid(tpr, fpr), 0.0, 1.0))
 
 
-def threshold_metrics(joined, threshold: float) -> ThresholdMetrics:
-    """Accuracy and F1 at a fixed threshold, bonafide as the positive class.
-
-    Predict bonafide iff score >= threshold. F1 is 0 when precision and
-    recall are both 0.
-    """
-    return _threshold_metrics(*_class_scores(joined), threshold)
-
-
-def _threshold_metrics(bona: np.ndarray, spoof: np.ndarray, threshold: float) -> ThresholdMetrics:
-    """threshold_metrics of sorted per-class score arrays."""
-    n = bona.size + spoof.size
-    if n == 0:
-        raise MetricError("empty joined rows")
-    # on a sorted array, count_nonzero(x >= t) == x.size - searchsorted(x, t, "left")
-    tp = bona.size - int(np.searchsorted(bona, threshold, side="left"))
-    fn = bona.size - tp
-    fp = spoof.size - int(np.searchsorted(spoof, threshold, side="left"))
-    tn = spoof.size - fp
-    accuracy = (tp + tn) / n
-    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
-    recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
-    f1 = 0.0 if precision + recall == 0 else 2.0 * precision * recall / (precision + recall)
-    return ThresholdMetrics(accuracy, f1, precision, recall, tp, fn, fp, tn)
-
-
 def evaluate(
     joined,
     system_id: str = "",
@@ -174,23 +130,29 @@ def evaluate(
     """Full metric bundle for one joined set.
 
     The accuracy/F1 decision threshold defaults to the EER threshold of the
-    same set; pass ``decision_threshold`` to override. The set is split into
-    sorted classes once, for the curve and the confusion counts alike.
+    same set; pass ``decision_threshold`` to override. Bonafide is the
+    positive class, predicted iff score >= threshold; F1 is 0 when precision
+    and recall are both 0. The set is split into sorted classes once, for the
+    curve and the confusion counts alike.
     """
-    bona, spoof = _class_scores(joined)
+    bona, spoof = map(np.sort, _split(joined))
     curve = _roc(bona, spoof)
     eer_value, eer_thr = eer(curve)
     thr = eer_thr if decision_threshold is None else float(decision_threshold)
-    tm = _threshold_metrics(bona, spoof, thr)
+    # on a sorted array, count_nonzero(x >= t) == x.size - searchsorted(x, t, "left")
+    tp = bona.size - int(np.searchsorted(bona, thr, side="left"))
+    fp = spoof.size - int(np.searchsorted(spoof, thr, side="left"))
+    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
+    recall = tp / bona.size
     return EvalReport(
         system_id=system_id,
         dataset_id=dataset_id,
         eer=eer_value,
         eer_threshold=eer_thr,
         auc=auc(curve),
-        accuracy=tm.accuracy,
-        f1=tm.f1,
+        accuracy=(tp + spoof.size - fp) / (bona.size + spoof.size),
+        f1=0.0 if precision + recall == 0 else 2.0 * precision * recall / (precision + recall),
         decision_threshold=thr,
-        n_bonafide=tm.tp + tm.fn,
-        n_spoof=tm.fp + tm.tn,
+        n_bonafide=bona.size,
+        n_spoof=spoof.size,
     )

@@ -51,14 +51,13 @@ class TrialSet:
     unique: ``parse_protocol`` checks that where trials come in.
     """
 
-    dataset_id: str
     ids: tuple[str, ...]
     is_bonafide: np.ndarray
 
     def __post_init__(self):
         if self.n_bonafide == 0 or self.n_spoof == 0:
             raise ProtocolError(
-                f"dataset {self.dataset_id!r} needs at least one bonafide and one spoof trial "
+                "a protocol needs at least one bonafide and one spoof trial "
                 f"(got {self.n_bonafide} bonafide, {self.n_spoof} spoof)"
             )
 
@@ -80,15 +79,13 @@ class TrialSet:
     def __eq__(self, other):
         if not isinstance(other, TrialSet):
             return NotImplemented
-        return ((self.dataset_id, self.ids) == (other.dataset_id, other.ids)
-                and np.array_equal(self.is_bonafide, other.is_bonafide))
+        return self.ids == other.ids and np.array_equal(self.is_bonafide, other.is_bonafide)
 
 
 @dataclass(frozen=True)
 class ScoreSet:
     """One system's scores on one dataset. ``scores`` is treated as read-only."""
 
-    system_id: str
     polarity: str
     scores: dict[str, float]
 
@@ -181,11 +178,7 @@ def _parse_lines(path: Path, text: str, error_cls, parse_line) -> dict:
     return rows
 
 
-def parse_protocol(
-    path: str | Path,
-    format: str = "two-column",
-    dataset_id: str | None = None,
-) -> TrialSet:
+def parse_protocol(path: str | Path, format: str = "two-column") -> TrialSet:
     """Parse a protocol file into a TrialSet.
 
     ``two-column`` lines are ``trial_id label`` with an optional third token
@@ -227,9 +220,8 @@ def parse_protocol(
     ids, label_tokens = fields
     is_bona = {tok: LABEL_ALIASES[tok.lower()] == BONAFIDE for tok in set(label_tokens)}
     is_bonafide = np.fromiter(map(is_bona.__getitem__, label_tokens), dtype=bool, count=len(ids))
-    name = dataset_id if dataset_id is not None else path.stem
     try:
-        return TrialSet(name, tuple(ids), is_bonafide)
+        return TrialSet(tuple(ids), is_bonafide)
     except ProtocolError as e:
         raise ProtocolError(f"{path}: {e}") from None
 
@@ -258,6 +250,11 @@ def serialize_protocol(trial_set: TrialSet) -> str:
     return _write_lines(rows, ProtocolError)
 
 
+def _plain_number_text(text: str) -> bool:
+    """False for text that float() reads but a score file does not: a '_' or a non-ASCII character."""
+    return text.isascii() and "_" not in text
+
+
 def _score_fields(tokens) -> tuple[str, float]:
     if len(tokens) != 2:
         raise ValueError(f"expected 'trial_id score', got {len(tokens)} columns")
@@ -265,17 +262,15 @@ def _score_fields(tokens) -> tuple[str, float]:
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"non-numeric score {raw!r}") from None
+        value = None
+    if value is None or not _plain_number_text(raw):
+        raise ValueError(f"non-numeric score {raw!r}")
     if not math.isfinite(value):
         raise ValueError(f"non-finite score {raw!r}")
     return trial_id, value
 
 
-def parse_scores(
-    path: str | Path,
-    polarity: str = HIGHER_IS_BONAFIDE,
-    system_id: str | None = None,
-) -> ScoreSet:
+def parse_scores(path: str | Path, polarity: str = HIGHER_IS_BONAFIDE) -> ScoreSet:
     """Parse a ``trial_id score`` file; every score must be a finite real.
 
     A file in the layout ``serialize_scores`` writes is checked column by
@@ -287,8 +282,7 @@ def parse_scores(
     scores = _bulk_scores(_columns(text))
     if scores is None:
         scores = _parse_lines(path, text, ScoreFileError, _score_fields)
-    name = system_id if system_id is not None else path.stem
-    return ScoreSet(name, polarity, scores)
+    return ScoreSet(polarity, scores)
 
 
 def _bulk_scores(columns) -> dict[str, float] | None:
@@ -296,6 +290,8 @@ def _bulk_scores(columns) -> dict[str, float] | None:
     if columns is None or len(columns) != 2:
         return None
     ids, raw = columns
+    if not _plain_number_text("".join(raw)):
+        return None
     try:
         values = list(map(float, raw))
     except ValueError:
@@ -332,10 +328,7 @@ def join(trials: TrialSet, scores: ScoreSet, mode: str = "strict") -> JoinResult
                 parts.append(f"missing: {_preview(missing)}")
             if extra:
                 parts.append(f"extra: {_preview(extra)}")
-            raise JoinError(
-                f"strict join of scores {scores.system_id!r} against dataset "
-                f"{trials.dataset_id!r} failed; " + "; ".join(parts)
-            )
+            raise JoinError("strict join failed; " + "; ".join(parts))
         is_bonafide = is_bonafide[[v is not None for v in values]]
         values = [v for v in values if v is not None]
     joined = np.array(values, dtype=np.float64)

@@ -15,7 +15,6 @@ def run_external_scorer(
     command: str | list[str],
     audio_list: str | Path,
     timeout: float | None = None,
-    system_id: str = "external",
 ) -> ScoreSet:
     """Score audio files through a subprocess.
 
@@ -88,4 +87,4 @@ def run_external_scorer(
     missing = set(expected) - set(scores)
     if missing:
         raise ScorerError(f"scorer output incomplete; missing: {_preview(missing)}")
-    return ScoreSet(system_id, HIGHER_IS_BONAFIDE, scores)
+    return ScoreSet(HIGHER_IS_BONAFIDE, scores)

@@ -196,6 +196,9 @@ class EerMatrix:
         missing = [s for s in wanted if s not in index]
         if missing:
             raise StatError(f"unknown system_ids: {', '.join(missing)}")
+        repeated = [s for i, s in enumerate(wanted) if s in wanted[:i]]
+        if repeated:
+            raise StatError(f"repeated system_ids: {', '.join(dict.fromkeys(repeated))}")
         rows = [index[s] for s in wanted]
         return EerMatrix.build(wanted, self.dataset_ids, self.values[rows])
 

@@ -106,6 +106,24 @@ class TestEval:
         assert record["message"] == (f"scores {scores}, protocol {protocol}: "
                                      "ROC needs both classes; got 0 bonafide and 2 spoof scores")
 
+    def test_unmatched_scores_name_both_files(self, capsys, perfect_pair, tmp_path):
+        protocol, _ = perfect_pair
+        scores = write_text(tmp_path / "s3.txt", scores_text({"b1": 2.0, "s1": 0.0, "s2": 1.0}))
+        code, out, err = run_cli(capsys, ["eval", "--protocol", str(protocol), "--scores", str(scores)])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record == {"error": "JoinError",
+                          "message": f"scores {scores}, protocol {protocol}: strict join failed; missing: b2"}
+
+    @pytest.mark.parametrize("names, expected", [([], ("s", "p")), (["--system-id", ""], ("", "p")),
+                                                 (["--dataset-id", "D", "--system-id", "S"], ("S", "D"))])
+    def test_report_names_default_to_the_file_stems(self, capsys, perfect_pair, names, expected):
+        protocol, scores = perfect_pair
+        code, out, err = run_cli(capsys, ["eval", "--protocol", str(protocol), "--scores", str(scores)] + names)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["system_id"], doc["dataset_id"]) == expected
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_threshold_exits_two(self, perfect_pair, value):
         protocol, scores = perfect_pair
@@ -129,6 +147,26 @@ class TestPool:
         assert doc["pooled_eer"] == 0.5
         assert doc["n_sets"] == 2
         assert doc["n_bonafide"] == doc["n_spoof"] == 4
+
+    def test_unmatched_pair_names_its_files(self, capsys, perfect_pair, tmp_path):
+        protocol, scores = perfect_pair
+        short = write_text(tmp_path / "short.txt", scores_text({"b1": 2.0, "s1": 0.0, "s2": 1.0}))
+        code, out, err = run_cli(capsys, ["pool", "--pair", str(protocol), str(scores),
+                                          "--pair", str(protocol), str(short)])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["message"] == f"scores {short}, protocol {protocol}: strict join failed; missing: b2"
+
+    def test_one_class_after_the_joins_names_every_pair(self, capsys, tmp_path):
+        p3 = write_text(tmp_path / "p3.txt", protocol_text(["b1"], ["s1", "s2"]))
+        s2 = write_text(tmp_path / "s2.txt", scores_text({"s1": 0.0, "s2": 1.0}))
+        s1 = write_text(tmp_path / "s1.txt", scores_text({"s1": 0.5}))
+        code, out, err = run_cli(capsys, ["pool", "--mode", "intersect", "--pair", str(p3), str(s2),
+                                          "--pair", str(p3), str(s1)])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["message"] == (f"scores {s2}, protocol {p3}; scores {s1}, protocol {p3}: "
+                                     "ROC needs both classes; got 0 bonafide and 3 spoof scores")
 
 
 class TestLeaderboard:

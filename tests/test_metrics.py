@@ -10,7 +10,6 @@ from df_arena.metrics import (
     evaluate,
     pooled_eer,
     roc,
-    threshold_metrics,
 )
 from df_arena.protocol import ScoreSet, TrialSet, join
 from df_arena.store import format_percent
@@ -213,33 +212,36 @@ class TestAuc:
         assert auc(roc(joined(bona, spoof))) == pytest.approx(normal_cdf(np.sqrt(2.0)), abs=0.006)
 
 
-class TestThresholdMetrics:
+class TestDecisionThreshold:
+    """Accuracy and F1 at a decision threshold; with the class sizes fixed they pin the confusion counts."""
+
     def test_perfect_separation_at_eer_threshold(self):
         rows = joined([1.0, 0.9], [0.1, 0.0])
         _, thr = eer(roc(rows))
-        tm = threshold_metrics(rows, thr)
-        assert tm.accuracy == 1.0
-        assert tm.f1 == 1.0
+        report = evaluate(rows, decision_threshold=thr)
+        assert report.accuracy == 1.0
+        assert report.f1 == 1.0
 
     def test_all_predicted_spoof_gives_f1_zero(self):
         rows = joined([0.9, 0.8], [0.1])
-        tm = threshold_metrics(rows, 2.0)
-        assert tm.f1 == 0.0
-        assert tm.accuracy == pytest.approx(1.0 / 3.0)
+        report = evaluate(rows, decision_threshold=2.0)
+        assert report.f1 == 0.0
+        assert report.accuracy == pytest.approx(1.0 / 3.0)
 
     def test_hand_confusion_counts(self):
         rows = joined([0.9, 0.8, 0.3], [0.7, 0.2, 0.1])
-        tm = threshold_metrics(rows, 0.75)
-        assert (tm.tp, tm.fn, tm.fp, tm.tn) == (2, 1, 0, 3)
-        assert tm.accuracy == pytest.approx(5.0 / 6.0)
-        assert tm.precision == 1.0
-        assert tm.recall == pytest.approx(2.0 / 3.0)
-        assert tm.f1 == pytest.approx(0.8)
+        report = evaluate(rows, decision_threshold=0.75)
+        # tp, fn, fp, tn = 2, 1, 0, 3: precision 1, recall 2/3
+        assert (report.n_bonafide, report.n_spoof) == (3, 3)
+        assert report.accuracy == pytest.approx(5.0 / 6.0)
+        assert report.f1 == pytest.approx(0.8)
 
     def test_tie_counts_as_accepted(self):
         rows = joined([0.5], [0.5])
-        tm = threshold_metrics(rows, 0.5)
-        assert (tm.tp, tm.fp) == (1, 1)
+        report = evaluate(rows, decision_threshold=0.5)
+        # tp = fp = 1: precision 1/2, recall 1
+        assert report.accuracy == 0.5
+        assert report.f1 == pytest.approx(2.0 / 3.0)
 
     @given(distinct_pools, st.integers(1, 39))
     @settings(max_examples=40)
@@ -249,10 +251,10 @@ class TestThresholdMetrics:
         bona = np.asarray(pool[:cut])
         spoof = np.asarray(pool[cut:])
         _, thr = eer(roc(joined(bona, spoof)))
-        base = threshold_metrics(joined(bona, spoof), thr)
+        base = evaluate(joined(bona, spoof), decision_threshold=thr)
         # threshold maps through the same strictly increasing function
-        mapped = threshold_metrics(joined(3.0 * bona + 7.0, 3.0 * spoof + 7.0), 3.0 * thr + 7.0)
-        assert (base.tp, base.fn, base.fp, base.tn) == (mapped.tp, mapped.fn, mapped.fp, mapped.tn)
+        mapped = evaluate(joined(3.0 * bona + 7.0, 3.0 * spoof + 7.0), decision_threshold=3.0 * thr + 7.0)
+        assert (base.accuracy, base.f1) == (mapped.accuracy, mapped.f1)
 
 
 class TestEvaluate:
@@ -293,7 +295,7 @@ def joined_sets(draw):
     """
     labels = draw(st.permutations([True, False] + draw(st.lists(st.booleans(), max_size=28))))
     ids = [f"t{i}" for i in range(len(labels))]
-    trials = TrialSet("ds", tuple(ids), np.array(labels))
+    trials = TrialSet(tuple(ids), np.array(labels))
     scored = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
     n_extra = draw(st.integers(0, 3))
     values = draw(st.lists(st.integers(-8, 8).map(lambda k: k / 4.0), min_size=len(ids) + n_extra,
@@ -302,7 +304,7 @@ def joined_sets(draw):
     mapping.update((f"x{i}", v) for i, v in enumerate(values[len(ids):]))
     polarity = draw(st.sampled_from(["higher-is-bonafide", "higher-is-spoof"]))
     sign = 1.0 if polarity == "higher-is-bonafide" else -1.0
-    result = join(trials, ScoreSet("sys", polarity, mapping), mode="intersect")
+    result = join(trials, ScoreSet(polarity, mapping), mode="intersect")
     kept = [(b, sign * mapping[t]) for t, b in zip(ids, labels) if t in mapping]
     bona = [v for b, v in kept if b]
     spoof = [v for b, v in kept if not b]

@@ -72,7 +72,7 @@ class TestParseProtocol:
     def test_attack_tag_third_column(self, tmp_path, tagged):
         """The optional third token is accepted and not kept, off the serialisers' layout and in it."""
         plain = write_text(tmp_path / "plain.txt", "a1 bonafide\na2 spoof\n")
-        ts = parse_protocol(write_text(tmp_path / "p.txt", tagged), dataset_id="plain")
+        ts = parse_protocol(write_text(tmp_path / "p.txt", tagged))
         assert ts == parse_protocol(plain)
         assert serialize_protocol(ts) == plain.read_text(encoding="utf-8")
 
@@ -97,14 +97,14 @@ def _writable(token: str) -> bool:
 @settings(max_examples=150)
 def test_two_column_round_trip(tmp_path_factory, ids, n_bona):
     n_bona = min(n_bona, len(ids) - 1)
-    ts = TrialSet("ds", tuple(ids), np.arange(len(ids)) < n_bona)
+    ts = TrialSet(tuple(ids), np.arange(len(ids)) < n_bona)
     if not all(map(_writable, ids)):
         with pytest.raises(ProtocolError, match="cannot be written"):
             serialize_protocol(ts)
         return
     path = tmp_path_factory.mktemp("rt") / "p.txt"
     path.write_text(serialize_protocol(ts), encoding="utf-8")
-    assert parse_protocol(path, dataset_id="ds") == ts
+    assert parse_protocol(path) == ts
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -114,20 +114,20 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
                        max_size=8))
 @settings(max_examples=150)
 def test_score_round_trip(tmp_path_factory, mapping):
-    ss = ScoreSet("sys", "higher-is-bonafide", mapping)
+    ss = ScoreSet("higher-is-bonafide", mapping)
     if not all(map(_writable, mapping)):
         with pytest.raises(ScoreFileError, match="cannot be written"):
             serialize_scores(ss)
         return
     path = tmp_path_factory.mktemp("rt") / "s.txt"
     path.write_text(serialize_scores(ss), encoding="utf-8")
-    parsed = parse_scores(path, system_id="sys")
+    parsed = parse_scores(path)
     assert parsed.scores == {k: float(v) for k, v in mapping.items()}
     assert all(type(v) is float for v in parsed.scores.values())
 
 
 def test_numpy_scores_serialize_as_plain_numbers():
-    ss = ScoreSet("sys", "higher-is-bonafide", {"t1": np.float64(0.5), "t2": np.float32(0.25)})
+    ss = ScoreSet("higher-is-bonafide", {"t1": np.float64(0.5), "t2": np.float32(0.25)})
     assert serialize_scores(ss) == "t1 0.5\nt2 0.25\n"
 
 
@@ -140,6 +140,15 @@ class TestParseScores:
     def test_scientific_notation(self, tmp_path):
         p = write_text(tmp_path / "s.txt", "a1 1e-3\na2 -2.5E2\n")
         assert parse_scores(p).scores["a2"] == -250.0
+
+    # float() also reads '_' between digits and non-ASCII digits (Arabic-Indic, fullwidth)
+    @pytest.mark.parametrize("token", ["1_0", "-1_000.5", "1e1_0", "\u0661\u0662", "\uff11\uff12", "1e\u0661"])
+    @pytest.mark.parametrize("text, lineno", [("a 0.5\nb {}\n", 2), ("# scores\na\t0.5\n  b  {} ", 3)],
+                             ids=["layout", "relaid"])
+    def test_only_ascii_numbers_are_scores(self, tmp_path, token, text, lineno):
+        p = write_text(tmp_path / "s.txt", text.format(token))
+        with pytest.raises(ScoreFileError, match=_line_error(p, lineno) + re.escape(f" non-numeric score {token!r}")):
+            parse_scores(p)
 
     def test_non_numeric_names_line(self, tmp_path):
         p = write_text(tmp_path / "s.txt", "a1 abc\n")
@@ -205,11 +214,11 @@ def test_directory_protocol_is_protocol_error(tmp_path):
 
 
 def _trials(*pairs):
-    return TrialSet("ds", tuple(t for t, _ in pairs), np.array([label == BONAFIDE for _, label in pairs]))
+    return TrialSet(tuple(t for t, _ in pairs), np.array([label == BONAFIDE for _, label in pairs]))
 
 
 def _scores(mapping, polarity="higher-is-bonafide"):
-    return ScoreSet("sys", polarity, dict(mapping))
+    return ScoreSet(polarity, dict(mapping))
 
 
 class TestJoin:
@@ -226,7 +235,7 @@ class TestJoin:
 
     def test_strict_extra(self):
         ts = _trials(("a1", BONAFIDE), ("a2", SPOOF))
-        with pytest.raises(JoinError, match="extra: a3"):
+        with pytest.raises(JoinError, match="^strict join failed; extra: a3$"):
             join(ts, _scores({"a1": 1.0, "a2": 0.0, "a3": 0.5}))
 
     def test_strict_error_lists_at_most_ten(self):
@@ -558,10 +567,10 @@ def test_layout_does_not_change_the_parse(tmp_path_factory, data):
     tag = st.sampled_from(["A01", "A17"])
     rows = [[t, label] + data.draw(st.lists(tag, max_size=1)) for t, label in zip(ids, labels)]
     a, b = _write_both(tmp, data.draw, rows)
-    assert parse_protocol(b, dataset_id="ds") == parse_protocol(a, dataset_id="ds")
+    assert parse_protocol(b) == parse_protocol(a)
     rows = [["SPK", t, "-", data.draw(st.sampled_from(["-", "A01"])), label] for t, label in zip(ids, labels)]
     a, b = _write_both(tmp, data.draw, rows)
-    assert parse_protocol(b, "asvspoof", dataset_id="ds") == parse_protocol(a, "asvspoof", dataset_id="ds")
+    assert parse_protocol(b, "asvspoof") == parse_protocol(a, "asvspoof")
     rows = [[t, repr(data.draw(finite))] for t in ids]
     a, b = _write_both(tmp, data.draw, rows)
     assert parse_scores(b).scores == parse_scores(a).scores == {t: float(v) for t, v in rows}

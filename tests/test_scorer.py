@@ -58,7 +58,8 @@ def test_timeout_out_of_range_refused_before_the_scorer_starts(audio_list, timeo
         run_external_scorer("definitely-not-a-scorer-binary", audio_list, timeout=timeout)
 
 
-@pytest.mark.parametrize("score, rule", [("abc", "non-numeric"), ("nan", "non-finite")])
+@pytest.mark.parametrize("score, rule", [("abc", "non-numeric"), ("1_0", "non-numeric"),
+                                         ("\uff11\uff12", "non-numeric"), ("nan", "non-finite")])
 def test_bad_score_names_its_output_line(echo_scorer, audio_list, score, rule):
     with pytest.raises(ScorerError, match=f"scorer output line 3: {rule} score '{score}'"):
         run_external_scorer(echo_scorer + ["--last-score", score], audio_list)

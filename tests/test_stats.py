@@ -338,6 +338,8 @@ class TestEerMatrix:
         assert list(s.values[:, 0]) == [0.3, 0.1]
         with pytest.raises(StatError, match="unknown system"):
             m.subset(["zzz"])
+        with pytest.raises(StatError, match="^repeated system_ids: c, a$"):
+            m.subset(["c", "a", "c", "a", "c"])
 
     def test_csv_round_trip_and_percent_scaling(self, tmp_path):
         p = tmp_path / "m.csv"
