@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -27,6 +28,29 @@ MANIFEST_NAME = "augment_manifest.jsonl"
 # Kernels at or below this length convolve directly (exact arithmetic for
 # impulse-like RIRs); longer ones go through the FFT path.
 _DIRECT_CONV_MAX = 256
+
+
+def keep_freed_memory() -> None:
+    """Raise glibc malloc's trim and mmap thresholds for this process.
+
+    A reverb draw frees several arrays of a few hundred KB. At glibc's
+    defaults each goes back to the kernel and is faulted in again by the
+    next draw; above these thresholds freed memory stays in the heap. Does
+    nothing under any other C library. Process-wide, so only the CLI, which
+    owns its process, calls it.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (ValueError, OSError):  # a name this platform does not know
+        return
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: free heap top kept up to 256 MiB
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap blocks up to 32 MiB, glibc's 64-bit largest
 
 
 @dataclass(frozen=True)
@@ -150,10 +174,16 @@ def _convolve(x: np.ndarray, h: np.ndarray, spectrum=None) -> np.ndarray:
         return np.convolve(x, h)[: x.size]
     size = _fft_size(4 * h.size)  # as in _rir_spectrum
     step = size - h.size + 1
-    blocks = np.zeros((-(-x.size // step), step))
-    blocks.reshape(-1)[: x.size] = x
+    # blocks are laid out at the FFT width, so rfft transforms them without a padded copy
+    full, rest = divmod(x.size, step)
+    blocks = np.zeros((full + (rest > 0), size))
+    blocks[:full, :step] = x[: full * step].reshape(full, step)
+    blocks[full:, :rest] = x[full * step :]
     spectrum = _rir_spectrum(h) if spectrum is None else spectrum
-    wet = np.fft.irfft(np.fft.rfft(blocks, size, axis=1) * spectrum, size, axis=1)
+    spectra = np.fft.rfft(blocks, size, axis=1)
+    del blocks  # freed before irfft allocates the wet blocks
+    spectra *= spectrum
+    wet = np.fft.irfft(spectra, size, axis=1)
     wet[1:, : h.size - 1] += wet[:-1, step:]
     return wet[:, :step].reshape(-1)[: x.size]
 
@@ -173,7 +203,8 @@ def reverberate(clean: AudioBuffer, rir: AudioBuffer, spectrum=None) -> AudioBuf
     rms_out = rms(wet)
     if rms_in == 0.0 or rms_out == 0.0:
         return AudioBuffer(np.zeros(len(clean)))
-    return AudioBuffer(wet * (rms_in / rms_out))
+    wet *= rms_in / rms_out
+    return AudioBuffer(wet)
 
 
 def _list_wavs(directory: Path, recursive: bool) -> list[Path]:

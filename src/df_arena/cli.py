@@ -280,6 +280,9 @@ def cmd_augment(args) -> int:
         )
     except AugmentError as e:
         raise UsageError(str(e)) from None
+    from .augment import keep_freed_memory
+
+    keep_freed_memory()  # process-wide, so the CLI sets it and augment_corpus does not
     summary = augment_corpus(args.in_dir, args.out_dir, spec, jobs=args.jobs)
     payload = {
         "category": spec.category,

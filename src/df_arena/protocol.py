@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import JoinError, ProtocolError, ScoreFileError
-from .spec import HIGHER_IS_BONAFIDE, HIGHER_IS_SPOOF, JOIN_MODES, POLARITIES, PROTOCOL_FORMATS, _preview
+from .spec import (HIGHER_IS_BONAFIDE, HIGHER_IS_SPOOF, JOIN_MODES, POLARITIES, PROTOCOL_FORMATS,
+                   _preview, plain_number_text)
 
 BONAFIDE = "bonafide"
 SPOOF = "spoof"
@@ -250,11 +251,6 @@ def serialize_protocol(trial_set: TrialSet) -> str:
     return _write_lines(rows, ProtocolError)
 
 
-def _plain_number_text(text: str) -> bool:
-    """False for text that float() reads but a score file does not: a '_' or a non-ASCII character."""
-    return text.isascii() and "_" not in text
-
-
 def _score_fields(tokens) -> tuple[str, float]:
     if len(tokens) != 2:
         raise ValueError(f"expected 'trial_id score', got {len(tokens)} columns")
@@ -263,7 +259,7 @@ def _score_fields(tokens) -> tuple[str, float]:
         value = float(raw)
     except ValueError:
         value = None
-    if value is None or not _plain_number_text(raw):
+    if value is None or not plain_number_text(raw):
         raise ValueError(f"non-numeric score {raw!r}")
     if not math.isfinite(value):
         raise ValueError(f"non-finite score {raw!r}")
@@ -290,7 +286,7 @@ def _bulk_scores(columns) -> dict[str, float] | None:
     if columns is None or len(columns) != 2:
         return None
     ids, raw = columns
-    if not _plain_number_text("".join(raw)):
+    if not plain_number_text("".join(raw)):
         return None
     try:
         values = list(map(float, raw))

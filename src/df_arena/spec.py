@@ -201,6 +201,11 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     )
 
 
+def plain_number_text(text: str) -> bool:
+    """False for text that float() reads but an input file does not: a '_' or a non-ASCII character."""
+    return text.isascii() and "_" not in text
+
+
 def _amplitude_ratio(snr_db: float) -> float:
     """The RMS ratio ``10 ** (snr_db / 20)``; AugmentError unless it is a finite positive float."""
     try:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StatError
+from .spec import plain_number_text
 from .store import csv_text
 
 METRIC_NAMES = ("pearson", "spearman", "kendall_tau", "distance_corr", "mutual_info", "ccc")
@@ -242,6 +243,9 @@ def load_matrix_csv(path) -> EerMatrix:
         if system_id in system_ids:
             raise StatError(f"{path}: line {lineno}: duplicate system_id {system_id!r}")
         system_ids.append(system_id)
+        for cell in row[1:]:
+            if not plain_number_text(cell):
+                raise StatError(f"{path}: line {lineno}: non-numeric EER {cell.strip()!r}")
         try:
             values.append([float(c) for c in row[1:]])
         except ValueError as e:

@@ -125,13 +125,15 @@ def read_wav(path: str | Path) -> AudioBuffer:
 
 def write_wav(path: str | Path, buffer: AudioBuffer) -> None:
     """Write PCM 16-bit mono. Samples are clamped to [-1, 1] on the way out."""
-    x = np.clip(buffer.samples, -1.0, 1.0)
-    q = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
-    payload = q.tobytes()
+    q = np.clip(buffer.samples, -1.0, 1.0)
+    q *= 32768.0
+    np.rint(q, out=q)
+    np.minimum(q, 32767.0, out=q)  # q >= -32768 already, so only the top can overflow int16
+    payload = q.astype("<i2")
     header = b"".join(
         [
             b"RIFF",
-            struct.pack("<I", 36 + len(payload)),
+            struct.pack("<I", 36 + payload.nbytes),
             b"WAVE",
             b"fmt ",
             struct.pack(
@@ -145,7 +147,9 @@ def write_wav(path: str | Path, buffer: AudioBuffer) -> None:
                 16,
             ),
             b"data",
-            struct.pack("<I", len(payload)),
+            struct.pack("<I", payload.nbytes),
         ]
     )
-    Path(path).write_bytes(header + payload)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)

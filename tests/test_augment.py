@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import df_arena.augment as augment
 from df_arena.augment import (
     augment_corpus,
     file_seed,
+    keep_freed_memory,
     mix_at_snr,
     reverberate,
 )
@@ -183,6 +187,25 @@ class TestReverberate:
         wet = reverberate(clean, AudioBuffer(h))
         assert wet.samples.shape == (n,)
         assert np.allclose(wet.samples, direct, atol=1e-9)
+
+    @pytest.mark.parametrize("taps", [257, 1600])
+    @pytest.mark.parametrize("length", ["short", "one block", "k blocks", "k blocks + 1"])
+    def test_overlap_add_equals_zero_padded_blocks_to_the_bit(self, taps, length):
+        # the blocks are built at the FFT width; rfft of step-wide blocks padded to
+        # that width is the same transform, so the outputs agree exactly
+        size = augment._fft_size(4 * taps)
+        step = size - taps + 1
+        n = {"short": 100, "one block": step, "k blocks": 3 * step, "k blocks + 1": 3 * step + 1}[length]
+        rng = np.random.default_rng(taps + n)
+        x = 0.2 * rng.standard_normal(n)
+        h = 0.3 * rng.standard_normal(taps)
+        blocks = np.zeros((-(-n // step), step))
+        blocks.reshape(-1)[:n] = x
+        wet = np.fft.irfft(np.fft.rfft(blocks, size, axis=1) * np.fft.rfft(h, size), size, axis=1)
+        wet[1:, : taps - 1] += wet[:-1, step:]
+        x_before = x.copy()
+        assert np.array_equal(augment._convolve(x, h), wet[:, :step].reshape(-1)[:n])
+        assert np.array_equal(x, x_before)
 
     @pytest.mark.parametrize("taps", [64, 900])  # the direct and the FFT path
     def test_silent_clean_gives_silence_of_the_clean_length(self, taps):
@@ -665,3 +688,61 @@ class TestRirSpectra:
                 wet = full[: clean.size]
                 write_wav(expected, AudioBuffer(wet * (rms(clean) / rms(wet))))
                 assert np.max(np.abs(got - _pcm16(expected))) <= 1, e.input_path
+
+
+class TestKeepFreedMemory:
+    @staticmethod
+    def _fake_libc(monkeypatch, libc):
+        """Have ctypes.CDLL return libc; returns the names it was asked to open."""
+        import ctypes
+
+        opened = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: opened.append(name) or libc)
+        return opened
+
+    def test_raises_both_thresholds_on_glibc(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+        opened = self._fake_libc(monkeypatch, SimpleNamespace(mallopt=lambda *args: calls.append(args) or 1))
+        keep_freed_memory()
+        assert opened == [None]  # the process's own symbols, no library search
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+
+    @pytest.mark.parametrize("outcome", [ValueError("unrecognized configuration name"),
+                                         OSError(22, "Invalid argument"), None, ""])
+    def test_no_op_off_glibc(self, monkeypatch, outcome):
+        def confstr(name):
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
+        opened = self._fake_libc(monkeypatch, SimpleNamespace())
+        keep_freed_memory()
+        assert opened == []
+
+    def test_no_op_when_mallopt_is_missing(self, monkeypatch):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+        opened = self._fake_libc(monkeypatch, SimpleNamespace())
+        keep_freed_memory()
+        assert opened == [None]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cli_writes_the_bytes_augment_corpus_writes(self, tmp_path, jobs):
+        # the CLI raises the thresholds in its own process; the library call leaves them
+        in_dir = _write_utterances(tmp_path / "in", [3000, 4000, 9001, 16000, 24000])
+        src = _write_rirs(tmp_path / "rirs", [1000])
+        summary = augment_corpus(in_dir, tmp_path / "lib", AugmentSpec("reverb", src, seed=6), jobs=jobs)
+        assert not summary.failures
+        proc = subprocess.run(
+            [sys.executable, "-m", "df_arena.cli", "augment", "--in", str(in_dir),
+             "--out", str(tmp_path / "cli"), "--category", "reverb", "--source", str(src),
+             "--seed", "6", "--jobs", str(jobs)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["files_processed"] == 5
+        assert _outputs(tmp_path / "cli") == _outputs(tmp_path / "lib")
+        manifests = [(tmp_path / out / augment.MANIFEST_NAME).read_text().replace(str(tmp_path / out), "OUT")
+                     for out in ("cli", "lib")]
+        assert manifests[0] == manifests[1]

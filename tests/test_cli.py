@@ -396,6 +396,15 @@ class TestCorrelate:
         assert record["error"] == "StatError"
         assert f"m.csv: line 4: EER '{cell}' is outside [0, 1]" in record["message"]
 
+    def test_cells_only_float_reads_exit_one(self, capsys, tmp_path):
+        # float() reads these as 10 and 0.1, and a 10 would have made the grid percent
+        csv = write_text(tmp_path / "m.csv", "sys,d1\na,1_0\nb,\u0660.\u0661\nc,0.3\nd,0.4\n")
+        code, out, err = run_cli(capsys, ["correlate", "--matrix", str(csv), "--format", "json"])
+        assert code == 1 and out == ""
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "StatError"
+        assert "m.csv: line 2: non-numeric EER '1_0'" in record["message"]
+
     @pytest.mark.parametrize("bins", ["1", "0", "-3", "nan"])
     def test_bins_below_two_exits_two(self, tmp_path, bins):
         with pytest.raises(SystemExit) as exc:
@@ -605,7 +614,7 @@ def _modules_after(argv) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-_NUMERIC = {"numpy", "concurrent.futures"} | {
+_NUMERIC = {"numpy", "ctypes", "concurrent.futures"} | {
     f"df_arena.{m}" for m in ("protocol", "metrics", "leaderboard", "augment", "wavio", "stats", "scorer")}
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,6 +372,14 @@ class TestEerMatrix:
         p = tmp_path / "m.csv"
         p.write_text("sys,d1\na,0.1\nb,0.2\n\n a ,0.3\n", encoding="utf-8")
         with pytest.raises(StatError, match=r"m\.csv: line 5: duplicate system_id 'a'$"):
+            load_matrix_csv(p)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0660.\u0661", "\uff11\uff12"])
+    def test_cell_that_only_float_reads_names_its_line(self, tmp_path, cell):
+        # float() reads '1_0' as 10, Arabic-Indic '\u0660.\u0661' as 0.1 and full-width '\uff11\uff12' as 12
+        p = tmp_path / "m.csv"
+        p.write_text(f"sys,d1\na,0.1\n\nb,{cell}\nc,0.3\n", encoding="utf-8")
+        with pytest.raises(StatError, match=rf"m\.csv: line 4: non-numeric EER '{re.escape(cell)}'$"):
             load_matrix_csv(p)
 
     def test_missing_csv_is_stat_error(self, tmp_path):

@@ -261,3 +261,26 @@ def test_mutated_headers_raise_only_audio_error(tmp_path, case):
             assert samples is None
         else:
             assert np.array_equal(samples, expected)
+
+
+_ULP_PAST_ONE = np.nextafter(1.0, 2.0)
+# edge samples: full scale, one ulp past it, and the rounding half-steps k/32768 +- 0.5/32768
+_quantiser_edges = (
+    st.sampled_from([1.0, -1.0, _ULP_PAST_ONE, -_ULP_PAST_ONE])
+    | st.builds(lambda k, sign: (k + sign * 0.5) / 32768.0,
+                st.integers(-32768, 32767), st.sampled_from([-1.0, 1.0]))
+)
+_samples = _quantiser_edges | st.floats(-1e6, 1e6, allow_nan=False) | st.floats(-1.0, 1.0)
+
+
+@given(st.lists(_samples, min_size=1, max_size=64))
+@_FUZZ
+def test_pcm16_payload_is_the_clip_round_clip_quantiser(tmp_path, values):
+    x = np.array(values, dtype=np.float64)
+    path = tmp_path / "q.wav"
+    write_wav(path, AudioBuffer(x))
+    expected = np.clip(np.rint(np.clip(x, -1, 1) * 32768), -32768, 32767).astype("<i2")
+    data = path.read_bytes()
+    assert struct.unpack_from("<I", data, 40) == (expected.nbytes,)
+    assert data[44:] == expected.tobytes()
+    assert struct.unpack_from("<I", data, 4) == (len(data) - 8,)
