@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AudioError, AugmentError
 from .spec import CLIP_POLICIES, AugmentSpec, _amplitude_ratio
-from .wavio import AudioBuffer, decode_wav, read_wav, rms, write_wav
+from .wavio import decode_wav, read_wav, rms, write_wav
 
 MANIFEST_NAME = "augment_manifest.jsonl"
 
@@ -125,12 +125,12 @@ def _mix(clean: np.ndarray, fitted: np.ndarray, snr_db: float, clip_policy: str)
 
 
 def mix_at_snr(
-    clean: AudioBuffer,
-    interferer: AudioBuffer,
+    clean: np.ndarray,
+    interferer: np.ndarray,
     snr_db: float,
     clip_policy: str = "peak-normalize",
     offset: int = 0,
-) -> AudioBuffer:
+) -> np.ndarray:
     """Add the interferer to the clean signal at an exact target SNR.
 
     The interferer is looped or cropped to the clean length (``offset``
@@ -141,9 +141,9 @@ def mix_at_snr(
     """
     if clip_policy not in CLIP_POLICIES:
         raise AugmentError(f"unknown clip policy {clip_policy!r}")
-    fitted = _fit_length(interferer.samples, len(clean), offset)
-    mixed, _, _ = _mix(clean.samples, fitted, snr_db, clip_policy)
-    return AudioBuffer(mixed)
+    fitted = _fit_length(interferer, clean.size, offset)
+    mixed, _, _ = _mix(clean, fitted, snr_db, clip_policy)
+    return mixed
 
 
 def _fft_size(n: int) -> int:
@@ -188,23 +188,23 @@ def _convolve(x: np.ndarray, h: np.ndarray, spectrum=None) -> np.ndarray:
     return wet[:, :step].reshape(-1)[: x.size]
 
 
-def reverberate(clean: AudioBuffer, rir: AudioBuffer, spectrum=None) -> AudioBuffer:
+def reverberate(clean: np.ndarray, rir: np.ndarray, spectrum=None) -> np.ndarray:
     """Convolve with a room impulse response, preserving length and level.
 
     Linear convolution truncated to the clean length, then rescaled so the
     output RMS equals the input RMS. ``spectrum``, when given, must equal
-    ``_rir_spectrum(rir.samples)``; a corpus run passes the one it keeps with
+    ``_rir_spectrum(rir)``; a corpus run passes the one it keeps with
     the RIR so that it need not transform an RIR for every draw.
     """
     if rms(rir) == 0.0:
         raise AugmentError("RIR is silent (zero RMS)")
-    wet = _convolve(clean.samples, rir.samples, spectrum)
+    wet = _convolve(clean, rir, spectrum)
     rms_in = rms(clean)
     rms_out = rms(wet)
     if rms_in == 0.0 or rms_out == 0.0:
-        return AudioBuffer(np.zeros(len(clean)))
+        return np.zeros(clean.size)
     wet *= rms_in / rms_out
-    return AudioBuffer(wet)
+    return wet
 
 
 def _list_wavs(directory: Path, recursive: bool) -> list[Path]:
@@ -281,22 +281,22 @@ def _process_one(
 
     if spec.category == "reverb":
         taps, tap_scale, spectrum = sources.decode(src)
-        wet = reverberate(clean, AudioBuffer(taps.astype(np.float64) * tap_scale), spectrum)
-        samples, scale = _apply_clip_policy(wet.samples, spec.clip_policy)
+        wet = reverberate(clean, taps.astype(np.float64) * tap_scale, spectrum)
+        samples, scale = _apply_clip_policy(wet, spec.clip_policy)
         drawn = {"rir_id": source_rel}
     else:
         low, high = spec.snr_range_db
         snr_db = float(rng.uniform(low, high))
         stored, stored_scale, _ = sources.decode(src)
-        n = len(clean)
+        n = clean.size
         span = stored.size - n + 1 if stored.size >= n else stored.size
         offset = int(rng.integers(0, max(1, span)))
         # Only the n mixed samples are converted; elementwise this equals
         # fitting the fully converted source.
         fitted = _fit_length(stored, n, offset).astype(np.float64) * stored_scale
-        samples, realized, scale = _mix(clean.samples, fitted, snr_db, spec.clip_policy)
+        samples, realized, scale = _mix(clean, fitted, snr_db, spec.clip_policy)
         drawn = {"snr_db": snr_db, "realized_snr_db": realized, "loop_offset": offset}
-    write_wav(out_path, AudioBuffer(samples))
+    write_wav(out_path, samples)
     return FileOutcome(input_path=str(in_path), output_path=str(out_path), category=spec.category,
                        source_file=source_rel, file_seed=seed, scale=scale, **drawn)
 

@@ -181,8 +181,9 @@ def load_manifest(path: str | Path) -> ArenaManifest:
                     "(set options.allow_gaps to permit this)"
                 )
         params, category = entry.get("param_count_millions"), entry.get("category")
+        # written as "not <=", so that NaN, which compares false, is refused too
         if params is not None and (isinstance(params, bool) or not isinstance(params, (int, float))
-                                   or abs(params) > sys.float_info.max):
+                                   or not abs(params) <= sys.float_info.max):
             raise ManifestError(f"{path}: system {sys_id!r}: param_count_millions must be a number")
         if category is not None and not isinstance(category, str):
             raise ManifestError(f"{path}: system {sys_id!r}: category must be a string")

@@ -3,12 +3,15 @@
 Supports exactly what the augmentation pipeline consumes: PCM 16-bit and
 IEEE float 32-bit, mono, 16000 Hz. Anything else is a hard error; there is
 no silent resampling or downmixing. Output is always PCM 16-bit, no dither.
+
+In memory, audio is a plain 1-D float64 array at full scale (PCM16 is scaled
+by 1/32768). Samples are checked only where they cross a file: by
+``decode_wav`` on the way in and by ``write_wav`` on the way out.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,26 +24,7 @@ _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
 
 
-@dataclass(frozen=True)
-class AudioBuffer:
-    """Mono float64 samples at 16 kHz. Integer input is scaled by 1/32768."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise AudioError("audio buffer must be a non-empty 1-D signal")
-        if not np.all(np.isfinite(self.samples)):
-            raise AudioError("audio buffer contains non-finite samples")
-
-    def __len__(self) -> int:
-        return int(self.samples.size)
-
-
-def rms(x: np.ndarray | AudioBuffer) -> float:
-    if isinstance(x, AudioBuffer):
-        x = x.samples
+def rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
@@ -113,19 +97,27 @@ def decode_wav(path: str | Path) -> tuple[np.ndarray, float]:
     return samples, scale
 
 
-def read_wav(path: str | Path) -> AudioBuffer:
-    """Read a mono 16 kHz PCM16/float32 WAV file as float64 samples.
+def read_wav(path: str | Path) -> np.ndarray:
+    """Read a mono 16 kHz PCM16/float32 WAV file as 1-D float64 samples.
 
     Raises AudioError for any other rate, channel count, or codec; callers
     are expected to convert offline rather than rely on hidden resampling.
     """
     samples, scale = decode_wav(path)
-    return AudioBuffer(samples.astype(np.float64) * scale)
+    return samples.astype(np.float64) * scale
 
 
-def write_wav(path: str | Path, buffer: AudioBuffer) -> None:
-    """Write PCM 16-bit mono. Samples are clamped to [-1, 1] on the way out."""
-    q = np.clip(buffer.samples, -1.0, 1.0)
+def write_wav(path: str | Path, samples: np.ndarray) -> None:
+    """Write 1-D samples as PCM 16-bit mono, clamped to [-1, 1] on the way out.
+
+    An empty, non-1-D or non-finite array is refused with AudioError before
+    the file is opened; a failed open or write is an AudioError too.
+    """
+    if samples.ndim != 1 or samples.size == 0:
+        raise AudioError(f"{path}: audio must be a non-empty 1-D signal, got shape {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise AudioError(f"{path}: non-finite samples")
+    q = np.clip(samples, -1.0, 1.0)
     q *= 32768.0
     np.rint(q, out=q)
     np.minimum(q, 32767.0, out=q)  # q >= -32768 already, so only the top can overflow int16
@@ -150,6 +142,9 @@ def write_wav(path: str | Path, buffer: AudioBuffer) -> None:
             struct.pack("<I", payload.nbytes),
         ]
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+    except OSError as e:
+        raise AudioError(f"cannot write {path}: {e.strerror or e}") from e

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from df_arena.store import RECORD_VERSION, RunRecord, SystemSummary
-from df_arena.wavio import AudioBuffer, write_wav
+from df_arena.wavio import write_wav
 
 # Every property test runs without hypothesis's per-example deadline: it times an
 # example against the load of a shared machine, which checks nothing of df-arena.
@@ -190,12 +190,12 @@ def golden_record() -> RunRecord:
 
 def make_tone(seconds=1.0, freq=440.0, amplitude=0.5, rate=16000):
     t = np.arange(int(seconds * rate)) / rate
-    return AudioBuffer(amplitude * np.sin(2.0 * np.pi * freq * t))
+    return amplitude * np.sin(2.0 * np.pi * freq * t)
 
 
 def make_noise(seconds=1.0, amplitude=0.1, seed=0, rate=16000):
     rng = np.random.default_rng(seed)
-    return AudioBuffer(amplitude * rng.standard_normal(int(seconds * rate)))
+    return amplitude * rng.standard_normal(int(seconds * rate))
 
 
 def build_wav_corpus(root: Path, n_files=3, seconds=1.0, amplitude=0.05, seed=100):
@@ -232,6 +232,6 @@ def wav_bytes(samples_bytes, *, fmt=1, channels=1, rate=16000, bits=16):
     return header + samples_bytes
 
 
-def write_float32_wav(path: Path, buffer: AudioBuffer) -> None:
+def write_float32_wav(path: Path, samples: np.ndarray) -> None:
     """Write IEEE float 32-bit mono (write_wav only writes PCM16)."""
-    path.write_bytes(wav_bytes(buffer.samples.astype("<f4").tobytes(), fmt=3, bits=32))
+    path.write_bytes(wav_bytes(samples.astype("<f4").tobytes(), fmt=3, bits=32))

@@ -208,8 +208,8 @@ def test_criterion_08_snr_fidelity(tmp_path):
                 total += 1
                 assert low <= entry.snr_db <= high
                 assert entry.scale == 1.0  # levels chosen so nothing clips
-                clean = read_wav(entry.input_path).samples
-                mixed = read_wav(entry.output_path).samples
+                clean = read_wav(entry.input_path)
+                mixed = read_wav(entry.output_path)
                 residual = list(mixed - clean)
                 measured = 20.0 * math.log10(rms_by_hand(list(clean)) / rms_by_hand(residual))
                 assert abs(measured - entry.snr_db) <= 0.01

@@ -25,7 +25,7 @@ from df_arena.augment import (
 )
 from df_arena.errors import AudioError, AugmentError
 from df_arena.spec import AugmentSpec
-from df_arena.wavio import AudioBuffer, read_wav, rms, write_wav
+from df_arena.wavio import read_wav, rms, write_wav
 
 from conftest import (
     build_interferer_dir,
@@ -69,21 +69,21 @@ class TestMixAtSnr:
     def test_equal_rms_at_zero_db_doubles_signal(self):
         tone = make_tone(seconds=0.1, amplitude=0.2)
         mixed = mix_at_snr(tone, tone, 0.0)
-        assert np.allclose(mixed.samples, 2.0 * tone.samples, atol=1e-12)
+        assert np.allclose(mixed, 2.0 * tone, atol=1e-12)
 
     def test_sixty_db_interferer_vanishes(self):
         clean = make_noise(seconds=0.1, amplitude=0.2, seed=1)
         tone = make_tone(seconds=0.1, amplitude=0.5)
         mixed = mix_at_snr(clean, tone, 60.0)
-        peak = np.max(np.abs(clean.samples))
-        assert np.max(np.abs(mixed.samples - clean.samples)) < 1e-3 * peak
+        peak = np.max(np.abs(clean))
+        assert np.max(np.abs(mixed - clean)) < 1e-3 * peak
 
     def test_white_noise_pair_realizes_requested_snr(self):
         clean = make_noise(seconds=0.5, amplitude=0.05, seed=2)
         noise = make_noise(seconds=0.5, amplitude=0.08, seed=3)
         mixed = mix_at_snr(clean, noise, 10.0)
-        residual = mixed.samples - clean.samples  # no clipping at these levels
-        measured = 20.0 * math.log10(rms_by_hand(list(clean.samples)) / rms_by_hand(list(residual)))
+        residual = mixed - clean  # no clipping at these levels
+        measured = 20.0 * math.log10(rms_by_hand(list(clean)) / rms_by_hand(list(residual)))
         assert measured == pytest.approx(10.0, abs=0.01)
 
     def test_short_interferer_loops_to_clean_length(self):
@@ -97,32 +97,32 @@ class TestMixAtSnr:
         a = mix_at_snr(clean, long, 5.0, offset=0)
         b = mix_at_snr(clean, long, 5.0, offset=1000)
         assert len(a) == len(b) == len(clean)
-        assert not np.array_equal(a.samples, b.samples)
+        assert not np.array_equal(a, b)
 
     def test_silent_clean_rejected(self):
-        silent = AudioBuffer(np.zeros(100))
+        silent = np.zeros(100)
         noise = make_noise(seconds=0.01, seed=6)
         with pytest.raises(AugmentError, match="clean signal is silent"):
             mix_at_snr(silent, noise, 10.0)
 
     def test_silent_interferer_rejected(self):
         tone = make_tone(seconds=0.01)
-        silent = AudioBuffer(np.zeros(100))
+        silent = np.zeros(100)
         with pytest.raises(AugmentError, match="interferer.*silent"):
             mix_at_snr(tone, silent, 10.0)
 
     def test_peak_normalize_caps_at_one(self):
         tone = make_tone(seconds=0.05, amplitude=0.9)
         mixed = mix_at_snr(tone, tone, 0.0, clip_policy="peak-normalize")
-        assert np.max(np.abs(mixed.samples)) == pytest.approx(1.0)
+        assert np.max(np.abs(mixed)) == pytest.approx(1.0)
 
     def test_hard_clip_matches_ideal_mix_where_unclipped(self):
         tone = make_tone(seconds=0.05, amplitude=0.9)
-        ideal = 2.0 * tone.samples
+        ideal = 2.0 * tone
         mixed = mix_at_snr(tone, tone, 0.0, clip_policy="hard-clip")
         inside = np.abs(ideal) <= 1.0
-        assert np.allclose(mixed.samples[inside], ideal[inside], atol=1e-12)
-        assert np.max(np.abs(mixed.samples)) <= 1.0
+        assert np.allclose(mixed[inside], ideal[inside], atol=1e-12)
+        assert np.max(np.abs(mixed)) <= 1.0
 
     @given(st.floats(0.25, 4.0))
     @settings(max_examples=20)
@@ -131,23 +131,23 @@ class TestMixAtSnr:
         noise = make_noise(seconds=0.05, amplitude=0.03, seed=9)
         base = mix_at_snr(clean, noise, 6.0)
         scaled = mix_at_snr(
-            AudioBuffer(a * clean.samples), AudioBuffer(a * noise.samples), 6.0
+            a * clean, a * noise, 6.0
         )
-        assert np.allclose(scaled.samples, a * base.samples, rtol=1e-10, atol=1e-12)
+        assert np.allclose(scaled, a * base, rtol=1e-10, atol=1e-12)
 
 
 class TestReverberate:
     def test_unit_impulse_is_identity(self):
         tone = make_tone(seconds=0.2, amplitude=0.4)
-        rir = AudioBuffer(np.array([1.0, 0.0, 0.0, 0.0]))
+        rir = np.array([1.0, 0.0, 0.0, 0.0])
         wet = reverberate(tone, rir)
-        assert np.array_equal(wet.samples, tone.samples)
+        assert np.array_equal(wet, tone)
 
     def test_scaled_impulse_removed_by_normalization(self):
         tone = make_tone(seconds=0.2, amplitude=0.4)
-        rir = AudioBuffer(np.array([0.5]))
+        rir = np.array([0.5])
         wet = reverberate(tone, rir)
-        assert np.array_equal(wet.samples, tone.samples)
+        assert np.array_equal(wet, tone)
 
     def test_length_contract_long_rir(self):
         clean = make_tone(seconds=3.0, amplitude=0.3)
@@ -164,15 +164,15 @@ class TestReverberate:
     def test_silent_rir_rejected(self):
         clean = make_tone(seconds=0.1)
         with pytest.raises(AugmentError, match="RIR is silent"):
-            reverberate(clean, AudioBuffer(np.zeros(64)))
+            reverberate(clean, np.zeros(64))
 
     def test_fft_path_agrees_with_direct(self):
         clean = make_noise(seconds=0.3, amplitude=0.2, seed=12)
-        taps = make_noise(seconds=0.1, amplitude=0.3, seed=13).samples  # 1600 taps, FFT path
-        direct = np.convolve(clean.samples, taps)[: len(clean)]
-        direct *= rms(clean.samples) / rms(direct)
-        wet = reverberate(clean, AudioBuffer(taps))
-        assert np.allclose(wet.samples, direct, atol=1e-9)
+        taps = make_noise(seconds=0.1, amplitude=0.3, seed=13)  # 1600 taps, FFT path
+        direct = np.convolve(clean, taps)[: len(clean)]
+        direct *= rms(clean) / rms(direct)
+        wet = reverberate(clean, taps)
+        assert np.allclose(wet, direct, atol=1e-9)
 
     @pytest.mark.parametrize("taps", [257, 1600])  # 257: the shortest FFT path
     @pytest.mark.parametrize("length", ["short", "one block", "k blocks", "k blocks + 1"])
@@ -180,13 +180,13 @@ class TestReverberate:
         block = augment._fft_size(4 * taps) - taps + 1
         n = {"short": 100, "one block": block, "k blocks": 3 * block, "k blocks + 1": 3 * block + 1}[length]
         rng = np.random.default_rng(taps + n)
-        clean = AudioBuffer(0.2 * rng.standard_normal(n))
+        clean = 0.2 * rng.standard_normal(n)
         h = 0.3 * rng.standard_normal(taps)
-        direct = np.convolve(clean.samples, h)[:n]
-        direct *= rms(clean.samples) / rms(direct)
-        wet = reverberate(clean, AudioBuffer(h))
-        assert wet.samples.shape == (n,)
-        assert np.allclose(wet.samples, direct, atol=1e-9)
+        direct = np.convolve(clean, h)[:n]
+        direct *= rms(clean) / rms(direct)
+        wet = reverberate(clean, h)
+        assert wet.shape == (n,)
+        assert np.allclose(wet, direct, atol=1e-9)
 
     @pytest.mark.parametrize("taps", [257, 1600])
     @pytest.mark.parametrize("length", ["short", "one block", "k blocks", "k blocks + 1"])
@@ -209,9 +209,9 @@ class TestReverberate:
 
     @pytest.mark.parametrize("taps", [64, 900])  # the direct and the FFT path
     def test_silent_clean_gives_silence_of_the_clean_length(self, taps):
-        rir = AudioBuffer(0.3 * np.random.default_rng(14).standard_normal(taps))
-        wet = reverberate(AudioBuffer(np.zeros(3000)), rir)
-        assert np.array_equal(wet.samples, np.zeros(3000))
+        rir = 0.3 * np.random.default_rng(14).standard_normal(taps)
+        wet = reverberate(np.zeros(3000), rir)
+        assert np.array_equal(wet, np.zeros(3000))
 
 
 class TestFileSeed:
@@ -290,6 +290,18 @@ class TestAugmentCorpus:
         with pytest.raises(AugmentError, match="cannot write .*augment_manifest.jsonl"):
             augment_corpus(in_dir, tmp_path / "out", AugmentSpec("noise", src, seed=1))
 
+    def test_directory_at_an_output_name_fails_only_that_file(self, tmp_path):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=3)
+        src = build_interferer_dir(tmp_path / "src")
+        blocked = tmp_path / "out" / "utt001.wav"
+        blocked.mkdir(parents=True)
+        summary = augment_corpus(in_dir, tmp_path / "out", AugmentSpec("noise", src, seed=1))
+        assert [Path(e.input_path).name for e in summary.entries] == ["utt000.wav", "utt002.wav"]
+        [(failed, reason)] = summary.failures
+        assert failed == str(in_dir / "utt001.wav")
+        assert reason.startswith(f"AudioError: cannot write {blocked}: ")
+        assert blocked.is_dir()
+
     def test_reverb_category(self, tmp_path):
         in_dir = build_wav_corpus(tmp_path / "in", n_files=2, seconds=0.5)
         rir_dir = tmp_path / "rirs"
@@ -334,12 +346,12 @@ class TestAugmentCorpus:
                 assert len(read_wav(e.output_path)) == len(read_wav(e.input_path))
 
 
-def _write_source(path, buffer, stored):
+def _write_source(path, samples, stored):
     path.parent.mkdir(parents=True, exist_ok=True)
     if stored == "float32":
-        write_float32_wav(path, buffer)
+        write_float32_wav(path, samples)
     else:
-        write_wav(path, buffer)
+        write_wav(path, samples)
 
 
 def _outputs(out_dir):
@@ -427,14 +439,14 @@ class TestDecodeOnceEquivalence:
             summary = augment_corpus(in_dir, out, spec, jobs=jobs)
             assert not summary.failures and len(summary.entries) == 6
             for e in summary.entries:
-                wet = reverberate(read_wav(e.input_path), read_wav(src / e.rir_id)).samples
+                wet = reverberate(read_wav(e.input_path), read_wav(src / e.rir_id))
                 peak = float(np.max(np.abs(wet)))
                 if policy == "peak-normalize" and peak > 1.0:
                     assert e.scale == 1.0 / peak
                 else:
                     assert e.scale == 1.0
                 expected = tmp_path / "expected.wav"
-                write_wav(expected, AudioBuffer(wet * e.scale))  # write_wav clamps hard-clip
+                write_wav(expected, wet * e.scale)  # write_wav clamps hard-clip
                 assert (out / Path(e.output_path).name).read_bytes() == expected.read_bytes()
         assert {e.rir_id for e in summary.entries} == {"long.wav", "short.wav"}
         assert _outputs(tmp_path / "out1") == _outputs(tmp_path / "out4")
@@ -494,7 +506,7 @@ class TestSourceBudget:
         spec = AugmentSpec(category, src, seed=9)
         reference = augment_corpus(in_dir, tmp_path / "ref", spec, jobs=jobs)
 
-        taps = read_wav(src / "s0.wav").samples.size
+        taps = read_wav(src / "s0.wav").size
         entry_bytes = taps * 2  # stored as int16
         if category == "reverb":  # an RIR is kept with its spectrum (complex128)
             entry_bytes += (augment._fft_size(4 * taps) // 2 + 1) * 16
@@ -543,7 +555,7 @@ def _write_utterances(directory, lengths, amplitude=0.1, seed=70):
     directory.mkdir(parents=True)
     rng = np.random.default_rng(seed)
     for i, n in enumerate(lengths):
-        write_wav(directory / f"utt{i:03d}.wav", AudioBuffer(amplitude * rng.standard_normal(n)))
+        write_wav(directory / f"utt{i:03d}.wav", amplitude * rng.standard_normal(n))
     return directory
 
 
@@ -551,12 +563,12 @@ def _write_rirs(directory, tap_counts, seed=80):
     directory.mkdir(parents=True)
     rng = np.random.default_rng(seed)
     for n in tap_counts:
-        write_wav(directory / f"r{n}.wav", AudioBuffer(0.3 * rng.standard_normal(n)))
+        write_wav(directory / f"r{n}.wav", 0.3 * rng.standard_normal(n))
     return directory
 
 
 def _pcm16(path):
-    return np.rint(read_wav(path).samples * 32768).astype(np.int64)
+    return np.rint(read_wav(path) * 32768).astype(np.int64)
 
 
 def _power_of_two_convolve(x, h):
@@ -649,7 +661,7 @@ class TestRirSpectra:
         src = tmp_path / "rirs"
         src.mkdir()
         write_wav(src / "a_room.wav", make_noise(0.05, 0.4, 43))  # 800 taps
-        write_wav(src / "b_silent.wav", AudioBuffer(np.zeros(900)))
+        write_wav(src / "b_silent.wav", np.zeros(900))
         spec = AugmentSpec("reverb", src, seed=21)
         inputs = sorted(in_dir.iterdir())
         draws_silent = {
@@ -680,13 +692,13 @@ class TestRirSpectra:
         assert {(e.rir_id, len(read_wav(e.input_path))) for e in summary.entries} >= {("r257.wav", 3841)}
         expected = tmp_path / "expected.wav"
         for e in summary.entries:
-            clean = read_wav(e.input_path).samples
-            taps = read_wav(src / e.rir_id).samples
+            clean = read_wav(e.input_path)
+            taps = read_wav(src / e.rir_id)
             assert e.scale == 1.0
             got = _pcm16(e.output_path)
             for full in (np.convolve(clean, taps), _power_of_two_convolve(clean, taps)):
                 wet = full[: clean.size]
-                write_wav(expected, AudioBuffer(wet * (rms(clean) / rms(wet))))
+                write_wav(expected, wet * (rms(clean) / rms(wet)))
                 assert np.max(np.abs(got - _pcm16(expected))) <= 1, e.input_path
 
 

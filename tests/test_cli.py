@@ -236,6 +236,23 @@ class TestLeaderboard:
         assert code == 1
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ManifestError"
 
+    @pytest.mark.parametrize("output", ["markdown", "csv", "json", "store"])
+    def test_nan_param_count_is_a_manifest_error(self, capsys, tmp_path, output):
+        manifest = build_arena(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["systems"][1]["param_count_millions"] = float("nan")
+        manifest.write_text(json.dumps(doc))
+        store = tmp_path / "runs.jsonl"
+        flag = ["--store", str(store)] if output == "store" else ["--format", output]
+        argv = ["leaderboard", "--manifest", str(manifest)] + flag
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "ManifestError"
+        system_id = doc["systems"][1]["system_id"]
+        assert str(manifest) in record["message"] and repr(system_id) in record["message"]
+        assert not store.exists()
+
     def test_out_directory_is_an_error_record(self, capsys, tmp_path):
         manifest = build_arena(tmp_path)
         store = tmp_path / "runs.jsonl"

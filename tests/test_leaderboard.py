@@ -467,17 +467,29 @@ class TestStore:
         store_append(store, dataclasses.replace(arena_record, run_id="second"))
         assert os.listdir(store.parent) == ["runs.jsonl"]
 
-    def test_append_after_torn_tail_keeps_the_new_record(self, tmp_path, arena_record):
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_append_after_torn_tail_keeps_the_new_record(self, tmp_path, arena_record, data):
         store = tmp_path / "runs.jsonl"
-        store_append(store, dataclasses.replace(arena_record, run_id="a"))
-        torn_at = store.stat().st_size
-        store_append(store, dataclasses.replace(arena_record, run_id="b"))
-        os.truncate(store, store.stat().st_size - 40)
-        store_append(store, dataclasses.replace(arena_record, run_id="c"))
+        store.unlink(missing_ok=True)
+        earlier = [f"run{i}" for i in range(data.draw(st.integers(0, 2), label="earlier runs"))]
+        for run_id in earlier:
+            store_append(store, dataclasses.replace(arena_record, run_id=run_id))
+        torn_at = store.stat().st_size if earlier else 0
+        store_append(store, dataclasses.replace(arena_record, run_id="torn"))
+        size = store.stat().st_size
+        # the last line is bytes [torn_at, size): its JSON text, then b"\n"
+        cut = data.draw(st.integers(torn_at, size - 1) | st.just(size - 40), label="cut")
+        os.truncate(store, cut)
+        listed = earlier + (["torn"] if cut == size - 1 else [])
+        torn = [(len(earlier) + 1, torn_at)] if torn_at < cut < size - 1 else []
         records, issues = store_list(store)
-        assert [r.run_id for r in records] == ["a", "c"]
-        assert len(issues) == 1
-        assert (issues[0].line_number, issues[0].byte_offset) == (2, torn_at)
+        assert [r.run_id for r in records] == listed
+        assert [(i.line_number, i.byte_offset) for i in issues] == torn
+        store_append(store, dataclasses.replace(arena_record, run_id="new"))
+        records, issues = store_list(store)
+        assert [r.run_id for r in records] == listed + ["new"]
+        assert [(i.line_number, i.byte_offset) for i in issues] == torn
 
     def test_parent_path_is_a_file_is_store_error(self, tmp_path, arena_record):
         write_text(tmp_path / "not-a-dir", "x")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -392,6 +393,8 @@ def _options(**fields):
     pytest.param(_system(param_count_millions="big"), "param_count_millions must be a number", id="params-string"),
     pytest.param(_system(param_count_millions=True), "param_count_millions must be a number", id="params-bool"),
     pytest.param(_system(param_count_millions=10**400), "param_count_millions must be a number", id="params-huge"),
+    pytest.param(_system(param_count_millions=math.nan), "param_count_millions must be a number", id="params-nan"),
+    pytest.param(_system(param_count_millions=-math.inf), "param_count_millions must be a number", id="params-inf"),
     pytest.param(_system(category=7), "category must be a string", id="category-int"),
     pytest.param(_options(allow_gaps="no"), "allow_gaps must be true or false", id="allow-gaps-string"),
     pytest.param(_options(allow_gaps=0), "allow_gaps must be true or false", id="allow-gaps-int"),

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from df_arena.errors import AudioError
-from df_arena.wavio import AudioBuffer, decode_wav, read_wav, rms, write_wav
+from df_arena.wavio import decode_wav, read_wav, rms, write_wav
 
 from conftest import make_tone, wav_bytes
 from oracles import rms_by_hand
@@ -25,14 +26,14 @@ def test_pcm16_scaling_and_round_trip(tmp_path):
     raw = np.array([0, 16384, -16384, 32767, -32768], dtype="<i2")
     path.write_bytes(wav_bytes(raw.tobytes()))
     buf = read_wav(path)
-    assert np.array_equal(buf.samples, raw.astype(np.float64) / 32768.0)
-    assert buf.samples.min() >= -1.0
-    assert buf.samples.max() < 1.0
+    assert np.array_equal(buf, raw.astype(np.float64) / 32768.0)
+    assert buf.min() >= -1.0
+    assert buf.max() < 1.0
 
     out = tmp_path / "o.wav"
     write_wav(out, buf)
     again = read_wav(out)
-    assert np.array_equal(buf.samples, again.samples)
+    assert np.array_equal(buf, again)
 
 
 def test_write_read_stability_after_first_quantization(tmp_path):
@@ -49,7 +50,7 @@ def test_float32_supported(tmp_path):
     values = np.array([0.0, 0.5, -0.25, 1.0, -1.0], dtype="<f4")
     path.write_bytes(wav_bytes(values.tobytes(), fmt=3, bits=32))
     buf = read_wav(path)
-    assert np.array_equal(buf.samples, values.astype(np.float64))
+    assert np.array_equal(buf, values.astype(np.float64))
 
 
 def test_wrong_sample_rate_names_requirement(tmp_path):
@@ -105,23 +106,37 @@ def test_directory_is_audio_error(tmp_path):
         read_wav(tmp_path)
 
 
-def test_buffer_rejects_non_finite():
-    with pytest.raises(AudioError, match="non-finite"):
-        AudioBuffer(np.array([0.0, np.nan]))
+@pytest.mark.parametrize("samples, message", [
+    (np.array([0.0, np.nan]), "non-finite samples"),
+    (np.array([0.5, np.inf]), "non-finite samples"),
+    (np.array([-np.inf, 0.5]), "non-finite samples"),
+    (np.zeros(0), "audio must be a non-empty 1-D signal, got shape (0,)"),
+    (np.zeros((2, 3)), "audio must be a non-empty 1-D signal, got shape (2, 3)"),
+], ids=["nan", "+inf", "-inf", "empty", "2-D"])
+def test_write_refuses_what_pcm16_cannot_hold_and_leaves_no_file(tmp_path, samples, message):
+    path = tmp_path / "bad.wav"
+    with pytest.raises(AudioError, match=re.escape(f"{path}: {message}")):
+        write_wav(path, samples)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_to_a_directory_is_audio_error(tmp_path):
+    with pytest.raises(AudioError, match=re.escape(f"cannot write {tmp_path}: ")):
+        write_wav(tmp_path, make_tone(seconds=0.01))
 
 
 def test_write_clamps_overrange(tmp_path):
     path = tmp_path / "c.wav"
-    write_wav(path, AudioBuffer(np.array([2.0, -2.0, 0.5])))
+    write_wav(path, np.array([2.0, -2.0, 0.5]))
     buf = read_wav(path)
-    assert buf.samples[0] == pytest.approx(32767 / 32768)
-    assert buf.samples[1] == -1.0
-    assert np.max(np.abs(buf.samples)) <= 1.0
+    assert buf[0] == pytest.approx(32767 / 32768)
+    assert buf[1] == -1.0
+    assert np.max(np.abs(buf)) <= 1.0
 
 
 def test_rms_matches_plain_computation():
     tone = make_tone(seconds=0.01, amplitude=0.3)
-    assert rms(tone) == pytest.approx(rms_by_hand(list(tone.samples)), abs=1e-12)
+    assert rms(tone) == pytest.approx(rms_by_hand(list(tone)), abs=1e-12)
 
 
 def test_decode_wav_keeps_the_stored_width(tmp_path):
@@ -132,7 +147,7 @@ def test_decode_wav_keeps_the_stored_width(tmp_path):
     assert samples.dtype == np.dtype("<i2") and not samples.flags.writeable
     assert np.array_equal(samples, raw)
     assert scale == 1.0 / 32768.0
-    assert np.array_equal(samples.astype(np.float64) * scale, read_wav(pcm).samples)
+    assert np.array_equal(samples.astype(np.float64) * scale, read_wav(pcm))
 
     flt = tmp_path / "f.wav"
     values = np.array([0.25, -1.5, 3.0], dtype="<f4")
@@ -234,8 +249,8 @@ def _decode_both(path):
         return None
     samples, scale = decode_wav(path)
     assert samples.dtype in (np.dtype("<i2"), np.dtype("<f4"))
-    assert np.array_equal(samples.astype(np.float64) * scale, buf.samples)
-    return buf.samples
+    assert np.array_equal(samples.astype(np.float64) * scale, buf)
+    return buf
 
 
 _FUZZ = settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -278,7 +293,7 @@ _samples = _quantiser_edges | st.floats(-1e6, 1e6, allow_nan=False) | st.floats(
 def test_pcm16_payload_is_the_clip_round_clip_quantiser(tmp_path, values):
     x = np.array(values, dtype=np.float64)
     path = tmp_path / "q.wav"
-    write_wav(path, AudioBuffer(x))
+    write_wav(path, x)
     expected = np.clip(np.rint(np.clip(x, -1, 1) * 32768), -32768, 32767).astype("<i2")
     data = path.read_bytes()
     assert struct.unpack_from("<I", data, 40) == (expected.nbytes,)
