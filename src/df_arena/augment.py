@@ -345,7 +345,7 @@ def augment_corpus(
         except Exception as e:  # collected per file; the run continues
             return None, (str(p), f"{type(e).__name__}: {e}")
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=min(jobs, len(inputs))) as pool:
         results = list(pool.map(work, inputs))
 
     entries = tuple(outcome for outcome, _ in results if outcome is not None)

@@ -184,11 +184,11 @@ def cmd_eval(args) -> int:
     from .protocol import join, parse_protocol, parse_scores
 
     trials = parse_protocol(args.protocol, args.protocol_format)
-    scores = parse_scores(args.scores, polarity=args.polarity)
+    scores = parse_scores(args.scores)
     system_id = Path(args.scores).stem if args.system_id is None else args.system_id
     dataset_id = Path(args.protocol).stem if args.dataset_id is None else args.dataset_id
     try:
-        joined = join(trials, scores, mode=args.mode)
+        joined = join(trials, scores, mode=args.mode, polarity=args.polarity)
         if joined.dropped_trials or joined.dropped_scores:
             log.info("intersect join dropped %d trials and %d scores",
                      joined.dropped_trials, joined.dropped_scores)
@@ -207,9 +207,9 @@ def cmd_pool(args) -> int:
     n_bona = n_spoof = 0
     for protocol_path, score_path in args.pair:
         trials = parse_protocol(protocol_path, args.protocol_format)
-        scores = parse_scores(score_path, polarity=args.polarity)
+        scores = parse_scores(score_path)
         try:
-            joined = join(trials, scores, mode=args.mode)
+            joined = join(trials, scores, mode=args.mode, polarity=args.polarity)
         except ArenaError as e:
             raise type(e)(f"scores {score_path}, protocol {protocol_path}: {e}") from e
         joined_sets.append(joined)

@@ -51,8 +51,9 @@ def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0") -> RunRecor
                 gaps.append(dataset_id)
                 continue
             try:
-                scores = parse_scores(system.score_paths[dataset_id], polarity=system.polarity)
-                joined = join(trial_sets[dataset_id], scores, mode=manifest.join_mode)
+                scores = parse_scores(system.score_paths[dataset_id])
+                joined = join(trial_sets[dataset_id], scores, mode=manifest.join_mode,
+                              polarity=system.polarity)
                 own_reports.append(evaluate(joined, system.system_id, dataset_id))
             except ArenaError as e:
                 raise type(e)(f"system {system.system_id!r}, dataset {dataset_id!r}: {e}") from e

@@ -49,26 +49,12 @@ class TrialSet:
     """Ground-truth trial list of one dataset, in file order, as parallel columns.
 
     ``is_bonafide`` is a bool array and is treated as read-only. Trial ids are
-    unique: ``parse_protocol`` checks that where trials come in.
+    unique and both classes occur: ``parse_protocol`` checks that where trials
+    come in.
     """
 
     ids: tuple[str, ...]
     is_bonafide: np.ndarray
-
-    def __post_init__(self):
-        if self.n_bonafide == 0 or self.n_spoof == 0:
-            raise ProtocolError(
-                "a protocol needs at least one bonafide and one spoof trial "
-                f"(got {self.n_bonafide} bonafide, {self.n_spoof} spoof)"
-            )
-
-    @property
-    def n_bonafide(self) -> int:
-        return int(np.count_nonzero(self.is_bonafide))
-
-    @property
-    def n_spoof(self) -> int:
-        return self.is_bonafide.size - self.n_bonafide
 
     @property
     def trials(self) -> tuple[tuple[str, str], ...]:
@@ -85,14 +71,9 @@ class TrialSet:
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """One system's scores on one dataset. ``scores`` is treated as read-only."""
+    """A score file's ``trial_id -> score`` index. ``scores`` is treated as read-only."""
 
-    polarity: str
     scores: dict[str, float]
-
-    def __post_init__(self):
-        if self.polarity not in POLARITIES:
-            raise ScoreFileError(f"unknown polarity {self.polarity!r}; expected one of {POLARITIES}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,10 +202,11 @@ def parse_protocol(path: str | Path, format: str = "two-column") -> TrialSet:
     ids, label_tokens = fields
     is_bona = {tok: LABEL_ALIASES[tok.lower()] == BONAFIDE for tok in set(label_tokens)}
     is_bonafide = np.fromiter(map(is_bona.__getitem__, label_tokens), dtype=bool, count=len(ids))
-    try:
-        return TrialSet(tuple(ids), is_bonafide)
-    except ProtocolError as e:
-        raise ProtocolError(f"{path}: {e}") from None
+    n_bonafide = int(np.count_nonzero(is_bonafide))
+    if n_bonafide in (0, len(ids)):
+        raise ProtocolError(f"{path}: a protocol needs at least one bonafide and one spoof trial "
+                            f"(got {n_bonafide} bonafide, {len(ids) - n_bonafide} spoof)")
+    return TrialSet(tuple(ids), is_bonafide)
 
 
 def _protocol_fields(columns, two_column: bool):
@@ -266,7 +248,7 @@ def _score_fields(tokens) -> tuple[str, float]:
     return trial_id, value
 
 
-def parse_scores(path: str | Path, polarity: str = HIGHER_IS_BONAFIDE) -> ScoreSet:
+def parse_scores(path: str | Path) -> ScoreSet:
     """Parse a ``trial_id score`` file; every score must be a finite real.
 
     A file in the layout ``serialize_scores`` writes is checked column by
@@ -278,7 +260,7 @@ def parse_scores(path: str | Path, polarity: str = HIGHER_IS_BONAFIDE) -> ScoreS
     scores = _bulk_scores(_columns(text))
     if scores is None:
         scores = _parse_lines(path, text, ScoreFileError, _score_fields)
-    return ScoreSet(polarity, scores)
+    return ScoreSet(scores)
 
 
 def _bulk_scores(columns) -> dict[str, float] | None:
@@ -301,16 +283,19 @@ def serialize_scores(score_set: ScoreSet) -> str:
     return _write_lines([[k, repr(float(v))] for k, v in score_set.scores.items()], ScoreFileError)
 
 
-def join(trials: TrialSet, scores: ScoreSet, mode: str = "strict") -> JoinResult:
+def join(trials: TrialSet, scores: ScoreSet, mode: str = "strict",
+         polarity: str = HIGHER_IS_BONAFIDE) -> JoinResult:
     """Join labels with scores by trial_id.
 
     Strict mode requires the two key sets to match exactly; intersect mode
-    keeps the inner join and counts what was dropped on either side. Scores
-    declared higher-is-spoof are negated here, so everything downstream can
-    assume higher means more bonafide.
+    keeps the inner join and counts what was dropped on either side. The
+    caller declares the scores' polarity; higher-is-spoof scores are negated
+    here, so everything downstream can assume higher means more bonafide.
     """
     if mode not in JOIN_MODES:
-        raise ValueError(f"unknown join mode {mode!r}")
+        raise ValueError(f"unknown join mode {mode!r}; expected one of {JOIN_MODES}")
+    if polarity not in POLARITIES:
+        raise ValueError(f"unknown polarity {polarity!r}; expected one of {POLARITIES}")
     values = list(map(scores.scores.get, trials.ids))
     is_bonafide = trials.is_bonafide
     missing, extra = [], set()
@@ -328,6 +313,6 @@ def join(trials: TrialSet, scores: ScoreSet, mode: str = "strict") -> JoinResult
         is_bonafide = is_bonafide[[v is not None for v in values]]
         values = [v for v in values if v is not None]
     joined = np.array(values, dtype=np.float64)
-    if scores.polarity == HIGHER_IS_SPOOF:
+    if polarity == HIGHER_IS_SPOOF:
         np.negative(joined, out=joined)
     return JoinResult(is_bonafide, joined, dropped_trials=len(missing), dropped_scores=len(extra))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .errors import ScorerError
 from .protocol import ScoreSet, _content_lines, _read_text, _score_fields
-from .spec import HIGHER_IS_BONAFIDE, MAX_SCORER_TIMEOUT_S, _preview
+from .spec import MAX_SCORER_TIMEOUT_S, _preview
 
 
 def run_external_scorer(
@@ -87,4 +87,4 @@ def run_external_scorer(
     missing = set(expected) - set(scores)
     if missing:
         raise ScorerError(f"scorer output incomplete; missing: {_preview(missing)}")
-    return ScoreSet(HIGHER_IS_BONAFIDE, scores)
+    return ScoreSet(scores)

@@ -26,6 +26,9 @@ MANIFEST_VERSION = 1
 
 MAX_SCORER_TIMEOUT_S = 2_147_483  # the scorer is awaited by select.poll: whole ms in a C int
 
+# Unicode categories Cc, Zl and Zp, which the standard keeps fixed: every str.splitlines break, tab, NUL
+_ID_FORBIDDEN_CHARS = frozenset(map(chr, [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029]))
+
 ADDITIVE_CATEGORIES = ("noise", "music", "speech")
 CATEGORIES = ADDITIVE_CATEGORIES + ("reverb",)
 CLIP_POLICIES = ("peak-normalize", "hard-clip")
@@ -82,6 +85,8 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     Relative protocol/score paths are resolved against the manifest's own
     directory. Every score entry must reference a declared dataset; unless
     ``options.allow_gaps`` is set, every system must cover every dataset.
+    Ids may hold no control or line-break character (Unicode Cc, Zl, Zp), and
+    paths no NUL.
     """
     from hashlib import sha256  # here, so that --version and history start without it
 
@@ -122,8 +127,22 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     def resolve(p, field: str) -> Path:
         if not isinstance(p, str) or not p:
             raise ManifestError(f"{path}: {field} must be a non-empty string, got {p!r}")
+        if "\0" in p:
+            raise ManifestError(f"{path}: {field} holds a NUL byte: {p!r}")
         p = Path(p)
         return p if p.is_absolute() else base / p
+
+    def entry_id(entry: dict, kind: str, seen: set) -> str:
+        key = f"{kind}_id"
+        value = entry.get(key)
+        if not value or not isinstance(value, str):
+            raise ManifestError(f"{path}: every {kind} needs a string {key}")
+        if not _ID_FORBIDDEN_CHARS.isdisjoint(value):
+            raise ManifestError(f"{path}: {key} {value!r} holds a control or line-break character")
+        if value in seen:
+            raise ManifestError(f"{path}: duplicate {key} {value!r}")
+        seen.add(value)
+        return value
 
     def entries(key: str) -> list[dict]:
         items = doc.get(key, [])
@@ -134,12 +153,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     datasets = []
     seen_ds = set()
     for entry in entries("datasets"):
-        ds_id = entry.get("dataset_id")
-        if not ds_id or not isinstance(ds_id, str):
-            raise ManifestError(f"{path}: every dataset needs a string dataset_id")
-        if ds_id in seen_ds:
-            raise ManifestError(f"{path}: duplicate dataset_id {ds_id!r}")
-        seen_ds.add(ds_id)
+        ds_id = entry_id(entry, "dataset", seen_ds)
         fmt = entry.get("format", PROTOCOL_FORMATS[0])
         if fmt not in PROTOCOL_FORMATS:
             raise ManifestError(f"{path}: dataset {ds_id!r}: unknown format {fmt!r}")
@@ -151,12 +165,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     systems = []
     seen_sys = set()
     for entry in entries("systems"):
-        sys_id = entry.get("system_id")
-        if not sys_id or not isinstance(sys_id, str):
-            raise ManifestError(f"{path}: every system needs a string system_id")
-        if sys_id in seen_sys:
-            raise ManifestError(f"{path}: duplicate system_id {sys_id!r}")
-        seen_sys.add(sys_id)
+        sys_id = entry_id(entry, "system", seen_sys)
         polarity = entry.get("polarity", default_polarity)
         if polarity is None:
             raise ManifestError(

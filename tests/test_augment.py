@@ -257,6 +257,21 @@ class TestAugmentCorpus:
                 b = b.replace(b"out8", b"outX")
             assert a == b, name
 
+    def test_pool_never_outnumbers_the_input_files(self, tmp_path, monkeypatch):
+        workers = []
+        real_pool = augment.ThreadPoolExecutor
+
+        def spy(max_workers):
+            workers.append(max_workers)
+            return real_pool(max_workers=min(max_workers, 2))
+
+        monkeypatch.setattr(augment, "ThreadPoolExecutor", spy)
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=3)
+        spec = AugmentSpec("noise", build_interferer_dir(tmp_path / "src"), seed=5)
+        summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=64)
+        assert workers == [3]
+        assert len(summary.entries) == 3
+
     def test_different_seeds_differ(self, tmp_path):
         in_dir = build_wav_corpus(tmp_path / "in", n_files=1)
         src = build_interferer_dir(tmp_path / "src")

@@ -253,6 +253,24 @@ class TestLeaderboard:
         assert str(manifest) in record["message"] and repr(system_id) in record["message"]
         assert not store.exists()
 
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda doc: doc["datasets"][0].update(protocol_path="p\0.txt"), "protocol_path"),
+        (lambda doc: doc["systems"][0]["scores"].update(d1="s\0.txt"), "score path for 'd1'"),
+        (lambda doc: doc["options"].update(output_dir="out\0"), "options.output_dir"),
+        (lambda doc: doc["datasets"][0].update(dataset_id="d\nx"), repr("d\nx")),
+        (lambda doc: doc["systems"][0].update(system_id="sys\u2028A"), repr("sys\u2028A")),
+    ], ids=["protocol-path-nul", "score-path-nul", "output-dir-nul", "dataset-id-newline", "system-id-u2028"])
+    def test_nul_path_or_line_break_id_is_a_manifest_error(self, capsys, tmp_path, mutate, named):
+        manifest = build_arena(tmp_path)
+        doc = json.loads(manifest.read_text())
+        mutate(doc)
+        manifest.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["leaderboard", "--manifest", str(manifest)])
+        assert (code, out) == (1, "")
+        record = json.loads(err)
+        assert record["error"] == "ManifestError"
+        assert record["message"].startswith(f"{manifest}: ") and named in record["message"]
+
     def test_out_directory_is_an_error_record(self, capsys, tmp_path):
         manifest = build_arena(tmp_path)
         store = tmp_path / "runs.jsonl"

@@ -304,7 +304,7 @@ def joined_sets(draw):
     mapping.update((f"x{i}", v) for i, v in enumerate(values[len(ids):]))
     polarity = draw(st.sampled_from(["higher-is-bonafide", "higher-is-spoof"]))
     sign = 1.0 if polarity == "higher-is-bonafide" else -1.0
-    result = join(trials, ScoreSet(polarity, mapping), mode="intersect")
+    result = join(trials, ScoreSet(mapping), mode="intersect", polarity=polarity)
     kept = [(b, sign * mapping[t]) for t, b in zip(ids, labels) if t in mapping]
     bona = [v for b, v in kept if b]
     spoof = [v for b, v in kept if not b]

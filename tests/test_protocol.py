@@ -31,7 +31,7 @@ class TestParseProtocol:
         p = write_text(tmp_path / "p.txt", "a1 bonafide\na2 spoof\n")
         ts = parse_protocol(p)
         assert len(ts.ids) == 2
-        assert ts.n_bonafide == 1
+        assert int(ts.is_bonafide.sum()) == 1
         assert (ts.ids[0], bool(ts.is_bonafide[0])) == ("a1", True)
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -115,7 +115,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
                        max_size=8))
 @settings(max_examples=150)
 def test_score_round_trip(tmp_path_factory, mapping):
-    ss = ScoreSet("higher-is-bonafide", mapping)
+    ss = ScoreSet(mapping)
     if not all(map(_writable, mapping)):
         with pytest.raises(ScoreFileError, match="cannot be written"):
             serialize_scores(ss)
@@ -123,12 +123,14 @@ def test_score_round_trip(tmp_path_factory, mapping):
     path = tmp_path_factory.mktemp("rt") / "s.txt"
     path.write_text(serialize_scores(ss), encoding="utf-8")
     parsed = parse_scores(path)
-    assert parsed.scores == {k: float(v) for k, v in mapping.items()}
+    expected = {k: float(v) for k, v in mapping.items()}
+    assert parsed.scores == expected
+    assert parsed == ScoreSet(expected)
     assert all(type(v) is float for v in parsed.scores.values())
 
 
 def test_numpy_scores_serialize_as_plain_numbers():
-    ss = ScoreSet("higher-is-bonafide", {"t1": np.float64(0.5), "t2": np.float32(0.25)})
+    ss = ScoreSet({"t1": np.float64(0.5), "t2": np.float32(0.25)})
     assert serialize_scores(ss) == "t1 0.5\nt2 0.25\n"
 
 
@@ -218,8 +220,8 @@ def _trials(*pairs):
     return TrialSet(tuple(t for t, _ in pairs), np.array([label == BONAFIDE for _, label in pairs]))
 
 
-def _scores(mapping, polarity="higher-is-bonafide"):
-    return ScoreSet(polarity, dict(mapping))
+def _scores(mapping):
+    return ScoreSet(dict(mapping))
 
 
 class TestJoin:
@@ -253,8 +255,17 @@ class TestJoin:
 
     def test_polarity_negates(self):
         ts = _trials(("a1", BONAFIDE), ("a2", SPOOF))
-        res = join(ts, _scores({"a1": 0.9, "a2": 0.1}, polarity="higher-is-spoof"))
+        res = join(ts, _scores({"a1": 0.9, "a2": 0.1}), polarity="higher-is-spoof")
         assert res.rows == ((BONAFIDE, -0.9), (SPOOF, -0.1))
+
+    @pytest.mark.parametrize("option, value, allowed", [
+        ("mode", "outer", "('strict', 'intersect')"),
+        ("polarity", "higher-is-real", "('higher-is-bonafide', 'higher-is-spoof')"),
+    ])
+    def test_unknown_option_names_the_allowed_values(self, option, value, allowed):
+        ts = _trials(("a1", BONAFIDE), ("a2", SPOOF))
+        with pytest.raises(ValueError, match=re.escape(f"{value!r}; expected one of {allowed}")):
+            join(ts, _scores({"a1": 1.0, "a2": 0.0}), **{option: value})
 
 
 score_maps = st.dictionaries(
@@ -287,8 +298,8 @@ def test_polarity_negation_is_involution(mapping):
                  ("_pad_b", BONAFIDE), ("_pad_s", SPOOF))
     full = dict(mapping, _pad_b=1.0, _pad_s=0.0)
     negated = {k: -v for k, v in full.items()}
-    direct = join(ts, _scores(full, polarity="higher-is-bonafide"))
-    via_spoof = join(ts, _scores(negated, polarity="higher-is-spoof"))
+    direct = join(ts, _scores(full), polarity="higher-is-bonafide")
+    via_spoof = join(ts, _scores(negated), polarity="higher-is-spoof")
     assert direct.rows == via_spoof.rows
 
 
@@ -388,8 +399,12 @@ def _options(**fields):
                  "protocol_path must be a non-empty string", id="protocol-path-int"),
     pytest.param(lambda doc: doc["datasets"][0].pop("protocol_path"),
                  "protocol_path must be a non-empty string", id="protocol-path-missing"),
+    pytest.param(lambda doc: doc["datasets"][0].update(protocol_path="p\0.txt"),
+                 "protocol_path holds a NUL byte", id="protocol-path-nul"),
     pytest.param(lambda doc: doc["systems"][0]["scores"].update(d1=["scores/sysA_d1.txt"]),
                  "score path for 'd1' must be a non-empty string", id="score-path-list"),
+    pytest.param(lambda doc: doc["systems"][0]["scores"].update(d1="scores/\0.txt"),
+                 "score path for 'd1' holds a NUL byte", id="score-path-nul"),
     pytest.param(_system(param_count_millions="big"), "param_count_millions must be a number", id="params-string"),
     pytest.param(_system(param_count_millions=True), "param_count_millions must be a number", id="params-bool"),
     pytest.param(_system(param_count_millions=10**400), "param_count_millions must be a number", id="params-huge"),
@@ -403,6 +418,7 @@ def _options(**fields):
     pytest.param(_options(output_dir=0), "output_dir must be a non-empty string", id="output-dir-zero"),
     pytest.param(_options(output_dir=""), "output_dir must be a non-empty string", id="output-dir-empty"),
     pytest.param(_options(output_dir=[]), "output_dir must be a non-empty string", id="output-dir-empty-list"),
+    pytest.param(_options(output_dir="out\0"), "output_dir holds a NUL byte", id="output-dir-nul"),
     pytest.param(lambda doc: doc.update(manifest_version=True), "manifest_version must be 1", id="version-bool"),
     pytest.param(lambda doc: doc.update(manifest_version=1.0), "manifest_version must be 1", id="version-float"),
 ])
@@ -411,6 +427,17 @@ def test_wrong_typed_manifest_field_is_manifest_error(tmp_path, mutate, message)
     mutate(doc)
     bad = write_text(tmp_path / "bad.json", json.dumps(doc))
     with pytest.raises(ManifestError, match=re.escape(str(bad)) + ".*" + re.escape(message)):
+        load_manifest(bad)
+
+
+@pytest.mark.parametrize("kind", ["dataset", "system"])
+@pytest.mark.parametrize("char", ["\n", "\r", "\x85", "\u2028"])
+def test_id_with_a_line_break_is_manifest_error(tmp_path, kind, char):
+    doc = json.loads(build_arena(tmp_path).read_text())
+    bad_id = f"d{char}x"
+    doc[f"{kind}s"][0][f"{kind}_id"] = bad_id
+    bad = write_text(tmp_path / "bad.json", json.dumps(doc))
+    with pytest.raises(ManifestError, match=re.escape(f"{bad}: {kind}_id {bad_id!r} holds a control")):
         load_manifest(bad)
 
 
