@@ -13,7 +13,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
 
@@ -355,7 +355,7 @@ def augment_corpus(
     try:
         with open(manifest_path, "w", encoding="utf-8") as fh:
             for outcome in entries:  # input order, independent of completion order
-                fh.write(json.dumps(asdict(outcome), sort_keys=True) + "\n")
+                fh.write(json.dumps(vars(outcome), sort_keys=True) + "\n")
     except OSError as e:
         raise AugmentError(f"cannot write {manifest_path}: {e.strerror or e}") from e
     return AugmentSummary(entries=entries, failures=failures, manifest_path=str(manifest_path))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import math
@@ -195,7 +194,7 @@ def cmd_eval(args) -> int:
         report = evaluate(joined, system_id, dataset_id, decision_threshold=args.threshold)
     except ArenaError as e:
         raise type(e)(f"scores {args.scores}, protocol {args.protocol}: {e}") from e
-    _write_json(dataclasses.asdict(report), args.out)
+    _write_json(vars(report), args.out)
     return 0
 
 
@@ -289,7 +288,7 @@ def cmd_augment(args) -> int:
         "seed": spec.seed,
         "files_processed": len(summary.entries),
         "manifest": summary.manifest_path,
-        "entries": [dataclasses.asdict(e) for e in summary.entries],
+        "entries": [vars(e) for e in summary.entries],
         "failures": [{"input": path, "reason": reason} for path, reason in summary.failures],
     }
     _write_json(payload, None)
@@ -306,8 +305,7 @@ _ISSUE_LINE = "unreadable record at line {line_number} (byte offset {byte_offset
 
 def cmd_history(args) -> int:
     runs, issues = store_list(args.store)
-    runs = [dataclasses.asdict(r) for r in runs]
-    issues = [dataclasses.asdict(i) for i in issues]
+    runs, issues = [vars(r) for r in runs], [vars(i) for i in issues]
     if args.format == "json":
         _write_json({"runs": runs, "issues": issues}, args.out)
         return 0

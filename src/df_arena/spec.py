@@ -85,8 +85,8 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     Relative protocol/score paths are resolved against the manifest's own
     directory. Every score entry must reference a declared dataset; unless
     ``options.allow_gaps`` is set, every system must cover every dataset.
-    Ids may hold no control or line-break character (Unicode Cc, Zl, Zp), and
-    paths no NUL.
+    Ids and categories may hold no control or line-break character (Unicode
+    Cc, Zl, Zp), and paths no NUL.
     """
     from hashlib import sha256  # here, so that --version and history start without it
 
@@ -194,8 +194,13 @@ def load_manifest(path: str | Path) -> ArenaManifest:
         if params is not None and (isinstance(params, bool) or not isinstance(params, (int, float))
                                    or not abs(params) <= sys.float_info.max):
             raise ManifestError(f"{path}: system {sys_id!r}: param_count_millions must be a number")
-        if category is not None and not isinstance(category, str):
-            raise ManifestError(f"{path}: system {sys_id!r}: category must be a string")
+        if category is not None:
+            if not isinstance(category, str):
+                raise ManifestError(f"{path}: system {sys_id!r}: category must be a string")
+            if not _ID_FORBIDDEN_CHARS.isdisjoint(category):
+                raise ManifestError(
+                    f"{path}: system {sys_id!r}: category {category!r} holds a control or line-break character"
+                )
         params = None if params is None else float(params)
         systems.append(SystemSpec(sys_id, score_paths, polarity, params, category))
     if not systems:

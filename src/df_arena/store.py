@@ -11,7 +11,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import StoreError
@@ -72,6 +72,10 @@ def _check_record(doc: dict) -> None:
     one, and its ``gap_datasets``, where present, is a list of strings. Every
     record that passes constructs, so ``store_list`` lists exactly the lines
     ``from_dict`` accepts. Raises KeyError, TypeError or ValueError.
+
+    Every value read here must be a str, an exact int, a list or a dict, so a
+    float and None both fail wherever either does: ``store_list`` relies on it
+    when it decodes floats as None.
     """
     for key in ("run_id", "timestamp", "manifest_digest", "tool_version"):
         if not isinstance(doc[key], str):
@@ -112,7 +116,10 @@ class RunRecord:
     summaries: tuple[SystemSummary, ...]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, allow_nan=False)
+        # vars(), not asdict, which would deep-copy every float
+        doc = {**vars(self), "reports": [vars(r) for r in self.reports],
+               "summaries": [vars(s) for s in self.summaries]}
+        return json.dumps(doc, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
@@ -281,11 +288,32 @@ class StoredRun:
     n_datasets: int
 
 
+# json's parse_float hook: a float becomes None, which no _check_record check
+# accepts, so the floats that nothing here reads are never built
+_SKIP_FLOAT = {}.get
+
+
+def _read_record(raw: bytes) -> dict:
+    """One store line as a record that passes ``_check_record``, its floats decoded as None.
+
+    A line that fails is decoded again in full and checked again, so that the
+    error names a float as a float. Raises what ``json.loads`` or
+    ``_check_record`` raises.
+    """
+    try:
+        doc = json.loads(raw, parse_float=_SKIP_FLOAT)
+        _check_record(doc)
+    except (ValueError, KeyError, TypeError, RecursionError):
+        doc = json.loads(raw)
+        _check_record(doc)
+    return doc
+
+
 def store_list(store_path: str | Path) -> tuple[list[StoredRun], list[StoreIssue]]:
     """List runs in append order under a shared lock; a line that breaks the schema becomes an issue.
 
     Every line is checked against the whole record schema (``_check_record``),
-    but no report or summary object is built.
+    but no report or summary object, and no float, is built.
     """
     store_path = Path(store_path)
     runs: list[StoredRun] = []
@@ -300,8 +328,7 @@ def store_list(store_path: str | Path) -> tuple[list[StoredRun], list[StoreIssue
                 if raw.isspace():
                     continue
                 try:
-                    doc = json.loads(raw)
-                    _check_record(doc)
+                    doc = _read_record(raw)
                 except (ValueError, KeyError, TypeError, RecursionError) as e:  # incl. JSON and UTF-8 errors
                     issues.append(StoreIssue(lineno, line_offset, f"{type(e).__name__}: {e}"))
                 else:

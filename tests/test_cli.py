@@ -259,7 +259,9 @@ class TestLeaderboard:
         (lambda doc: doc["options"].update(output_dir="out\0"), "options.output_dir"),
         (lambda doc: doc["datasets"][0].update(dataset_id="d\nx"), repr("d\nx")),
         (lambda doc: doc["systems"][0].update(system_id="sys\u2028A"), repr("sys\u2028A")),
-    ], ids=["protocol-path-nul", "score-path-nul", "output-dir-nul", "dataset-id-newline", "system-id-u2028"])
+        (lambda doc: doc["systems"][0].update(category="open\nsource"), repr("open\nsource")),
+    ], ids=["protocol-path-nul", "score-path-nul", "output-dir-nul", "dataset-id-newline", "system-id-u2028",
+            "category-newline"])
     def test_nul_path_or_line_break_id_is_a_manifest_error(self, capsys, tmp_path, mutate, named):
         manifest = build_arena(tmp_path)
         doc = json.loads(manifest.read_text())

@@ -20,7 +20,9 @@ from df_arena.store import (
     EvalReport,
     RunRecord,
     StoredRun,
+    StoreIssue,
     SystemSummary,
+    _check_record,
     emit,
     rank,
     store_append,
@@ -338,6 +340,11 @@ class TestStore:
         (line,) = store.read_bytes().splitlines()
         assert RunRecord.from_dict(json.loads(line)) == arena_record
 
+    def test_to_json_equals_the_asdict_encoding(self, arena_record):
+        # gaps, a None pooled EER, params and categories (None, "" and a name); a computed record
+        for record in (_SCHEMA_RECORD, arena_record):
+            assert record.to_json() == json.dumps(dataclasses.asdict(record), sort_keys=True, allow_nan=False)
+
     def test_append_order_preserved(self, tmp_path, arena_record):
         store = tmp_path / "runs.jsonl"
         second = dataclasses.replace(arena_record, run_id="second")
@@ -434,6 +441,45 @@ class TestStore:
             assert issues == []
             assert runs == [StoredRun(record.run_id, record.timestamp, record.manifest_digest,
                                       record.tool_version, len(record.summaries), len(record.dataset_ids))]
+
+    @given(data=st.data())
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_listing_equals_the_full_decode_reference(self, tmp_path, data):
+        """Any one value set to any JSON type, or any key deleted: the same runs and issues as a
+        listing that decodes every float."""
+        lines = [_SCHEMA_RECORD.to_json().encode("utf-8")]
+        for _ in range(data.draw(st.integers(1, 2), label="mutated lines")):
+            doc = json.loads(_SCHEMA_RECORD.to_json())
+            path = data.draw(st.sampled_from(list(_json_paths(doc))), label="path")
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans(), label="delete"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(_mutant_values, label="value")
+            lines.append(json.dumps(doc).encode("utf-8"))
+        store = tmp_path / "runs.jsonl"
+        store.write_bytes(b"".join(line + b"\n" for line in lines))
+        runs, issues = store_list(store)
+        assert (runs, issues) == _full_decode_listing(lines)
+
+    @pytest.mark.parametrize("mutate, reason", [
+        (lambda doc: doc.update(run_id=1.5), "TypeError: run_id must be a string, got float"),
+        (lambda doc: doc.update(dataset_ids=[0.5]), "TypeError: dataset_ids must be a list of strings"),
+        (lambda doc: doc["summaries"][2].update(gap_datasets=[2.5]),
+         "TypeError: summaries[2].gap_datasets must be a list of strings"),
+        (lambda doc: doc.update(record_version=1.0), "TypeError: record_version must be an integer >= 1, got 1.0"),
+        (lambda doc: doc.update(reports=1.5), "TypeError: reports must be a list, got float"),
+    ], ids=["run-id", "dataset-ids-item", "gap-datasets-item", "record-version", "reports"])
+    def test_float_where_the_schema_reads_a_value_is_named_as_float(self, tmp_path, mutate, reason):
+        doc = json.loads(_SCHEMA_RECORD.to_json())
+        mutate(doc)
+        line = json.dumps(doc).encode("utf-8")
+        store = tmp_path / "runs.jsonl"
+        store.write_bytes(line + b"\n")
+        assert store_list(store) == ([], [StoreIssue(1, 0, reason)])
+        assert _full_decode_listing([line]) == ([], [StoreIssue(1, 0, reason)])
 
     def test_newer_record_version_reported_not_loaded(self, tmp_path, arena_record):
         store = tmp_path / "runs.jsonl"
@@ -552,6 +598,37 @@ _SCHEMA_RECORD = dataclasses.replace(golden_record(), reports=(
     EvalReport("sysA", "d1", 0.1, 0.5, 0.9, 0.9, 0.9, 0.5, 90, 210),
     EvalReport("sysC", "d1", 0.3, -0.5, 0.7, 0.7, 0.6, -0.5, 90, 210),
 ))
+
+_mutant_values = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.one_of(st.floats(), st.integers(-2, 2), st.none(), st.text(max_size=2)), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.one_of(st.floats(), st.integers(0, 2)), max_size=2),
+)
+
+
+def _json_paths(node, prefix=()):
+    """The key path to every value below node, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _full_decode_listing(lines):
+    """What store_list must give for these lines, from json.loads and _check_record alone."""
+    runs, issues, offset = [], [], 0
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            doc = json.loads(line)
+            _check_record(doc)
+        except (ValueError, KeyError, TypeError) as e:
+            issues.append(StoreIssue(lineno, offset, f"{type(e).__name__}: {e}"))
+        else:
+            runs.append(StoredRun(doc["run_id"], doc["timestamp"], doc["manifest_digest"], doc["tool_version"],
+                                  len(doc["summaries"]), len(doc["dataset_ids"])))
+        offset += len(line) + 1
+    return runs, issues
+
 
 _json_values = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False),

@@ -441,6 +441,17 @@ def test_id_with_a_line_break_is_manifest_error(tmp_path, kind, char):
         load_manifest(bad)
 
 
+@pytest.mark.parametrize("char", ["\n", "\r", "\x85", "\u2028"])
+def test_category_with_a_line_break_is_manifest_error(tmp_path, char):
+    doc = json.loads(build_arena(tmp_path).read_text())
+    category = f"open{char}source"
+    doc["systems"][0]["category"] = category
+    bad = write_text(tmp_path / "bad.json", json.dumps(doc))
+    named = re.escape(f"{bad}: system ") + ".*" + re.escape(f"category {category!r} holds a control")
+    with pytest.raises(ManifestError, match=named):
+        load_manifest(bad)
+
+
 def test_manifest_directory_is_manifest_error(tmp_path):
     with pytest.raises(ManifestError, match="cannot read manifest"):
         load_manifest(tmp_path)
