@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AudioError, AugmentError
+from .errors import AudioError, AugmentError, open_output
 from .spec import CLIP_POLICIES, AugmentSpec, _amplitude_ratio
 from .wavio import decode_wav, read_wav, rms, write_wav
 
@@ -352,10 +352,7 @@ def augment_corpus(
     failures = tuple(failure for _, failure in results if failure is not None)
 
     manifest_path = out_dir / MANIFEST_NAME
-    try:
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            for outcome in entries:  # input order, independent of completion order
-                fh.write(json.dumps(vars(outcome), sort_keys=True) + "\n")
-    except OSError as e:
-        raise AugmentError(f"cannot write {manifest_path}: {e.strerror or e}") from e
+    with open_output(manifest_path, AugmentError) as fh:
+        for outcome in entries:  # input order, independent of completion order
+            fh.write((json.dumps(vars(outcome), sort_keys=True) + "\n").encode("utf-8"))
     return AugmentSummary(entries=entries, failures=failures, manifest_path=str(manifest_path))

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ArenaError, AugmentError
+from .errors import ArenaError, AugmentError, open_output
 from .spec import (CATEGORIES, CLIP_POLICIES, HIGHER_IS_BONAFIDE, JOIN_MODES, MANIFEST_VERSION,
                    MAX_SCORER_TIMEOUT_S, POLARITIES, PROTOCOL_FORMATS, AugmentSpec, load_manifest)
 from .store import EMIT_FORMATS, RANK_KEYS, RECORD_VERSION, emit, store_append, store_list
@@ -83,10 +83,8 @@ def _write_payload(text: str, out: str | Path | None) -> None:
             _discard_unwritten(sys.stdout)
             raise ArenaError(f"cannot write stdout: {e.strerror or e}") from e
         return
-    try:
-        Path(out).write_text(text, encoding="utf-8")
-    except OSError as e:
-        raise ArenaError(f"cannot write {out}: {e.strerror or e}") from e
+    with open_output(out, ArenaError) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _write_json(payload: dict, out: str | None) -> None:

@@ -2,7 +2,10 @@
 
 Every data or runtime failure raises an :class:`ArenaError` subclass; the
 CLI maps those to exit code 1 (usage errors are argparse's exit code 2).
+Every output file except the run store is opened by :func:`open_output`.
 """
+
+from contextlib import contextmanager
 
 
 class ArenaError(Exception):
@@ -47,3 +50,17 @@ class AugmentError(ArenaError):
 
 class StoreError(ArenaError):
     """Run store cannot be written."""
+
+
+@contextmanager
+def open_output(path, error_cls: type[ArenaError]):
+    """Open ``path`` for binary writing and yield the file.
+
+    An OSError raised in the block, or by the close, becomes
+    ``error_cls("cannot write <path>: <reason>")``.
+    """
+    try:
+        with open(path, "wb") as fh:
+            yield fh
+    except OSError as e:
+        raise error_cls(f"cannot write {path}: {e.strerror or e}") from e

@@ -41,6 +41,26 @@ DEFAULT_SNR_RANGES = {
 }
 
 
+def _encodes_as_utf8(text: str) -> bool:
+    """False for a str holding a lone surrogate, which no UTF-8 output can carry."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def text_fault(text: str) -> str | None:
+    """Why ``text`` cannot stand in one line of a UTF-8 report, or None if it can.
+
+    The rule for every name a report or listing prints: no Cc, Zl or Zp
+    character, and no lone surrogate.
+    """
+    if not _ID_FORBIDDEN_CHARS.isdisjoint(text):
+        return "holds a control or line-break character"
+    return None if _encodes_as_utf8(text) else "does not encode as UTF-8"
+
+
 def _preview(ids, limit=10) -> str:
     ids = sorted(ids)
     head = ", ".join(ids[:limit])
@@ -86,7 +106,8 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     directory. Every score entry must reference a declared dataset; unless
     ``options.allow_gaps`` is set, every system must cover every dataset.
     Ids and categories may hold no control or line-break character (Unicode
-    Cc, Zl, Zp), and paths no NUL.
+    Cc, Zl, Zp), and paths no NUL; neither may hold a lone surrogate, which
+    does not encode as UTF-8.
     """
     from hashlib import sha256  # here, so that --version and history start without it
 
@@ -129,16 +150,22 @@ def load_manifest(path: str | Path) -> ArenaManifest:
             raise ManifestError(f"{path}: {field} must be a non-empty string, got {p!r}")
         if "\0" in p:
             raise ManifestError(f"{path}: {field} holds a NUL byte: {p!r}")
+        if not _encodes_as_utf8(p):
+            raise ManifestError(f"{path}: {field} does not encode as UTF-8: {p!r}")
         p = Path(p)
         return p if p.is_absolute() else base / p
+
+    def check_text(value: str, field: str) -> None:
+        fault = text_fault(value)
+        if fault:
+            raise ManifestError(f"{path}: {field} {value!r} {fault}")
 
     def entry_id(entry: dict, kind: str, seen: set) -> str:
         key = f"{kind}_id"
         value = entry.get(key)
         if not value or not isinstance(value, str):
             raise ManifestError(f"{path}: every {kind} needs a string {key}")
-        if not _ID_FORBIDDEN_CHARS.isdisjoint(value):
-            raise ManifestError(f"{path}: {key} {value!r} holds a control or line-break character")
+        check_text(value, key)
         if value in seen:
             raise ManifestError(f"{path}: duplicate {key} {value!r}")
         seen.add(value)
@@ -197,10 +224,7 @@ def load_manifest(path: str | Path) -> ArenaManifest:
         if category is not None:
             if not isinstance(category, str):
                 raise ManifestError(f"{path}: system {sys_id!r}: category must be a string")
-            if not _ID_FORBIDDEN_CHARS.isdisjoint(category):
-                raise ManifestError(
-                    f"{path}: system {sys_id!r}: category {category!r} holds a control or line-break character"
-                )
+            check_text(category, f"system {sys_id!r}: category")
         params = None if params is None else float(params)
         systems.append(SystemSpec(sys_id, score_paths, polarity, params, category))
     if not systems:

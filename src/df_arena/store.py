@@ -15,6 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import StoreError
+from .spec import text_fault
 
 RECORD_VERSION = 1
 
@@ -66,7 +67,8 @@ _SUMMARY_REQUIRED = frozenset(f.name for f in fields(SystemSummary) if f.default
 def _check_record(doc: dict) -> None:
     """The v1 record schema, which ``RunRecord.from_dict`` and ``store_list`` both apply.
 
-    Header fields are type-checked. Reports and summaries are checked by their
+    Header fields are strings that ``spec.text_fault`` passes, so that each
+    prints on one line of ``history``. Reports and summaries are checked by their
     field names, not their values: a report has exactly ``EvalReport``'s
     fields, a summary every required ``SystemSummary`` field and no unknown
     one, and its ``gap_datasets``, where present, is a list of strings. Every
@@ -80,6 +82,9 @@ def _check_record(doc: dict) -> None:
     for key in ("run_id", "timestamp", "manifest_digest", "tool_version"):
         if not isinstance(doc[key], str):
             raise TypeError(f"{key} must be a string, got {type(doc[key]).__name__}")
+        fault = text_fault(doc[key])
+        if fault:
+            raise ValueError(f"{key} {fault}")
     version = doc["record_version"]
     if type(version) is not int or version < 1:
         raise TypeError(f"record_version must be an integer >= 1, got {version!r}")

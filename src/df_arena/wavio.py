@@ -1,8 +1,9 @@
 """Minimal RIFF/WAVE reader-writer for 16 kHz mono corpora.
 
-Supports exactly what the augmentation pipeline consumes: PCM 16-bit and
+Reads exactly what the augmentation pipeline consumes: PCM 16-bit and
 IEEE float 32-bit, mono, 16000 Hz. Anything else is a hard error; there is
-no silent resampling or downmixing. Output is always PCM 16-bit, no dither.
+no silent resampling or downmixing. Output is always PCM 16-bit, no dither,
+written by the standard library's ``wave`` behind a canonical 44-byte header.
 
 In memory, audio is a plain 1-D float64 array at full scale (PCM16 is scaled
 by 1/32768). Samples are checked only where they cross a file: by
@@ -12,11 +13,12 @@ by 1/32768). Samples are checked only where they cross a file: by
 from __future__ import annotations
 
 import struct
+import wave
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AudioError
+from .errors import AudioError, open_output
 
 REQUIRED_SAMPLE_RATE = 16000
 
@@ -121,30 +123,8 @@ def write_wav(path: str | Path, samples: np.ndarray) -> None:
     q *= 32768.0
     np.rint(q, out=q)
     np.minimum(q, 32767.0, out=q)  # q >= -32768 already, so only the top can overflow int16
-    payload = q.astype("<i2")
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + payload.nbytes),
-            b"WAVE",
-            b"fmt ",
-            struct.pack(
-                "<IHHIIHH",
-                16,
-                _FMT_PCM,
-                1,
-                REQUIRED_SAMPLE_RATE,
-                REQUIRED_SAMPLE_RATE * 2,
-                2,
-                16,
-            ),
-            b"data",
-            struct.pack("<I", payload.nbytes),
-        ]
-    )
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-    except OSError as e:
-        raise AudioError(f"cannot write {path}: {e.strerror or e}") from e
+    with open_output(path, AudioError) as fh, wave.open(fh, "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(2)
+        w.setframerate(REQUIRED_SAMPLE_RATE)
+        w.writeframes(q.astype(np.int16))  # native order: wave swaps the bytes on a big-endian host

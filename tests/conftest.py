@@ -1,4 +1,10 @@
+import errno
+import io
+import os
+import resource
+import signal
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -6,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import df_arena.errors
 from df_arena.store import RECORD_VERSION, RunRecord, SystemSummary
 from df_arena.wavio import write_wav
 
@@ -235,3 +242,52 @@ def wav_bytes(samples_bytes, *, fmt=1, channels=1, rate=16000, bits=16):
 def write_float32_wav(path: Path, samples: np.ndarray) -> None:
     """Write IEEE float 32-bit mono (write_wav only writes PCM16)."""
     path.write_bytes(wav_bytes(samples.astype("<f4").tobytes(), fmt=3, bits=32))
+
+
+class FullDisk(io.BytesIO):
+    """A file on a device that fills after ``room`` bytes: the write that crosses
+    that point stores what fits and fails with ENOSPC, as every later write does.
+    ``stored`` holds the bytes once the file is closed."""
+
+    def __init__(self, room: int):
+        super().__init__()
+        self.room = room
+        self.stored = None
+
+    def write(self, data) -> int:
+        data = bytes(data)
+        fits = max(0, self.room - self.tell())
+        if len(data) > fits:
+            super().write(data[:fits])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+    def close(self) -> None:
+        if not self.closed:
+            self.stored = self.getvalue()
+        super().close()
+
+
+def fill_disk_after(monkeypatch, room: int, name: str | None = None) -> list[FullDisk]:
+    """Make ``errors.open_output`` open a FullDisk of ``room`` bytes instead of the file,
+    only for a file called ``name`` when one is given. Returns the FullDisks it opens."""
+    opened = []
+
+    def fake_open(path, mode):
+        if name is not None and Path(path).name != name:
+            return open(path, mode)
+        opened.append(FullDisk(room))
+        return opened[-1]
+
+    monkeypatch.setattr(df_arena.errors, "open", fake_open, raising=False)
+    return opened
+
+
+def run_with_file_size_limit(argv, limit: int) -> subprocess.CompletedProcess:
+    """``python argv`` with RLIMIT_FSIZE at ``limit`` bytes, so that a write past it fails with EFBIG."""
+
+    def cap():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # else the signal kills the child
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, preexec_fn=cap)

@@ -30,8 +30,10 @@ from df_arena.wavio import read_wav, rms, write_wav
 from conftest import (
     build_interferer_dir,
     build_wav_corpus,
+    fill_disk_after,
     make_noise,
     make_tone,
+    run_with_file_size_limit,
     wav_bytes,
     write_float32_wav,
 )
@@ -304,6 +306,35 @@ class TestAugmentCorpus:
         (tmp_path / "out" / "augment_manifest.jsonl").mkdir(parents=True)
         with pytest.raises(AugmentError, match="cannot write .*augment_manifest.jsonl"):
             augment_corpus(in_dir, tmp_path / "out", AugmentSpec("noise", src, seed=1))
+
+    def test_full_disk_at_any_byte_of_the_manifest_is_augment_error(self, tmp_path, monkeypatch):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=1, seconds=0.01)
+        spec = AugmentSpec("noise", build_interferer_dir(tmp_path / "src"), seed=1)
+        out = tmp_path / "out"
+        augment_corpus(in_dir, out, spec)
+        manifest = out / augment.MANIFEST_NAME
+        expected = manifest.read_bytes()
+        for room in range(len(expected)):
+            fill_disk_after(monkeypatch, room, name=augment.MANIFEST_NAME)
+            with pytest.raises(AugmentError) as exc:
+                augment_corpus(in_dir, out, spec)
+            assert (type(exc.value), str(exc.value)) == (
+                AugmentError, f"cannot write {manifest}: No space left on device")
+        opened = fill_disk_after(monkeypatch, len(expected), name=augment.MANIFEST_NAME)
+        augment_corpus(in_dir, out, spec)
+        [disk] = opened
+        assert disk.stored == expected
+
+    def test_file_size_limit_on_the_manifest_is_one_error_record(self, tmp_path):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=3, seconds=0.01)  # 364-byte outputs
+        src = build_interferer_dir(tmp_path / "src")
+        out = tmp_path / "out"
+        proc = run_with_file_size_limit(["-m", "df_arena.cli", "augment", "--in", str(in_dir), "--out", str(out),
+                                         "--category", "noise", "--source", str(src), "--seed", "1"], limit=400)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {"error": "AugmentError",
+                                           "message": f"cannot write {out / augment.MANIFEST_NAME}: File too large"}
+        assert sorted(p.name for p in out.glob("*.wav")) == ["utt000.wav", "utt001.wav", "utt002.wav"]
 
     def test_directory_at_an_output_name_fails_only_that_file(self, tmp_path):
         in_dir = build_wav_corpus(tmp_path / "in", n_files=3)

@@ -20,7 +20,7 @@ from df_arena.errors import ArenaError
 from df_arena.store import store_append
 
 from conftest import OPEN_SOURCE_SYSTEMS, build_arena, golden_record, protocol_text, scores_text, write_text
-from conftest import build_interferer_dir, build_wav_corpus
+from conftest import build_interferer_dir, build_wav_corpus, fill_disk_after, run_with_file_size_limit
 
 
 def run_cli(capsys, argv):
@@ -169,6 +169,12 @@ class TestPool:
                                      "ROC needs both classes; got 0 bonafide and 3 spoof scores")
 
 
+def _rename_dataset(doc, old, new):
+    next(d for d in doc["datasets"] if d["dataset_id"] == old)["dataset_id"] = new
+    for system in doc["systems"]:
+        system["scores"][new] = system["scores"].pop(old)
+
+
 class TestLeaderboard:
     def test_csv_has_header_and_rows(self, capsys, tmp_path):
         manifest = build_arena(tmp_path)
@@ -260,8 +266,11 @@ class TestLeaderboard:
         (lambda doc: doc["datasets"][0].update(dataset_id="d\nx"), repr("d\nx")),
         (lambda doc: doc["systems"][0].update(system_id="sys\u2028A"), repr("sys\u2028A")),
         (lambda doc: doc["systems"][0].update(category="open\nsource"), repr("open\nsource")),
+        (lambda doc: _rename_dataset(doc, "d2", "d\ud800"), repr("d\ud800")),
+        (lambda doc: doc["systems"][1].update(system_id="sys\ud800B"), repr("sys\ud800B")),
+        (lambda doc: doc["datasets"][0].update(protocol_path="protocols/\ud800.txt"), "protocol_path"),
     ], ids=["protocol-path-nul", "score-path-nul", "output-dir-nul", "dataset-id-newline", "system-id-u2028",
-            "category-newline"])
+            "category-newline", "dataset-id-surrogate", "system-id-surrogate", "protocol-path-surrogate"])
     def test_nul_path_or_line_break_id_is_a_manifest_error(self, capsys, tmp_path, mutate, named):
         manifest = build_arena(tmp_path)
         doc = json.loads(manifest.read_text())
@@ -272,6 +281,14 @@ class TestLeaderboard:
         record = json.loads(err)
         assert record["error"] == "ManifestError"
         assert record["message"].startswith(f"{manifest}: ") and named in record["message"]
+
+    def test_malformed_protocol_is_named_with_its_dataset(self, capsys, tmp_path):
+        manifest = build_arena(tmp_path)
+        protocol = write_text(tmp_path / "protocols" / "d2.txt", "b1 bonafide\nb2 spoof\nb3 maybe\n")
+        code, out, err = run_cli(capsys, ["leaderboard", "--manifest", str(manifest)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "ProtocolError",
+                                   "message": f"dataset 'd2': {protocol}: line 3: unknown label token 'maybe'"}
 
     def test_out_directory_is_an_error_record(self, capsys, tmp_path):
         manifest = build_arena(tmp_path)
@@ -397,6 +414,64 @@ class TestHistory:
         doc = json.loads(out)
         assert [r["run_id"] for r in doc["runs"]] == ["0123456789ab"]
         assert [i["line_number"] for i in doc["issues"]] == [2]
+
+    @pytest.mark.parametrize("field", ["run_id", "timestamp", "manifest_digest", "tool_version"])
+    @pytest.mark.parametrize("char, fault", [
+        ("\n", "holds a control or line-break character"),
+        ("\r", "holds a control or line-break character"),
+        ("\x85", "holds a control or line-break character"),
+        ("\u2028", "holds a control or line-break character"),
+        ("\ud800", "does not encode as UTF-8"),
+    ], ids=["newline", "carriage-return", "next-line", "line-separator", "lone-surrogate"])
+    def test_header_string_that_breaks_the_listing_is_an_issue(self, capsys, tmp_path, field, char, fault):
+        store = tmp_path / "runs.jsonl"
+        store_append(store, golden_record())
+        offset = store.stat().st_size
+        doc = json.loads(golden_record().to_json())
+        forged = f"{doc[field]}{char}unreadable record at line 9 (byte offset 0): forged"
+        with open(store, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**doc, field: forged}) + "\n")
+        reason = f"ValueError: {field} {fault}"
+        code, out, _ = run_cli(capsys, ["history", "--store", str(store)])
+        assert code == 0
+        assert out.splitlines() == [
+            "0123456789ab  2025-01-01T00:00:00+00:00  digest=9f86d081884c  systems=3  datasets=2",
+            f"unreadable record at line 2 (byte offset {offset}): {reason}",
+        ]
+        code, out, _ = run_cli(capsys, ["history", "--store", str(store), "--format", "json"])
+        assert code == 0
+        listing = json.loads(out)
+        assert [r["run_id"] for r in listing["runs"]] == ["0123456789ab"]
+        assert listing["issues"] == [{"line_number": 2, "byte_offset": offset, "reason": reason}]
+
+
+class TestOutputFileFailure:
+    """An --out file that cannot be written: exit 1 and one error record, whatever byte the write stops at."""
+
+    def test_full_disk_at_any_byte_is_one_error_record(self, capsys, monkeypatch, perfect_pair, tmp_path):
+        protocol, scores = perfect_pair
+        out = tmp_path / "eval.json"
+        argv = ["eval", "--protocol", str(protocol), "--scores", str(scores), "--out", str(out)]
+        assert run_cli(capsys, argv)[:2] == (0, "")
+        expected = out.read_bytes()
+        for room in range(len(expected)):
+            fill_disk_after(monkeypatch, room)
+            code, stdout, err = run_cli(capsys, argv)
+            assert (code, stdout) == (1, "")
+            assert json.loads(err) == {"error": "ArenaError",
+                                       "message": f"cannot write {out}: No space left on device"}
+        opened = fill_disk_after(monkeypatch, len(expected))
+        assert run_cli(capsys, argv)[:2] == (0, "")
+        [disk] = opened
+        assert disk.stored == expected
+
+    def test_file_size_limit_is_one_error_record(self, perfect_pair, tmp_path):
+        protocol, scores = perfect_pair
+        out = tmp_path / "eval.json"
+        proc = run_with_file_size_limit(["-m", "df_arena.cli", "eval", "--protocol", str(protocol),
+                                         "--scores", str(scores), "--out", str(out)], limit=10)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert json.loads(proc.stderr) == {"error": "ArenaError", "message": f"cannot write {out}: File too large"}
 
 
 class TestCorrelate:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from df_arena.errors import ManifestError, StoreError
+from df_arena.errors import ManifestError, ProtocolError, StoreError
 from df_arena.leaderboard import evaluate_arena
 from df_arena.spec import load_manifest
 from df_arena.store import (
@@ -112,6 +112,13 @@ class TestEvaluateArena:
         (tmp_path / "scores" / "sysA_d2.txt").write_text("b1 0.5\n", encoding="utf-8")
         with pytest.raises(Exception, match="sysA.*d2"):
             evaluate_arena(load_manifest(tmp_path / "manifest.json"), tool_version="test")
+
+    def test_malformed_protocol_is_named_with_its_dataset(self, tmp_path):
+        manifest = build_arena(tmp_path)
+        protocol = write_text(tmp_path / "protocols" / "d2.txt", "b1 bonafide\nb2 spoof\nb3 maybe\n")
+        message = f"dataset 'd2': {protocol}: line 3: unknown label token 'maybe'"
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            evaluate_arena(load_manifest(manifest), tool_version="test")
 
     def test_eer_matrix_from_record(self, arena_record):
         matrix = arena_record.eer_matrix()

@@ -419,6 +419,20 @@ def _options(**fields):
     pytest.param(_options(output_dir=""), "output_dir must be a non-empty string", id="output-dir-empty"),
     pytest.param(_options(output_dir=[]), "output_dir must be a non-empty string", id="output-dir-empty-list"),
     pytest.param(_options(output_dir="out\0"), "output_dir holds a NUL byte", id="output-dir-nul"),
+    pytest.param(lambda doc: doc["datasets"][0].update(dataset_id="d\ud800"),
+                 "dataset_id " + repr("d\ud800") + " does not encode as UTF-8", id="dataset-id-surrogate"),
+    pytest.param(lambda doc: doc["systems"][0].update(system_id="\udcffsys"),
+                 "system_id " + repr("\udcffsys") + " does not encode as UTF-8", id="system-id-surrogate"),
+    pytest.param(_system(category="open\ud800"),
+                 "system 'sysA': category " + repr("open\ud800") + " does not encode as UTF-8",
+                 id="category-surrogate"),
+    pytest.param(lambda doc: doc["datasets"][0].update(protocol_path="p\ud800.txt"),
+                 "dataset 'd1': protocol_path does not encode as UTF-8: " + repr("p\ud800.txt"),
+                 id="protocol-path-surrogate"),
+    pytest.param(lambda doc: doc["systems"][0]["scores"].update(d1="\udcff.txt"),
+                 "score path for 'd1' does not encode as UTF-8: " + repr("\udcff.txt"), id="score-path-surrogate"),
+    pytest.param(_options(output_dir="out\ud800"),
+                 "options.output_dir does not encode as UTF-8: " + repr("out\ud800"), id="output-dir-surrogate"),
     pytest.param(lambda doc: doc.update(manifest_version=True), "manifest_version must be 1", id="version-bool"),
     pytest.param(lambda doc: doc.update(manifest_version=1.0), "manifest_version must be 1", id="version-float"),
 ])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from df_arena.errors import AudioError
 from df_arena.wavio import decode_wav, read_wav, rms, write_wav
 
-from conftest import make_tone, wav_bytes
+from conftest import fill_disk_after, make_tone, run_with_file_size_limit, wav_bytes
 from oracles import rms_by_hand
 
 
@@ -123,6 +123,40 @@ def test_write_refuses_what_pcm16_cannot_hold_and_leaves_no_file(tmp_path, sampl
 def test_write_to_a_directory_is_audio_error(tmp_path):
     with pytest.raises(AudioError, match=re.escape(f"cannot write {tmp_path}: ")):
         write_wav(tmp_path, make_tone(seconds=0.01))
+
+
+@pytest.mark.parametrize("n", [1, 2, 159, 160, 16001, 65536])
+def test_header_is_the_canonical_44_bytes(tmp_path, n):
+    path = tmp_path / "h.wav"
+    write_wav(path, np.linspace(-0.5, 0.5, n))
+    data = path.read_bytes()
+    assert len(data) == 44 + 2 * n
+    assert data[:44] == wav_bytes(data[44:])[:44]
+
+
+def test_full_disk_at_any_byte_is_audio_error(tmp_path, monkeypatch):
+    path = tmp_path / "full.wav"
+    tone = make_tone(seconds=0.01)
+    write_wav(path, tone)
+    expected = path.read_bytes()
+    for room in range(len(expected)):  # the header's 44 bytes included
+        fill_disk_after(monkeypatch, room)
+        with pytest.raises(AudioError) as exc:
+            write_wav(path, tone)
+        assert (type(exc.value), str(exc.value)) == (AudioError, f"cannot write {path}: No space left on device")
+    opened = fill_disk_after(monkeypatch, len(expected))
+    write_wav(path, tone)
+    [disk] = opened
+    assert disk.stored == expected
+
+
+def test_file_size_limit_inside_the_header_is_audio_error(tmp_path):
+    path = tmp_path / "capped.wav"
+    script = ("import numpy as np; from df_arena.wavio import write_wav\n"
+              "try:\n    write_wav(__import__('sys').argv[1], np.zeros(160))\n"
+              "except Exception as e:\n    print(type(e).__name__, e)")
+    proc = run_with_file_size_limit(["-c", script, str(path)], limit=20)
+    assert (proc.returncode, proc.stdout) == (0, f"AudioError cannot write {path}: File too large\n")
 
 
 def test_write_clamps_overrange(tmp_path):
