@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import JoinError, ProtocolError, ScoreFileError
+from .errors import JoinError, ProtocolError, ScoreFileError, decode_input, read_input
 from .spec import (HIGHER_IS_BONAFIDE, HIGHER_IS_SPOOF, JOIN_MODES, POLARITIES, PROTOCOL_FORMATS,
                    _preview, plain_number_text)
 
@@ -97,25 +97,18 @@ class JoinResult:
         return tuple(zip(_labels(self.is_bonafide), self.scores.tolist()))
 
 
-def _read_text(path: Path, error_cls) -> str:
-    try:
-        return path.read_text(encoding="utf-8-sig")
-    except FileNotFoundError:
-        raise error_cls(f"file not found: {path}")
-    except UnicodeDecodeError as e:
-        raise error_cls(f"{path} is not valid UTF-8: {e}")
-    except OSError as e:
-        raise error_cls(f"cannot read {path}: {e.strerror or e}")
+def _split_lines(text: str) -> list[str]:
+    """The lines of text: a line ends at '\\n', '\\r\\n' or a lone '\\r' (universal newlines).
+
+    str.splitlines() would also break at characters such as '\\x0c' or
+    '\\u2028' and shift the line numbers.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _content_lines(text: str):
-    """Yield (line_number, stripped_line), skipping blanks and '#' comments.
-
-    Lines end at '\\n' only; files are read with universal newlines, so '\\r\\n'
-    and a lone '\\r' arrive as '\\n'. str.splitlines() would also break at
-    characters such as '\\x0c' or '\\u2028' and shift the numbers.
-    """
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    """Yield (line_number, stripped_line), skipping blanks and '#' comments."""
+    for lineno, raw in enumerate(_split_lines(text), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -187,7 +180,7 @@ def parse_protocol(path: str | Path, format: str = "two-column") -> TrialSet:
             raise ValueError(f"unknown label token {label_token!r}")
         return fields
 
-    text = _read_text(path, ProtocolError)
+    text = decode_input(read_input(path, ProtocolError), path, ProtocolError)
     fields = _protocol_fields(_columns(text), two_column)
     if fields is not None:
         ids, label_tokens = fields
@@ -256,7 +249,7 @@ def parse_scores(path: str | Path) -> ScoreSet:
     by line, which names the first bad line.
     """
     path = Path(path)
-    text = _read_text(path, ScoreFileError)
+    text = decode_input(read_input(path, ScoreFileError), path, ScoreFileError)
     scores = _bulk_scores(_columns(text))
     if scores is None:
         scores = _parse_lines(path, text, ScoreFileError, _score_fields)

@@ -6,8 +6,8 @@ import shlex
 import subprocess
 from pathlib import Path
 
-from .errors import ScorerError
-from .protocol import ScoreSet, _content_lines, _read_text, _score_fields
+from .errors import ScorerError, decode_input, read_input
+from .protocol import ScoreSet, _content_lines, _score_fields, _split_lines
 from .spec import MAX_SCORER_TIMEOUT_S, _preview
 
 
@@ -34,7 +34,8 @@ def run_external_scorer(
     if any("\0" in arg for arg in argv):
         raise ScorerError(f"scorer command {command!r} holds a NUL byte")
     audio_list = Path(audio_list)
-    lines = list(_content_lines(_read_text(audio_list, ScorerError)))
+    text = decode_input(read_input(audio_list, ScorerError), audio_list, ScorerError)
+    lines = list(_content_lines(text))
     if not lines:
         raise ScorerError(f"audio list {audio_list} is empty")
     expected = {}
@@ -66,8 +67,7 @@ def run_external_scorer(
         raise ScorerError(f"scorer {argv[0]!r} wrote stdout that is not UTF-8: {e}") from None
 
     scores: dict[str, float] = {}
-    # a line ends at '\n', '\r\n' or a lone '\r', as when the scorer's output was read as text
-    for lineno, line in enumerate(stdout.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+    for lineno, line in enumerate(_split_lines(stdout), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AugmentError, ManifestError
+from .errors import AugmentError, ManifestError, decode_input, read_input
 
 HIGHER_IS_BONAFIDE = "higher-is-bonafide"
 HIGHER_IS_SPOOF = "higher-is-spoof"
@@ -112,16 +112,12 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     from hashlib import sha256  # here, so that --version and history start without it
 
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise ManifestError(f"manifest not found: {path}")
-    except OSError as e:
-        raise ManifestError(f"cannot read manifest {path}: {e.strerror or e}")
+    raw = read_input(path, ManifestError)
     digest = sha256(raw).hexdigest()
+    text = decode_input(raw, path, ManifestError)
     try:
-        doc = json.loads(raw.decode("utf-8-sig"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ManifestError(f"{path}: not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")

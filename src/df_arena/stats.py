@@ -14,13 +14,14 @@ default.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StatError
+from .errors import StatError, decode_input, read_input
 from .spec import plain_number_text
 from .store import csv_text
 
@@ -214,17 +215,11 @@ def load_matrix_csv(path) -> EerMatrix:
     """
     import csv
 
+    text = decode_input(read_input(path, StatError), path, StatError)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            # (file line, cells) of each non-blank row; line_num counts the blank lines too
-            rows = [(reader.line_num, r) for r in reader if r and any(cell.strip() for cell in r)]
-    except FileNotFoundError:
-        raise StatError(f"file not found: {path}") from None
-    except UnicodeDecodeError as e:
-        raise StatError(f"{path} is not valid UTF-8: {e}") from None
-    except OSError as e:
-        raise StatError(f"cannot read {path}: {e.strerror or e}") from None
+        # (file line, cells) of each non-blank row; line_num counts the blank lines too
+        rows = [(reader.line_num, r) for r in reader if r and any(cell.strip() for cell in r)]
     except csv.Error as e:
         raise StatError(f"{path}: not valid CSV: {e}") from None
     if len(rows) < 2 or len(rows[0][1]) < 2:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AudioError, open_output
+from .errors import AudioError, open_output, read_input
 
 REQUIRED_SAMPLE_RATE = 16000
 
@@ -40,12 +40,7 @@ def decode_wav(path: str | Path) -> tuple[np.ndarray, float]:
     for non-finite values, PCM16 ones need no scan.
     """
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise AudioError(f"file not found: {path}")
-    except OSError as e:
-        raise AudioError(f"cannot read {path}: {e.strerror or e}")
+    data = read_input(path, AudioError)
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise AudioError(f"{path}: truncated header or not a RIFF/WAVE file")
 

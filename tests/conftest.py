@@ -247,10 +247,14 @@ def write_float32_wav(path: Path, samples: np.ndarray) -> None:
 class FullDisk(io.BytesIO):
     """A file on a device that fills after ``room`` bytes: the write that crosses
     that point stores what fits and fails with ENOSPC, as every later write does.
-    ``stored`` holds the bytes once the file is closed."""
+    The close puts what it stored in the real file ``path`` (opened with ``mode``),
+    so a writer that renames or removes it acts on a real file. ``stored`` holds
+    the bytes once the file is closed."""
 
-    def __init__(self, room: int):
+    def __init__(self, path, mode: str, room: int):
         super().__init__()
+        self.path = path
+        self.mode = mode
         self.room = room
         self.stored = None
 
@@ -265,22 +269,46 @@ class FullDisk(io.BytesIO):
     def close(self) -> None:
         if not self.closed:
             self.stored = self.getvalue()
+            with open(self.path, self.mode) as fh:
+                fh.write(self.stored)
         super().close()
 
 
 def fill_disk_after(monkeypatch, room: int, name: str | None = None) -> list[FullDisk]:
     """Make ``errors.open_output`` open a FullDisk of ``room`` bytes instead of the file,
-    only for a file called ``name`` when one is given. Returns the FullDisks it opens."""
+    only for a file whose name holds ``name`` when one is given (the writer's temporary
+    file carries its target's name). Reads pass through. Returns the FullDisks it opens."""
     opened = []
 
     def fake_open(path, mode):
-        if name is not None and Path(path).name != name:
+        if mode == "rb" or (name is not None and name not in Path(path).name):
             return open(path, mode)
-        opened.append(FullDisk(room))
+        opened.append(FullDisk(path, mode, room))
         return opened[-1]
 
     monkeypatch.setattr(df_arena.errors, "open", fake_open, raising=False)
     return opened
+
+
+class FailingRead(io.BytesIO):
+    """A file whose every read fails with EIO, as on a failing disk."""
+
+    def read(self, *args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def fail_reads_of(monkeypatch, target: Path) -> None:
+    """Make ``errors.read_input`` open a FailingRead for ``target``; other files open as usual."""
+
+    def fake_open(path, mode):
+        return FailingRead() if mode == "rb" and Path(path) == Path(target) else open(path, mode)
+
+    monkeypatch.setattr(df_arena.errors, "open", fake_open, raising=False)
+
+
+def dir_listing(path: Path) -> list[str]:
+    """The names in directory ``path``, hidden ones (a writer's temporary files) included."""
+    return sorted(p.name for p in path.iterdir())
 
 
 def run_with_file_size_limit(argv, limit: int) -> subprocess.CompletedProcess:

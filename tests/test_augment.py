@@ -30,6 +30,7 @@ from df_arena.wavio import read_wav, rms, write_wav
 from conftest import (
     build_interferer_dir,
     build_wav_corpus,
+    dir_listing,
     fill_disk_after,
     make_noise,
     make_tone,
@@ -315,26 +316,34 @@ class TestAugmentCorpus:
         manifest = out / augment.MANIFEST_NAME
         expected = manifest.read_bytes()
         for room in range(len(expected)):
+            manifest.write_bytes(b"earlier run\n")
             fill_disk_after(monkeypatch, room, name=augment.MANIFEST_NAME)
             with pytest.raises(AugmentError) as exc:
                 augment_corpus(in_dir, out, spec)
             assert (type(exc.value), str(exc.value)) == (
                 AugmentError, f"cannot write {manifest}: No space left on device")
+            assert manifest.read_bytes() == b"earlier run\n"
+            assert dir_listing(out) == [augment.MANIFEST_NAME, "utt000.wav"]
         opened = fill_disk_after(monkeypatch, len(expected), name=augment.MANIFEST_NAME)
         augment_corpus(in_dir, out, spec)
         [disk] = opened
         assert disk.stored == expected
+        assert manifest.read_bytes() == expected
+        assert dir_listing(out) == [augment.MANIFEST_NAME, "utt000.wav"]
 
     def test_file_size_limit_on_the_manifest_is_one_error_record(self, tmp_path):
         in_dir = build_wav_corpus(tmp_path / "in", n_files=3, seconds=0.01)  # 364-byte outputs
         src = build_interferer_dir(tmp_path / "src")
         out = tmp_path / "out"
+        out.mkdir()
+        (out / augment.MANIFEST_NAME).write_bytes(b"earlier run\n")
         proc = run_with_file_size_limit(["-m", "df_arena.cli", "augment", "--in", str(in_dir), "--out", str(out),
                                          "--category", "noise", "--source", str(src), "--seed", "1"], limit=400)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert json.loads(proc.stderr) == {"error": "AugmentError",
                                            "message": f"cannot write {out / augment.MANIFEST_NAME}: File too large"}
-        assert sorted(p.name for p in out.glob("*.wav")) == ["utt000.wav", "utt001.wav", "utt002.wav"]
+        assert (out / augment.MANIFEST_NAME).read_bytes() == b"earlier run\n"
+        assert dir_listing(out) == [augment.MANIFEST_NAME, "utt000.wav", "utt001.wav", "utt002.wav"]
 
     def test_directory_at_an_output_name_fails_only_that_file(self, tmp_path):
         in_dir = build_wav_corpus(tmp_path / "in", n_files=3)

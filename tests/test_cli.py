@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ from df_arena.errors import ArenaError
 from df_arena.store import store_append
 
 from conftest import OPEN_SOURCE_SYSTEMS, build_arena, golden_record, protocol_text, scores_text, write_text
-from conftest import build_interferer_dir, build_wav_corpus, fill_disk_after, run_with_file_size_limit
+from conftest import build_interferer_dir, build_wav_corpus, dir_listing, fill_disk_after, run_with_file_size_limit
 
 
 def run_cli(capsys, argv):
@@ -446,7 +447,8 @@ class TestHistory:
 
 
 class TestOutputFileFailure:
-    """An --out file that cannot be written: exit 1 and one error record, whatever byte the write stops at."""
+    """An --out file that cannot be written: exit 1 and one error record, whatever byte the
+    write stops at, and the file keeps its earlier bytes or stays absent."""
 
     def test_full_disk_at_any_byte_is_one_error_record(self, capsys, monkeypatch, perfect_pair, tmp_path):
         protocol, scores = perfect_pair
@@ -455,23 +457,55 @@ class TestOutputFileFailure:
         assert run_cli(capsys, argv)[:2] == (0, "")
         expected = out.read_bytes()
         for room in range(len(expected)):
-            fill_disk_after(monkeypatch, room)
-            code, stdout, err = run_cli(capsys, argv)
-            assert (code, stdout) == (1, "")
-            assert json.loads(err) == {"error": "ArenaError",
-                                       "message": f"cannot write {out}: No space left on device"}
+            for earlier in (b"earlier run\n", None):
+                if earlier is None:
+                    out.unlink(missing_ok=True)
+                else:
+                    out.write_bytes(earlier)
+                listing = dir_listing(tmp_path)
+                fill_disk_after(monkeypatch, room)
+                code, stdout, err = run_cli(capsys, argv)
+                assert (code, stdout) == (1, "")
+                assert json.loads(err) == {"error": "ArenaError",
+                                           "message": f"cannot write {out}: No space left on device"}
+                assert dir_listing(tmp_path) == listing  # no temporary file is left
+                assert (out.read_bytes() if out.exists() else None) == earlier
+        out.write_bytes(b"earlier run\n")
         opened = fill_disk_after(monkeypatch, len(expected))
         assert run_cli(capsys, argv)[:2] == (0, "")
         [disk] = opened
         assert disk.stored == expected
+        assert out.read_bytes() == expected
+        assert dir_listing(tmp_path) == ["eval.json", "p.txt", "s.txt"]
 
     def test_file_size_limit_is_one_error_record(self, perfect_pair, tmp_path):
         protocol, scores = perfect_pair
         out = tmp_path / "eval.json"
+        out.write_bytes(b"earlier run\n")
         proc = run_with_file_size_limit(["-m", "df_arena.cli", "eval", "--protocol", str(protocol),
                                          "--scores", str(scores), "--out", str(out)], limit=10)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert json.loads(proc.stderr) == {"error": "ArenaError", "message": f"cannot write {out}: File too large"}
+        assert out.read_bytes() == b"earlier run\n"
+        assert dir_listing(tmp_path) == ["eval.json", "p.txt", "s.txt"]
+
+    def test_dev_null_is_written_in_place(self, capsys, perfect_pair):
+        protocol, scores = perfect_pair
+        argv = ["eval", "--protocol", str(protocol), "--scores", str(scores), "--out", os.devnull]
+        assert run_cli(capsys, argv) == (0, "", "")
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_symlink_is_written_through_not_replaced(self, capsys, perfect_pair, tmp_path):
+        protocol, scores = perfect_pair
+        target = tmp_path / "report.json"
+        target.write_bytes(b"earlier run\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target.name)
+        argv = ["eval", "--protocol", str(protocol), "--scores", str(scores), "--out", str(link)]
+        assert run_cli(capsys, argv)[:2] == (0, "")
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert json.loads(target.read_bytes())["eer"] == 0.0
+        assert dir_listing(tmp_path) == ["link.json", "p.txt", "report.json", "s.txt"]
 
 
 class TestCorrelate:

@@ -1,5 +1,6 @@
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from df_arena.errors import AudioError
 from df_arena.wavio import decode_wav, read_wav, rms, write_wav
 
-from conftest import fill_disk_after, make_tone, run_with_file_size_limit, wav_bytes
+from conftest import dir_listing, fill_disk_after, make_tone, run_with_file_size_limit, wav_bytes
 from oracles import rms_by_hand
 
 
@@ -139,15 +140,35 @@ def test_full_disk_at_any_byte_is_audio_error(tmp_path, monkeypatch):
     tone = make_tone(seconds=0.01)
     write_wav(path, tone)
     expected = path.read_bytes()
+    earlier = wav_bytes(b"\x01\x00" * 8)
     for room in range(len(expected)):  # the header's 44 bytes included
+        path.write_bytes(earlier)
         fill_disk_after(monkeypatch, room)
         with pytest.raises(AudioError) as exc:
             write_wav(path, tone)
         assert (type(exc.value), str(exc.value)) == (AudioError, f"cannot write {path}: No space left on device")
+        # no torn file: wave's close would have written sizes that declare an empty data chunk
+        assert path.read_bytes() == earlier
+        assert dir_listing(tmp_path) == ["full.wav"]
     opened = fill_disk_after(monkeypatch, len(expected))
     write_wav(path, tone)
     [disk] = opened
     assert disk.stored == expected
+    assert path.read_bytes() == expected
+    assert dir_listing(tmp_path) == ["full.wav"]
+
+
+def test_each_write_goes_through_its_own_temporary_file(tmp_path, monkeypatch):
+    # a leftover temporary file must not read as a WAV, and two writers must not share one
+    opened = fill_disk_after(monkeypatch, 10**6)
+    path = tmp_path / "t.wav"
+    write_wav(path, make_tone(seconds=0.01))
+    write_wav(path, make_tone(seconds=0.01))
+    names = [Path(disk.path).name for disk in opened]
+    assert [Path(disk.path).parent for disk in opened] == [tmp_path, tmp_path]
+    assert len(set(names)) == 2 and not any(name.endswith(".wav") for name in names)
+    assert [disk.mode for disk in opened] == ["xb", "xb"]
+    assert dir_listing(tmp_path) == ["t.wav"]
 
 
 def test_file_size_limit_inside_the_header_is_audio_error(tmp_path):
@@ -155,8 +176,13 @@ def test_file_size_limit_inside_the_header_is_audio_error(tmp_path):
     script = ("import numpy as np; from df_arena.wavio import write_wav\n"
               "try:\n    write_wav(__import__('sys').argv[1], np.zeros(160))\n"
               "except Exception as e:\n    print(type(e).__name__, e)")
-    proc = run_with_file_size_limit(["-c", script, str(path)], limit=20)
-    assert (proc.returncode, proc.stdout) == (0, f"AudioError cannot write {path}: File too large\n")
+    for earlier in (None, wav_bytes(b"\x01\x00" * 8)):
+        if earlier is not None:
+            path.write_bytes(earlier)
+        proc = run_with_file_size_limit(["-c", script, str(path)], limit=20)
+        assert (proc.returncode, proc.stdout) == (0, f"AudioError cannot write {path}: File too large\n")
+        assert (path.read_bytes() if path.exists() else None) == earlier
+        assert dir_listing(tmp_path) == ([] if earlier is None else ["capped.wav"])
 
 
 def test_write_clamps_overrange(tmp_path):
