@@ -10,19 +10,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import ArenaError, AugmentError, open_output
-from .spec import (CATEGORIES, CLIP_POLICIES, HIGHER_IS_BONAFIDE, JOIN_MODES, MANIFEST_VERSION,
-                   MAX_SCORER_TIMEOUT_S, POLARITIES, PROTOCOL_FORMATS, AugmentSpec, load_manifest)
-from .store import EMIT_FORMATS, RANK_KEYS, RECORD_VERSION, emit, store_append, store_list
-
-log = logging.getLogger("df_arena")
+from .vocab import (CATEGORIES, CLIP_POLICIES, EMIT_FORMATS, HIGHER_IS_BONAFIDE, JOIN_MODES,
+                    MANIFEST_VERSION, MAX_SCORER_TIMEOUT_S, POLARITIES, PROTOCOL_FORMATS, RANK_KEYS,
+                    RECORD_VERSION)
 
 _VERSION_TEXT = (
     f"df-arena {__version__} (manifest_version {MANIFEST_VERSION}, record_version {RECORD_VERSION})"
@@ -42,15 +38,34 @@ def _number(kind, accept, requirement: str):
     return parse
 
 
-# The numeric modules load inside the subcommands that compute, so --version,
-# history and usage errors start without numpy. perfbench/tracer.py rebinds
-# cli.evaluate_arena and cli.augment_corpus, so these two stay names of this
-# module: each imports its owner on first call. Once the tracer hooks the owning
-# modules (ROADMAP item 1), the handlers can import them directly and these go.
+# Each handler imports what it runs, so --version and usage errors load neither
+# spec nor store, and history loads store alone. perfbench/tracer.py rebinds
+# cli.evaluate_arena, cli.emit, cli.store_append, cli.store_list and
+# cli.augment_corpus, so these five stay names of this module: each imports its
+# owner on first call. Once the tracer hooks the owning modules (ROADMAP item 1a),
+# the handlers can import them directly and these go.
 def evaluate_arena(*args, **kwargs):
     from .leaderboard import evaluate_arena
 
     return evaluate_arena(*args, **kwargs)
+
+
+def emit(*args, **kwargs):
+    from .store import emit
+
+    return emit(*args, **kwargs)
+
+
+def store_append(*args, **kwargs):
+    from .store import store_append
+
+    return store_append(*args, **kwargs)
+
+
+def store_list(*args, **kwargs):
+    from .store import store_list
+
+    return store_list(*args, **kwargs)
 
 
 def augment_corpus(*args, **kwargs):
@@ -71,7 +86,7 @@ def _discard_unwritten(stream) -> None:
     os.close(devnull)
 
 
-def _write_payload(text: str, out: str | Path | None) -> None:
+def _write_payload(text: str, out: str | os.PathLike | None) -> None:
     """Write a payload to the file ``out``, or to stdout when there is none."""
     if not out:
         if sys.stdout is None:  # the interpreter started with file descriptor 1 closed
@@ -177,6 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_eval(args) -> int:
+    from pathlib import Path
+
     from .metrics import evaluate
     from .protocol import join, parse_protocol, parse_scores
 
@@ -187,8 +204,8 @@ def cmd_eval(args) -> int:
     try:
         joined = join(trials, scores, mode=args.mode, polarity=args.polarity)
         if joined.dropped_trials or joined.dropped_scores:
-            log.info("intersect join dropped %d trials and %d scores",
-                     joined.dropped_trials, joined.dropped_scores)
+            _log(args, "info", "intersect join dropped %d trials and %d scores",
+                 joined.dropped_trials, joined.dropped_scores)
         report = evaluate(joined, system_id, dataset_id, decision_threshold=args.threshold)
     except ArenaError as e:
         raise type(e)(f"scores {args.scores}, protocol {args.protocol}: {e}") from e
@@ -232,6 +249,8 @@ _REPORT_SUFFIX = {"markdown": "md", "csv": "csv", "json": "json"}
 
 
 def cmd_leaderboard(args) -> int:
+    from .spec import load_manifest
+
     manifest = load_manifest(args.manifest)
     record = evaluate_arena(manifest, tool_version=__version__)
     payload = emit(record, args.format, sort=args.sort)
@@ -243,11 +262,11 @@ def cmd_leaderboard(args) -> int:
         except OSError as e:
             raise ArenaError(f"cannot write {report_path}: {e.strerror or e}") from e
         _write_payload(payload, report_path)
-        log.info("report written to %s", report_path)
+        _log(args, "info", "report written to %s", report_path)
     _write_payload(payload, args.out)
     if args.store:  # after every write, so a run that failed to report is not recorded
         store_append(args.store, record)
-        log.info("appended run %s to %s", record.run_id, args.store)
+        _log(args, "info", "appended run %s to %s", record.run_id, args.store)
     return 0
 
 
@@ -267,10 +286,12 @@ def cmd_correlate(args) -> int:
 def cmd_augment(args) -> int:
     if (args.snr_low is None) != (args.snr_high is None):
         raise UsageError("--snr-low and --snr-high must be given together")
+    from .spec import AugmentSpec
+
     try:
         spec = AugmentSpec(
             category=args.category,
-            source_dir=Path(args.source),
+            source_dir=args.source,
             seed=args.seed,
             snr_range_db=None if args.snr_low is None else (args.snr_low, args.snr_high),
             clip_policy=args.clip_policy,
@@ -325,12 +346,29 @@ class UsageError(Exception):
     """Raised by subcommands for argument combinations argparse cannot check."""
 
 
+# df_arena writes only info and debug records, so at any other --log-level nothing
+# would print, and logging is not imported
+_LOGGED_LEVELS = ("debug", "info")
+
+
 def _setup_logging(level: str) -> None:
+    if level not in _LOGGED_LEVELS:
+        return
+    import logging
+
     logging.basicConfig(
         level=getattr(logging, level.upper()),
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
+
+
+def _log(args, level: str, message: str, *values, **kwargs) -> None:
+    """Log ``message`` at ``level`` on the ``df_arena`` logger, if ``--log-level`` lets it print."""
+    if args.log_level in _LOGGED_LEVELS:
+        import logging
+
+        getattr(logging.getLogger("df_arena"), level)(message, *values, **kwargs)
 
 
 def _error_record(exc: Exception) -> None:
@@ -347,6 +385,7 @@ def _error_record(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)  # --version writes its payload here
         _setup_logging(args.log_level)
@@ -357,7 +396,8 @@ def main(argv=None) -> int:
         _error_record(e)
         return 1
     except Exception as e:  # unexpected runtime failure: still exit 1, record kept parsable
-        log.debug("unexpected failure", exc_info=True)
+        if args is not None:
+            _log(args, "debug", "unexpected failure", exc_info=True)
         _error_record(e)
         return 1
 

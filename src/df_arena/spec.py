@@ -13,25 +13,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import AugmentError, ManifestError, decode_input, read_input
+# the manifest's and the recipe's words live in the leaf module vocab; importing them
+# here keeps spec.<name> valid for every one of them
+from .vocab import (ADDITIVE_CATEGORIES, CATEGORIES, CLIP_POLICIES, GAP_MARK, HIGHER_IS_BONAFIDE,
+                    HIGHER_IS_SPOOF, ID_COLUMN, JOIN_MODES, MANIFEST_VERSION, MAX_SCORER_TIMEOUT_S,
+                    OPTIONAL_COLUMNS, POLARITIES, PROTOCOL_FORMATS, SUMMARY_COLUMNS, _encodes_as_utf8,
+                    text_fault)
 
-HIGHER_IS_BONAFIDE = "higher-is-bonafide"
-HIGHER_IS_SPOOF = "higher-is-spoof"
-POLARITIES = (HIGHER_IS_BONAFIDE, HIGHER_IS_SPOOF)
-
-PROTOCOL_FORMATS = ("two-column", "asvspoof")
-
-JOIN_MODES = ("strict", "intersect")
-
-MANIFEST_VERSION = 1
-
-MAX_SCORER_TIMEOUT_S = 2_147_483  # the scorer is awaited by select.poll: whole ms in a C int
-
-# Unicode categories Cc, Zl and Zp, which the standard keeps fixed: every str.splitlines break, tab, NUL
-_ID_FORBIDDEN_CHARS = frozenset(map(chr, [*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029]))
-
-ADDITIVE_CATEGORIES = ("noise", "music", "speech")
-CATEGORIES = ADDITIVE_CATEGORIES + ("reverb",)
-CLIP_POLICIES = ("peak-normalize", "hard-clip")
+# every fixed column name of a leaderboard report -> the report format that writes it
+_REPORT_COLUMNS = {name: fmt for column in (ID_COLUMN, *OPTIONAL_COLUMNS, *SUMMARY_COLUMNS)
+                   for name, fmt in zip(column, ("csv", "markdown"))}
 
 # Default target-SNR ranges (dB) per additive category.
 DEFAULT_SNR_RANGES = {
@@ -39,26 +30,6 @@ DEFAULT_SNR_RANGES = {
     "speech": (13.0, 20.0),
     "music": (5.0, 15.0),
 }
-
-
-def _encodes_as_utf8(text: str) -> bool:
-    """False for a str holding a lone surrogate, which no UTF-8 output can carry."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
-def text_fault(text: str) -> str | None:
-    """Why ``text`` cannot stand in one line of a UTF-8 report, or None if it can.
-
-    The rule for every name a report or listing prints: no Cc, Zl or Zp
-    character, and no lone surrogate.
-    """
-    if not _ID_FORBIDDEN_CHARS.isdisjoint(text):
-        return "holds a control or line-break character"
-    return None if _encodes_as_utf8(text) else "does not encode as UTF-8"
 
 
 def _preview(ids, limit=10) -> str:
@@ -107,7 +78,8 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     ``options.allow_gaps`` is set, every system must cover every dataset.
     Ids and categories may hold no control or line-break character (Unicode
     Cc, Zl, Zp), and paths no NUL; neither may hold a lone surrogate, which
-    does not encode as UTF-8.
+    does not encode as UTF-8. A dataset_id may not be a fixed report column
+    name, and a system_id may not end in the gap mark ``*``.
     """
     from hashlib import sha256  # here, so that --version and history start without it
 
@@ -177,6 +149,9 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     seen_ds = set()
     for entry in entries("datasets"):
         ds_id = entry_id(entry, "dataset", seen_ds)
+        if ds_id in _REPORT_COLUMNS:
+            raise ManifestError(f"{path}: dataset_id {ds_id!r} is reserved: the {_REPORT_COLUMNS[ds_id]} "
+                                f"leaderboard has a fixed column {ds_id!r}")
         fmt = entry.get("format", PROTOCOL_FORMATS[0])
         if fmt not in PROTOCOL_FORMATS:
             raise ManifestError(f"{path}: dataset {ds_id!r}: unknown format {fmt!r}")
@@ -189,6 +164,9 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     seen_sys = set()
     for entry in entries("systems"):
         sys_id = entry_id(entry, "system", seen_sys)
+        if sys_id.endswith(GAP_MARK):
+            raise ManifestError(f"{path}: system_id {sys_id!r} ends in {GAP_MARK!r}, which the markdown "
+                                "leaderboard's System column appends to a system with dataset gaps")
         polarity = entry.get("polarity", default_polarity)
         if polarity is None:
             raise ManifestError(

@@ -12,16 +12,14 @@ import fcntl
 import json
 import os
 from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import StoreError
-from .spec import text_fault
-
-RECORD_VERSION = 1
-
-RANK_KEYS = ("pooled_eer", "average_eer")
-
-EMIT_FORMATS = ("markdown", "csv", "json")
+# the record's and the report's words live in the leaf module vocab; importing them
+# here keeps store.<name> valid for the documented ones
+from .vocab import (EMIT_FORMATS, GAP_MARK, ID_COLUMN, OPTIONAL_COLUMNS, RANK_KEYS, RECORD_VERSION,
+                    SUMMARY_COLUMNS, text_fault)
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ _SUMMARY_REQUIRED = frozenset(f.name for f in fields(SystemSummary) if f.default
 def _check_record(doc: dict) -> None:
     """The v1 record schema, which ``RunRecord.from_dict`` and ``store_list`` both apply.
 
-    Header fields are strings that ``spec.text_fault`` passes, so that each
+    Header fields are strings that ``vocab.text_fault`` passes, so that each
     prints on one line of ``history``. Reports and summaries are checked by their
     field names, not their values: a report has exactly ``EvalReport``'s
     fields, a summary every required ``SystemSummary`` field and no unknown
@@ -219,18 +217,17 @@ def emit(record: RunRecord, format: str, sort: str = "pooled_eer") -> str:
         raise ValueError(f"unknown report format {format!r}; expected one of {EMIT_FORMATS}")
     # (csv header, markdown header, value of a summary, markdown format or None for an
     # EER column); category and params appear only when some system has one
-    optional = [("category", "Category", lambda s: s.category, lambda c: c or "-"),
-                ("param_count_millions", "Params (M)", lambda s: s.param_count_millions, "{:.2f}".format)]
-    columns = [c for c in optional if any(c[2](s) is not None for s in ranked)]
+    formats = {"category": lambda c: c or "-", "param_count_millions": "{:.2f}".format}
+    columns = [(name, md, attrgetter(name), formats[name]) for name, md in OPTIONAL_COLUMNS
+               if any(getattr(s, name) is not None for s in ranked)]
     columns += [(d, d, lambda s, d=d: None if d in s.gap_datasets else s.per_dataset_eer.get(d), None)
                 for d in record.dataset_ids]
-    columns += [("average_eer", "Average", lambda s: s.average_eer, None),
-                ("pooled_eer", "Pooled", lambda s: s.pooled_eer, None)]
+    columns += [(name, md, attrgetter(name), None) for name, md in SUMMARY_COLUMNS]
     table = [[get(s) for _, _, get, _ in columns] for s in ranked]
 
     if format == "csv":
         # str of a float is its repr, which reads back to the same float
-        return csv_text([["system_id"] + [name for name, _, _, _ in columns]]
+        return csv_text([[ID_COLUMN[0]] + [name for name, _, _, _ in columns]]
                         + [[s.system_id] + ["" if v is None else str(v) for v in row]
                            for s, row in zip(ranked, table)])
 
@@ -238,11 +235,11 @@ def emit(record: RunRecord, format: str, sort: str = "pooled_eer") -> str:
         return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
 
     best = [min((v for v in col if v is not None), default=None) for col in zip(*table)]
-    header = ["System"] + [md for _, md, _, _ in columns]
+    header = [ID_COLUMN[1]] + [md for _, md, _, _ in columns]
     lines = [md_row(header), md_row(["---"] * len(header))]
     for s, row in zip(ranked, table):
         cells = [_fmt_cell(v, fmt, b) for v, (_, _, _, fmt), b in zip(row, columns, best)]
-        lines.append(md_row([s.system_id + ("*" if s.gap_datasets else "")] + cells))
+        lines.append(md_row([s.system_id + (GAP_MARK if s.gap_datasets else "")] + cells))
     if any(s.gap_datasets for s in ranked):
         lines.append("")
         lines.append(

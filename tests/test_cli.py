@@ -283,6 +283,27 @@ class TestLeaderboard:
         assert record["error"] == "ManifestError"
         assert record["message"].startswith(f"{manifest}: ") and named in record["message"]
 
+    # Each manifest used to exit 0: a dataset named like a fixed column repeated a header
+    # name, and a system id ending in "*" read in markdown as a system with dataset gaps.
+    @pytest.mark.parametrize("fmt, mutate, named", [
+        ("markdown", lambda doc: _rename_dataset(doc, "d2", "Pooled"), "dataset_id 'Pooled'"),
+        ("csv", lambda doc: _rename_dataset(doc, "d1", "average_eer"), "dataset_id 'average_eer'"),
+        ("json", lambda doc: doc["systems"][0].update(system_id="sysA*"), "system_id 'sysA*'"),
+    ])
+    def test_reserved_report_name_is_a_manifest_error(self, capsys, tmp_path, fmt, mutate, named):
+        manifest = build_arena(tmp_path)
+        doc = json.loads(manifest.read_text())
+        mutate(doc)
+        manifest.write_text(json.dumps(doc))
+        store = tmp_path / "runs.jsonl"
+        code, out, err = run_cli(capsys, ["leaderboard", "--manifest", str(manifest), "--format", fmt,
+                                          "--store", str(store)])
+        assert (code, out) == (1, "")
+        record = json.loads(err)
+        assert record["error"] == "ManifestError"
+        assert record["message"].startswith(f"{manifest}: {named}")
+        assert not store.exists()
+
     def test_malformed_protocol_is_named_with_its_dataset(self, capsys, tmp_path):
         manifest = build_arena(tmp_path)
         protocol = write_text(tmp_path / "protocols" / "d2.txt", "b1 bonafide\nb2 spoof\nb3 maybe\n")
@@ -794,15 +815,24 @@ class TestUsage:
         assert exc.value.code == 2
 
 
-def _modules_after(argv) -> set[str]:
-    """sys.modules of a fresh interpreter after ``import df_arena.cli`` and, unless argv is None, main(argv)."""
+def _fresh_main(argv) -> tuple[int | None, str, set[str]]:
+    """``import df_arena.cli`` and, unless argv is None, main(argv) in a fresh interpreter.
+
+    Returns main's exit code (None without argv), its stdout and the interpreter's sys.modules.
+    """
     code = ("import json, sys\nfrom df_arena.cli import main\n"
-            f"argv = {argv!r}\n"
+            f"argv, code = {argv!r}, None\n"
             "if argv is not None:\n"
-            "    try:\n        main(argv)\n    except SystemExit:\n        pass\n"
-            "print(json.dumps(sorted(sys.modules)))\n")
+            "    try:\n        code = main(argv)\n    except SystemExit as e:\n        code = e.code\n"
+            "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    *payload, last = proc.stdout.splitlines(keepends=True)
+    doc = json.loads(last)
+    return doc["code"], "".join(payload), set(doc["modules"])
+
+
+def _modules_after(argv) -> set[str]:
+    return _fresh_main(argv)[2]
 
 
 _NUMERIC = {"numpy", "ctypes", "concurrent.futures"} | {
@@ -843,6 +873,76 @@ class TestFrontDoor:
                                  "--out", str(tmp_path / "lb.md")])
         assert "df_arena.leaderboard" in loaded
         assert loaded & {"df_arena.augment", "df_arena.wavio", "subprocess"} == set()
+
+    @pytest.mark.parametrize("command", ["version", "usage-error", "history-missing", "history-one-record"])
+    def test_front_door_loads_only_what_it_runs(self, tmp_path, command):
+        store = tmp_path / "runs.jsonl"
+        if command == "history-one-record":
+            store_append(store, golden_record())
+        argv, expected_code = {"version": (["--version"], 0),
+                               "usage-error": (["leaderboard"], 2),  # --manifest is required
+                               "history-missing": (["history", "--store", str(store)], 0),
+                               "history-one-record": (["history", "--store", str(store)], 0)}[command]
+        code, out, loaded = _fresh_main(argv)
+        assert code == expected_code
+        if command.startswith("history"):
+            assert len(out.splitlines()) == (command == "history-one-record")
+        unused = _NUMERIC | {"logging", "df_arena.spec"}
+        if not command.startswith("history"):
+            unused.add("df_arena.store")
+        assert loaded & unused == set()
+
+
+def _stderr_of(argv, prelude: str = "") -> str:
+    """stderr of ``df_arena.cli.main(argv)`` in a fresh interpreter, after ``prelude`` ran there."""
+    code = f"import sys\nfrom df_arena import cli\n{prelude}\nsys.exit(cli.main({argv!r}))\n"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True).stderr
+
+
+class TestLogLines:
+    """stderr at --log-level info and debug, byte for byte; lower levels print nothing."""
+
+    @pytest.mark.parametrize("level", ["info", "debug"])
+    def test_leaderboard_logs_its_report_and_its_run(self, tmp_path, level):
+        manifest = build_arena(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["options"]["output_dir"] = "reports"
+        manifest.write_text(json.dumps(doc))
+        store = str(tmp_path / "runs.jsonl")
+        argv = ["--log-level", level, "leaderboard", "--manifest", str(manifest), "--store", store]
+        err = _stderr_of(argv)
+        run_id = json.loads(Path(store).read_text().splitlines()[-1])["run_id"]
+        assert err == (f"INFO df_arena: report written to {tmp_path / 'reports' / 'leaderboard.md'}\n"
+                       f"INFO df_arena: appended run {run_id} to {store}\n")
+        err = _stderr_of(argv + ["--out", str(tmp_path / "lb.md")])  # with --out, output_dir keeps no copy
+        run_id = json.loads(Path(store).read_text().splitlines()[-1])["run_id"]
+        assert err == f"INFO df_arena: appended run {run_id} to {store}\n"
+
+    @pytest.mark.parametrize("level, expected", [
+        ("info", "INFO df_arena: intersect join dropped 1 trials and 2 scores\n"),
+        ("warning", ""),
+        ("error", ""),
+    ])
+    def test_eval_logs_what_an_intersect_join_dropped(self, tmp_path, level, expected):
+        protocol = write_text(tmp_path / "p.txt", protocol_text(["b1", "b2"], ["s1", "s2"]))
+        scores = write_text(tmp_path / "s.txt", scores_text({"b1": 2.0, "s1": 0.0, "s2": 1.0, "x": 0.5, "y": 0.1}))
+        argv = ["--log-level", level, "eval", "--protocol", str(protocol), "--scores", str(scores),
+                "--mode", "intersect", "--out", str(tmp_path / "e.json")]
+        assert _stderr_of(argv) == expected
+
+    @pytest.mark.parametrize("level", ["debug", "info"])
+    def test_an_unexpected_failure_logs_its_traceback_at_debug(self, tmp_path, level):
+        prelude = ("def boom(*args, **kwargs):\n    raise RuntimeError('boom')\n"
+                   "cli.store_list = boom")
+        err = _stderr_of(["--log-level", level, "history", "--store", str(tmp_path / "r.jsonl")], prelude)
+        record = '{"error": "RuntimeError", "message": "boom"}\n'
+        if level == "info":
+            assert err == record
+            return
+        head = "DEBUG df_arena: unexpected failure\nTraceback (most recent call last):\n"
+        assert err.startswith(head) and err.endswith("RuntimeError: boom\n" + record)
+        frames = err[len(head):-len("RuntimeError: boom\n" + record)].splitlines()
+        assert frames and all(line.startswith("  ") for line in frames)
 
 
 # The names perfbench/tracer.py rebinds on df_arena.cli to time the layers below it.

@@ -514,6 +514,43 @@ def test_id_with_a_line_break_is_manifest_error(tmp_path, kind, char):
         load_manifest(bad)
 
 
+# every fixed column of a leaderboard report -> the format that writes it
+_REPORT_COLUMNS = {"system_id": "csv", "category": "csv", "param_count_millions": "csv", "average_eer": "csv",
+                   "pooled_eer": "csv", "System": "markdown", "Category": "markdown",
+                   "Params (M)": "markdown", "Average": "markdown", "Pooled": "markdown"}
+
+
+@pytest.mark.parametrize("name", sorted(_REPORT_COLUMNS))
+def test_dataset_id_naming_a_report_column_is_manifest_error(tmp_path, name):
+    doc = json.loads(build_arena(tmp_path).read_text())
+    doc["datasets"][1]["dataset_id"] = name
+    bad = write_text(tmp_path / "bad.json", json.dumps(doc))
+    named = f"{bad}: dataset_id {name!r} is reserved: the {_REPORT_COLUMNS[name]} leaderboard has a fixed column"
+    with pytest.raises(ManifestError, match=re.escape(named)):
+        load_manifest(bad)
+
+
+@pytest.mark.parametrize("system_id", ["sysA*", "*", "a**"])
+def test_system_id_ending_in_the_gap_mark_is_manifest_error(tmp_path, system_id):
+    doc = json.loads(build_arena(tmp_path).read_text())
+    doc["systems"][2]["system_id"] = system_id
+    bad = write_text(tmp_path / "bad.json", json.dumps(doc))
+    with pytest.raises(ManifestError, match=re.escape(f"{bad}: system_id {system_id!r} ends in '*'")):
+        load_manifest(bad)
+
+
+def test_ids_near_a_reserved_name_load(tmp_path):
+    doc = json.loads(build_arena(tmp_path).read_text())
+    for dataset, new in zip(doc["datasets"], ["pooled", "Average EER", "*system_id"]):
+        for system in doc["systems"]:
+            system["scores"][new] = system["scores"].pop(dataset["dataset_id"])
+        dataset["dataset_id"] = new
+    doc["systems"][0]["system_id"], doc["systems"][1]["system_id"] = "*sys", "sys*B"
+    manifest = load_manifest(write_text(tmp_path / "near.json", json.dumps(doc)))
+    assert manifest.dataset_ids() == ["pooled", "Average EER", "*system_id"]
+    assert [s.system_id for s in manifest.systems] == ["*sys", "sys*B", "sysC"]
+
+
 @pytest.mark.parametrize("char", ["\n", "\r", "\x85", "\u2028"])
 def test_category_with_a_line_break_is_manifest_error(tmp_path, char):
     doc = json.loads(build_arena(tmp_path).read_text())
