@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
@@ -213,81 +212,49 @@ def _list_wavs(directory: Path, recursive: bool) -> list[Path]:
     return sorted(files, key=lambda p: p.relative_to(directory).as_posix())
 
 
-# Decoded sources, each RIR with its spectrum, are kept until they fill this
-# many bytes; a source first drawn after that is decoded (and an RIR
-# transformed) again by every file that draws it.
-_SOURCE_CACHE_BYTES = 32 << 20
-
-
-class _SourceTable:
-    """The run's interferers/RIRs, each decoded on first draw and kept while
-    the ``_SOURCE_CACHE_BYTES`` budget lasts.
-
-    An entry holds the stored-width samples, their scale (see ``decode_wav``)
+def _load_source(path: Path, reverb: bool) -> tuple[np.ndarray, float, np.ndarray | None] | str:
+    """The source's stored-width samples, their scale (see ``decode_wav``)
     and, in a reverb run, the RIR's ``_rir_spectrum``: None where
     ``reverberate`` needs none, since a short RIR convolves directly and a
-    silent one is refused before it is transformed. Samples and spectrum are
-    charged to the budget together, so an entry is kept whole or not at all.
-    A decode that raised an AudioError is kept as its message, whatever the
-    budget, and raised again for every file that draws that source. Safe to
-    share between the run's worker threads.
-    """
-
-    def __init__(self, root: Path, paths: list[Path], reverb: bool):
-        self.root = root
-        self.paths = paths
-        self._reverb = reverb
-        self._locks = {p: threading.Lock() for p in paths}
-        self._budget_lock = threading.Lock()
-        self._free_bytes = _SOURCE_CACHE_BYTES
-        self._kept: dict[Path, tuple[np.ndarray, float, np.ndarray | None] | str] = {}
-
-    def decode(self, path: Path) -> tuple[np.ndarray, float, np.ndarray | None]:
-        with self._locks[path]:
-            entry = self._kept.get(path)
-            if entry is None:
-                try:
-                    samples, scale = decode_wav(path)
-                except AudioError as e:
-                    entry = self._kept[path] = str(e)
-                else:
-                    spectrum = None
-                    if self._reverb and samples.size > _DIRECT_CONV_MAX:
-                        h = samples.astype(np.float64) * scale
-                        if rms(h) != 0.0:
-                            spectrum = _rir_spectrum(h)
-                    entry = samples, scale, spectrum
-                    nbytes = samples.nbytes + (0 if spectrum is None else spectrum.nbytes)
-                    with self._budget_lock:
-                        if nbytes <= self._free_bytes:
-                            self._free_bytes -= nbytes
-                            self._kept[path] = entry
-        if isinstance(entry, str):
-            raise AudioError(entry)
-        return entry
+    silent one is refused before it is transformed. A source that fails to
+    decode is its AudioError's message, raised again for each file that
+    draws it."""
+    try:
+        samples, scale = decode_wav(path)
+    except AudioError as e:
+        return str(e)
+    spectrum = None
+    if reverb and samples.size > _DIRECT_CONV_MAX:
+        h = samples.astype(np.float64) * scale
+        if rms(h) != 0.0:
+            spectrum = _rir_spectrum(h)
+    return samples, scale, spectrum
 
 
 def _process_one(
-    in_path: Path, out_dir: Path, spec: AugmentSpec, sources: _SourceTable
+    in_path: Path,
+    out_dir: Path,
+    spec: AugmentSpec,
+    seed: int,
+    rng: np.random.Generator,
+    source_rel: str,
+    source: tuple[np.ndarray, float, np.ndarray | None] | str,
 ) -> FileOutcome:
-    trial_id = in_path.stem
-    seed = file_seed(spec.seed, trial_id)
-    rng = np.random.default_rng(seed)
-    # Draw order is fixed: source index, then SNR (additive only), then offset.
-    src = sources.paths[int(rng.integers(0, len(sources.paths)))]
-    source_rel = src.relative_to(sources.root).as_posix()
+    """Perturb one file with the source that ``rng`` drew first, as
+    ``_load_source`` left it; ``rng`` goes on to draw the SNR and offset."""
     clean = read_wav(in_path)
+    if isinstance(source, str):
+        raise AudioError(source)
+    stored, stored_scale, spectrum = source
     out_path = out_dir / in_path.name
 
     if spec.category == "reverb":
-        taps, tap_scale, spectrum = sources.decode(src)
-        wet = reverberate(clean, taps.astype(np.float64) * tap_scale, spectrum)
+        wet = reverberate(clean, stored.astype(np.float64) * stored_scale, spectrum)
         samples, scale = _apply_clip_policy(wet, spec.clip_policy)
         drawn = {"rir_id": source_rel}
     else:
         low, high = spec.snr_range_db
         snr_db = float(rng.uniform(low, high))
-        stored, stored_scale, _ = sources.decode(src)
         n = clean.size
         span = stored.size - n + 1 if stored.size >= n else stored.size
         offset = int(rng.integers(0, max(1, span)))
@@ -337,16 +304,34 @@ def augment_corpus(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise AugmentError(f"cannot create output directory {out_dir}: {e.strerror or e}") from e
-    table = _SourceTable(spec.source_dir, sources, reverb=spec.category == "reverb")
+    # Draw order is fixed: source index here, then SNR (additive only) and
+    # offset in _process_one. Files are grouped by source, in first-draw order.
+    groups: dict[Path, list[tuple[Path, int, np.random.Generator]]] = {}
+    for p in inputs:
+        seed = file_seed(spec.seed, p.stem)
+        rng = np.random.default_rng(seed)
+        groups.setdefault(sources[int(rng.integers(0, len(sources)))], []).append((p, seed, rng))
 
-    def work(p: Path):
+    def work(p: Path, seed: int, rng: np.random.Generator, source_rel: str, source):
         try:
-            return _process_one(p, out_dir, spec, table), None
+            return _process_one(p, out_dir, spec, seed, rng, source_rel, source), None
         except Exception as e:  # collected per file; the run continues
             return None, (str(p), f"{type(e).__name__}: {e}")
 
+    # Each source is decoded once, while the workers still run the previous
+    # group. Waiting for that group only after submitting this one keeps the
+    # workers busy and holds at most three sources at a time.
+    futures = {}
+    previous = []
     with ThreadPoolExecutor(max_workers=min(jobs, len(inputs))) as pool:
-        results = list(pool.map(work, inputs))
+        for src, files in groups.items():
+            source_rel = src.relative_to(spec.source_dir).as_posix()
+            source = _load_source(src, spec.category == "reverb")
+            group = [pool.submit(work, p, seed, rng, source_rel, source) for p, seed, rng in files]
+            futures.update(zip((p for p, _, _ in files), group))
+            wait(previous)
+            previous = group
+    results = [futures[p].result() for p in inputs]
 
     entries = tuple(outcome for outcome, _ in results if outcome is not None)
     failures = tuple(failure for _, failure in results if failure is not None)

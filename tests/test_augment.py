@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
@@ -445,6 +446,34 @@ def _counting_rir_transforms(monkeypatch, tap_counts):
     return transforms
 
 
+def _live_arrays_at_each_decode(monkeypatch):
+    """Patch ``augment.decode_wav`` to record, as each decode starts, how
+    many of the arrays that earlier decodes returned are still alive."""
+    decode_wav = augment.decode_wav
+    refs, alive = [], []
+    lock = threading.Lock()
+
+    def watching_decode(path):
+        with lock:
+            alive.append(sum(ref() is not None for ref in refs))
+        samples, scale = decode_wav(path)
+        with lock:
+            refs.append(weakref.ref(samples))
+        return samples, scale
+
+    monkeypatch.setattr(augment, "decode_wav", watching_decode)
+    return alive
+
+
+def _inputs_drawing(spec, inputs, index, n_sources):
+    """The inputs whose first draw, the source index, is ``index``."""
+    return {
+        str(p)
+        for p in inputs
+        if np.random.default_rng(file_seed(spec.seed, p.stem)).integers(0, n_sources) == index
+    }
+
+
 class TestDecodeOnceEquivalence:
     """Outputs equal the public full-decode path, recomputed from the manifest."""
 
@@ -531,11 +560,7 @@ class TestSourceFailures:
         # Which files draw the bad source follows from the first draw alone.
         spec = AugmentSpec(category, src, seed=21)
         inputs = sorted(in_dir.iterdir())
-        draws_bad = {
-            str(p)
-            for p in inputs
-            if np.random.default_rng(file_seed(spec.seed, p.stem)).integers(0, 2) == 1
-        }
+        draws_bad = _inputs_drawing(spec, inputs, 1, 2)
         assert 0 < len(draws_bad) < len(inputs)
 
         for jobs in (1, 4):
@@ -547,62 +572,77 @@ class TestSourceFailures:
         assert _outputs(tmp_path / "out1") == _outputs(tmp_path / "out4")
         assert len(_outputs(tmp_path / "out1")) == len(inputs) - len(draws_bad)
 
-
-class TestSourceBudget:
-    """Sources past the byte budget are decoded per draw; outputs do not change."""
-
-    def _run_past_the_budget(self, tmp_path, monkeypatch, category, jobs, kept_sources):
-        in_dir = build_wav_corpus(tmp_path / "in", n_files=16, seconds=0.25)
+    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("category", ["noise", "reverb"])
+    def test_corrupt_input_drawing_a_bad_source_fails_with_its_own_error(
+        self, tmp_path, category, jobs
+    ):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=12, seconds=0.25)
         src = tmp_path / "src"
         src.mkdir()
-        for j in range(3):
-            write_wav(src / f"s{j}.wav", make_noise(0.5, 0.2, 60 + j))
-        (src / "t_bad.wav").write_bytes(wav_bytes(b"\x01\x00" * 800)[:-100])
-        spec = AugmentSpec(category, src, seed=9)
-        reference = augment_corpus(in_dir, tmp_path / "ref", spec, jobs=jobs)
+        write_wav(src / "a_good.wav", make_noise(0.1, 0.2, 51))
+        bad = src / "b_bad.wav"
+        bad.write_bytes(wav_bytes(b"\x01\x00" * 800)[:-100])
+        spec = AugmentSpec(category, src, seed=21)
+        inputs = sorted(in_dir.iterdir())
+        draws_bad = sorted(_inputs_drawing(spec, inputs, 1, 2))
+        assert len(draws_bad) > 1
+        corrupt = Path(draws_bad[0])
+        corrupt.write_bytes(wav_bytes(b"\x01\x00" * 800)[:-100])
+        reasons = {}
+        for path in (corrupt, bad):
+            with pytest.raises(AudioError) as info:
+                read_wav(path)
+            reasons[path] = f"AudioError: {info.value}"
 
-        taps = read_wav(src / "s0.wav").size
-        entry_bytes = taps * 2  # stored as int16
-        if category == "reverb":  # an RIR is kept with its spectrum (complex128)
-            entry_bytes += (augment._fft_size(4 * taps) // 2 + 1) * 16
-        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", kept_sources * entry_bytes)
-        counts = _counting_decodes(monkeypatch)
-        transforms = _counting_rir_transforms(monkeypatch, {taps})
+        # The file reads its own input before it meets its source's error.
         summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
+        assert dict(summary.failures) == {
+            **dict.fromkeys(draws_bad, reasons[bad]),
+            str(corrupt): reasons[corrupt],
+        }
+        assert len(summary.entries) == len(inputs) - len(draws_bad)
+
+
+class TestSourceGroups:
+    """Files are run in groups by the source they draw: each source is
+    decoded (and a long RIR transformed) once, and a run holds few at a time."""
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("category", ["noise", "reverb"])
+    def test_each_source_is_decoded_once_and_few_are_held(self, tmp_path, monkeypatch, category, jobs):
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=48, seconds=0.1)
+        src = tmp_path / "src"
+        src.mkdir()
+        tap_counts = set(range(800, 812))  # over 256 taps: a reverb run transforms each
+        for taps in tap_counts:
+            write_wav(src / f"s{taps}.wav", make_noise(taps / 16000, 0.2, taps))
+        bad = src / "t_bad.wav"
+        bad.write_bytes(wav_bytes(b"\x01\x00" * 800)[:-100])
+        with pytest.raises(AudioError) as info:
+            read_wav(bad)
+        reason = f"AudioError: {info.value}"
+        spec = AugmentSpec(category, src, seed=1)
+        reference = augment_corpus(in_dir, tmp_path / "ref", spec, jobs=1)
+
+        decoded = _counting_decodes(monkeypatch)
+        alive = _live_arrays_at_each_decode(monkeypatch)
+        transforms = _counting_rir_transforms(monkeypatch, tap_counts)
+        with _fast_thread_switches():
+            summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
 
         assert _outputs(tmp_path / "out") == _outputs(tmp_path / "ref")
         moved = [replace(e, output_path=str(tmp_path / "out" / Path(e.output_path).name))
                  for e in reference.entries]
         assert list(summary.entries) == moved
         assert summary.failures == reference.failures
-        draws = Counter(e.source_file for e in summary.entries)
-        draws.update(Path(reason.split(": ")[1]).name for _, reason in summary.failures)
-        assert draws["t_bad.wav"] > 1 and counts["t_bad.wav"] == 1  # errors are always kept
-        good = [name for name in draws if name != "t_bad.wav"]
-        assert len(good) == 3  # every source is drawn at this seed
-        kept = [name for name in good if counts[name] < draws[name]]
-        assert len(kept) == (1 if kept_sources else 0)
-        assert all(counts[name] == 1 for name in kept)
-        assert all(counts[name] == draws[name] for name in good if name not in kept)
-        return summary, draws, kept, sum(transforms.values())
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("kept_sources", [0, 1])
-    def test_sources_past_the_budget_are_decoded_per_draw(
-        self, tmp_path, monkeypatch, jobs, kept_sources
-    ):
-        self._run_past_the_budget(tmp_path, monkeypatch, "noise", jobs, kept_sources)
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("kept_sources", [0, 1])
-    def test_rirs_past_the_budget_are_decoded_and_transformed_per_draw(
-        self, tmp_path, monkeypatch, jobs, kept_sources
-    ):
-        summary, draws, kept, transforms = self._run_past_the_budget(
-            tmp_path, monkeypatch, "reverb", jobs, kept_sources
-        )
-        # a kept RIR is transformed once, with its decode; any other on every draw
-        assert transforms == len(summary.entries) - sum(draws[name] - 1 for name in kept)
+        drawn = Counter(e.source_file for e in summary.entries)
+        assert drawn.keys() == {f"s{taps}.wav" for taps in tap_counts} and min(drawn.values()) > 1
+        assert len(summary.failures) > 1 and set(dict(summary.failures).values()) == {reason}
+        assert decoded == dict.fromkeys([*drawn, bad.name], 1)
+        assert transforms == (dict.fromkeys(tap_counts, 1) if category == "reverb" else {})
+        # as each source is decoded, at most the two groups before it still hold theirs
+        assert len(alive) == 13 and max(alive) <= 2
 
 
 def _write_utterances(directory, lengths, amplitude=0.1, seed=70):
@@ -680,37 +720,6 @@ class TestRirSpectra:
         assert transforms == Counter(dict.fromkeys(tap_counts, 1))
 
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_an_rir_is_kept_with_its_spectrum_or_not_at_all(self, tmp_path, monkeypatch, jobs):
-        # Six RIRs, each drawn several times, and room for any two entries of
-        # samples and spectrum, not for three: the two kept are decoded and
-        # transformed once, the others on every draw.
-        in_dir = _write_utterances(tmp_path / "in", [400, 460] * 30)
-        tap_counts = set(range(2000, 2006))
-        src = _write_rirs(tmp_path / "rirs", tap_counts)
-        spec = AugmentSpec("reverb", src, seed=5)
-        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", 1 << 62)
-        reference = augment_corpus(in_dir, tmp_path / "ref", spec)
-        smallest, largest = (taps * 2 + (augment._fft_size(4 * taps) // 2 + 1) * 16
-                             for taps in (2000, 2005))
-        assert 3 * smallest > 2 * largest
-        monkeypatch.setattr(augment, "_SOURCE_CACHE_BYTES", 2 * largest)
-        decoded = _counting_decodes(monkeypatch)
-        transforms = _counting_rir_transforms(monkeypatch, tap_counts)
-        with _fast_thread_switches():
-            summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
-
-        assert not summary.failures and len(summary.entries) == 60
-        assert _outputs(tmp_path / "out") == _outputs(tmp_path / "ref")
-        assert [e.rir_id for e in summary.entries] == [e.rir_id for e in reference.entries]
-        drawn = Counter(len(read_wav(src / e.rir_id)) for e in summary.entries)
-        assert drawn.keys() == tap_counts and min(drawn.values()) > 1
-        kept = {taps for taps in tap_counts if decoded[f"r{taps}.wav"] == 1}
-        assert len(kept) == 2
-        per_draw = {taps: 1 if taps in kept else n for taps, n in drawn.items()}
-        assert transforms == per_draw
-        assert decoded == {f"r{taps}.wav": n for taps, n in per_draw.items()}
-
-    @pytest.mark.parametrize("jobs", [1, 4])
     def test_silent_rir_fails_every_file_that_draws_it(self, tmp_path, monkeypatch, jobs):
         in_dir = build_wav_corpus(tmp_path / "in", n_files=12, seconds=0.25)
         src = tmp_path / "rirs"
@@ -719,11 +728,7 @@ class TestRirSpectra:
         write_wav(src / "b_silent.wav", np.zeros(900))
         spec = AugmentSpec("reverb", src, seed=21)
         inputs = sorted(in_dir.iterdir())
-        draws_silent = {
-            str(p)
-            for p in inputs
-            if np.random.default_rng(file_seed(spec.seed, p.stem)).integers(0, 2) == 1
-        }
+        draws_silent = _inputs_drawing(spec, inputs, 1, 2)
         assert 0 < len(draws_silent) < len(inputs)
 
         decoded = _counting_decodes(monkeypatch)
