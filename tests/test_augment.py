@@ -644,6 +644,32 @@ class TestSourceGroups:
         # as each source is decoded, at most the two groups before it still hold theirs
         assert len(alive) == 13 and max(alive) <= 2
 
+    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("category", ["noise", "reverb"])
+    def test_only_drawn_sources_are_decoded_in_groups_of_one(self, tmp_path, monkeypatch, category, jobs):
+        # Far more sources than files: most groups hold one file, and most
+        # sources are drawn by none.
+        in_dir = build_wav_corpus(tmp_path / "in", n_files=10, seconds=0.1)
+        src = tmp_path / "src"
+        src.mkdir()
+        for j in range(40):
+            write_wav(src / f"s{j:02d}.wav", make_noise(0.05, 0.2, 200 + j))
+        spec = AugmentSpec(category, src, seed=3)
+        reference = augment_corpus(in_dir, tmp_path / "ref", spec, jobs=1)
+
+        decoded = _counting_decodes(monkeypatch)
+        alive = _live_arrays_at_each_decode(monkeypatch)
+        with _fast_thread_switches():
+            summary = augment_corpus(in_dir, tmp_path / "out", spec, jobs=jobs)
+
+        assert not summary.failures and len(summary.entries) == 10
+        assert _outputs(tmp_path / "out") == _outputs(tmp_path / "ref")
+        assert [e.source_file for e in summary.entries] == [e.source_file for e in reference.entries]
+        drawn = Counter(e.source_file for e in summary.entries)
+        assert len(drawn) < 10 and list(drawn.values()).count(1) > 1
+        assert decoded == dict.fromkeys(drawn, 1)
+        assert len(alive) == len(drawn) and max(alive) <= 2
+
 
 def _write_utterances(directory, lengths, amplitude=0.1, seed=70):
     """Noise utterances of the given sample counts."""
