@@ -17,9 +17,10 @@ from pathlib import Path
 
 from df_arena import __version__
 from df_arena.leaderboard import evaluate_arena
+from df_arena.record import emit, rank
 from df_arena.spec import load_manifest
 from df_arena.stats import correlate_matrix
-from df_arena.store import emit, rank, store_append, store_list
+from df_arena.store import store_append, store_list
 
 BONA_IDS = ["b1", "b2", "b3", "b4"]
 SPOOF_IDS = ["s1", "s2", "s3", "s4"]

@@ -39,11 +39,11 @@ def _number(kind, accept, requirement: str):
 
 
 # Each handler imports what it runs, so --version and usage errors load neither
-# spec nor store, and history loads store alone. perfbench/tracer.py rebinds
-# cli.evaluate_arena, cli.emit, cli.store_append, cli.store_list and
-# cli.augment_corpus, so these five stay names of this module: each imports its
-# owner on first call. Once the tracer hooks the owning modules (ROADMAP item 1a),
-# the handlers can import them directly and these go.
+# spec nor store, and history loads store without record or dataclasses.
+# perfbench/tracer.py rebinds cli.evaluate_arena, cli.emit, cli.store_append,
+# cli.store_list and cli.augment_corpus, so these five stay names of this
+# module: each imports its owner on first call. Once the tracer hooks the owning
+# modules (ROADMAP item 1a), the handlers can import them directly and these go.
 def evaluate_arena(*args, **kwargs):
     from .leaderboard import evaluate_arena
 
@@ -51,7 +51,7 @@ def evaluate_arena(*args, **kwargs):
 
 
 def emit(*args, **kwargs):
-    from .store import emit
+    from .record import emit
 
     return emit(*args, **kwargs)
 
@@ -324,7 +324,7 @@ _ISSUE_LINE = "unreadable record at line {line_number} (byte offset {byte_offset
 
 def cmd_history(args) -> int:
     runs, issues = store_list(args.store)
-    runs, issues = [vars(r) for r in runs], [vars(i) for i in issues]
+    runs, issues = [r._asdict() for r in runs], [i._asdict() for i in issues]
     if args.format == "json":
         _write_json({"runs": runs, "issues": issues}, args.out)
         return 0

@@ -2,7 +2,7 @@
 
 A run evaluates every pair, derives one SystemSummary per system (average
 EER over its datasets plus pooled EER over the concatenation of all its
-joined label/score arrays), and wraps everything in a ``store.RunRecord``.
+joined label/score arrays), and wraps everything in a ``record.RunRecord``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import numpy as np
 from .errors import ArenaError, ManifestError
 from .metrics import evaluate, pooled_eer
 from .protocol import join, parse_protocol, parse_scores
+from .record import RunRecord, SystemSummary
 from .spec import ArenaManifest
-from .store import RECORD_VERSION, RunRecord, SystemSummary
+from .vocab import RECORD_VERSION
 
 
 def evaluate_arena(manifest: ArenaManifest, tool_version: str = "0") -> RunRecord:

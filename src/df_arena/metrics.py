@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MetricError
 from .protocol import BONAFIDE, SPOOF, JoinResult
-from .store import EvalReport
+from .record import EvalReport
 
 
 @dataclass(frozen=True)

@@ -214,9 +214,13 @@ def _protocol_fields(columns, two_column: bool):
 
 
 def _write_lines(rows: list[list[str]], error_cls) -> str:
-    """One line per row of tokens; refuses rows that would not parse back as written."""
-    for fields in rows:
-        if fields[0].startswith("#") or any(f.split() != [f] for f in fields):
+    """One line per row of tokens; refuses rows that would not parse back as written.
+
+    That includes a first row led by U+FEFF, which the reader drops as a byte-order mark.
+    """
+    for i, fields in enumerate(rows):
+        if (fields[0].startswith("#") or any(f.split() != [f] for f in fields)
+                or (i == 0 and fields[0].startswith("\ufeff"))):
             raise error_cls(f"{' '.join(fields)!r} cannot be written as one content line")
     return "".join(" ".join(fields) + "\n" for fields in rows)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import StatError, decode_input, read_input
 from .spec import plain_number_text
-from .store import csv_text
+from .record import csv_text
 
 METRIC_NAMES = ("pearson", "spearman", "kendall_tau", "distance_corr", "mutual_info", "ccc")
 

@@ -1,9 +1,9 @@
-"""Finished runs: the record schema, ranking, report emission and the run store.
+"""The run store: the line format of a finished run, appending a run and listing the store.
 
-A RunRecord holds every (system, dataset) EvalReport of one arena run and
-one SystemSummary per system. It renders as markdown, csv or json and is
-appended to a line-delimited run store, which ``store_list`` reads back.
-Nothing here imports numpy, so ``history`` starts without it.
+Each line of the store is one run record, as ``record.RunRecord.to_json``
+writes it. The line schema is stated here once, by field names, so that
+``history`` checks and lists a store without loading the record classes
+(``df_arena.record``), ``dataclasses`` or numpy.
 """
 
 from __future__ import annotations
@@ -11,73 +11,44 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-from dataclasses import MISSING, dataclass, fields
-from operator import attrgetter
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import StoreError
-# the record's and the report's words live in the leaf module vocab; importing them
-# here keeps store.<name> valid for the documented ones
-from .vocab import (EMIT_FORMATS, GAP_MARK, ID_COLUMN, OPTIONAL_COLUMNS, RANK_KEYS, RECORD_VERSION,
-                    SUMMARY_COLUMNS, text_fault)
+from .vocab import RECORD_VERSION, text_fault
 
+# The line schema. A record holds the header strings, then its version, its
+# dataset ids, its reports and its summaries. A report holds exactly the report
+# fields (``record.EvalReport``); a summary every required summary field and any
+# of the optional ones (``record.SystemSummary``).
+_HEADER_FIELDS = ("run_id", "timestamp", "manifest_digest", "tool_version")
+_RECORD_FIELDS = _HEADER_FIELDS + ("record_version", "dataset_ids", "reports", "summaries")
+_REPORT_FIELDS = ("system_id", "dataset_id", "eer", "eer_threshold", "auc", "accuracy", "f1",
+                  "decision_threshold", "n_bonafide", "n_spoof")
+_SUMMARY_REQUIRED = ("system_id", "average_eer", "pooled_eer", "per_dataset_eer")
+_SUMMARY_OPTIONAL = ("param_count_millions", "average_auc", "category", "gap_datasets")
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-(system, dataset) metric bundle. EER/AUC/rates are in [0, 1]."""
-
-    system_id: str
-    dataset_id: str
-    eer: float
-    eer_threshold: float
-    auc: float
-    accuracy: float
-    f1: float
-    decision_threshold: float
-    n_bonafide: int
-    n_spoof: int
-
-
-@dataclass(frozen=True)
-class SystemSummary:
-    """One leaderboard row: per-dataset EERs plus the two aggregate EERs.
-
-    ``pooled_eer`` is None for systems evaluated with dataset gaps: pooling
-    over fewer datasets than the others would not be comparable, so such
-    systems are footnoted instead.
-    """
-
-    system_id: str
-    average_eer: float
-    pooled_eer: float | None
-    per_dataset_eer: dict[str, float]
-    param_count_millions: float | None = None
-    average_auc: float | None = None
-    category: str | None = None
-    gap_datasets: tuple[str, ...] = ()
-
-
-_REPORT_FIELDS = frozenset(f.name for f in fields(EvalReport))
-_SUMMARY_FIELDS = frozenset(f.name for f in fields(SystemSummary))
-_SUMMARY_REQUIRED = frozenset(f.name for f in fields(SystemSummary) if f.default is MISSING)
+_REPORT_KEYS = frozenset(_REPORT_FIELDS)
+_SUMMARY_REQUIRED_KEYS = frozenset(_SUMMARY_REQUIRED)
+_SUMMARY_KEYS = _SUMMARY_REQUIRED_KEYS | frozenset(_SUMMARY_OPTIONAL)
 
 
 def _check_record(doc: dict) -> None:
-    """The v1 record schema, which ``RunRecord.from_dict`` and ``store_list`` both apply.
+    """The v1 record schema, which ``record.RunRecord.from_dict`` and ``store_list`` both apply.
 
     Header fields are strings that ``vocab.text_fault`` passes, so that each
     prints on one line of ``history``. Reports and summaries are checked by their
-    field names, not their values: a report has exactly ``EvalReport``'s
-    fields, a summary every required ``SystemSummary`` field and no unknown
-    one, and its ``gap_datasets``, where present, is a list of strings. Every
-    record that passes constructs, so ``store_list`` lists exactly the lines
-    ``from_dict`` accepts. Raises KeyError, TypeError or ValueError.
+    field names, not their values: a report has exactly the report fields, a
+    summary every required summary field and no unknown one, and its
+    ``gap_datasets``, where present, is a list of strings. Every record that
+    passes constructs, so ``store_list`` lists exactly the lines ``from_dict``
+    accepts. Raises KeyError, TypeError or ValueError.
 
     Every value read here must be a str, an exact int, a list or a dict, so a
     float and None both fail wherever either does: ``store_list`` relies on it
     when it decodes floats as None.
     """
-    for key in ("run_id", "timestamp", "manifest_digest", "tool_version"):
+    for key in _HEADER_FIELDS:
         if not isinstance(doc[key], str):
             raise TypeError(f"{key} must be a string, got {type(doc[key]).__name__}")
         fault = text_fault(doc[key])
@@ -95,161 +66,20 @@ def _check_record(doc: dict) -> None:
     if not isinstance(reports, list):
         raise TypeError(f"reports must be a list, got {type(reports).__name__}")
     for i, r in enumerate(reports):
-        if not isinstance(r, dict) or r.keys() != _REPORT_FIELDS:
+        if not isinstance(r, dict) or r.keys() != _REPORT_KEYS:
             raise TypeError(f"reports[{i}] must be an object with exactly EvalReport's fields")
     if not isinstance(summaries, list):
         raise TypeError(f"summaries must be a list, got {type(summaries).__name__}")
     for i, s in enumerate(summaries):
-        if not isinstance(s, dict) or not _SUMMARY_REQUIRED <= s.keys() <= _SUMMARY_FIELDS:
+        if not isinstance(s, dict) or not _SUMMARY_REQUIRED_KEYS <= s.keys() <= _SUMMARY_KEYS:
             raise TypeError(f"summaries[{i}] must be an object with SystemSummary's fields")
         gaps = s.get("gap_datasets", [])
         if not isinstance(gaps, list) or not all(isinstance(d, str) for d in gaps):
             raise TypeError(f"summaries[{i}].gap_datasets must be a list of strings")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    run_id: str
-    timestamp: str
-    manifest_digest: str
-    tool_version: str
-    record_version: int
-    dataset_ids: tuple[str, ...]
-    reports: tuple[EvalReport, ...]
-    summaries: tuple[SystemSummary, ...]
-
-    def to_json(self) -> str:
-        # vars(), not asdict, which would deep-copy every float
-        doc = {**vars(self), "reports": [vars(r) for r in self.reports],
-               "summaries": [vars(s) for s in self.summaries]}
-        return json.dumps(doc, sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunRecord":
-        _check_record(doc)
-        return cls(
-            run_id=doc["run_id"],
-            timestamp=doc["timestamp"],
-            manifest_digest=doc["manifest_digest"],
-            tool_version=doc["tool_version"],
-            record_version=doc["record_version"],
-            dataset_ids=tuple(doc["dataset_ids"]),
-            reports=tuple(EvalReport(**r) for r in doc["reports"]),
-            summaries=tuple(
-                SystemSummary(**{**s, "gap_datasets": tuple(s.get("gap_datasets", ()))})
-                for s in doc["summaries"]
-            ),
-        )
-
-    def eer_matrix(self):
-        """Dense EER grid (a ``stats.EerMatrix``) over the systems that cover every dataset."""
-        from .stats import EerMatrix
-
-        rows, ids = [], []
-        for s in self.summaries:
-            if s.gap_datasets:
-                continue
-            ids.append(s.system_id)
-            rows.append([s.per_dataset_eer[d] for d in self.dataset_ids])
-        return EerMatrix.build(ids, self.dataset_ids, rows)
-
-
-def _rank_tuple(summary: SystemSummary, key: str):
-    other = "average_eer" if key == "pooled_eer" else "pooled_eer"
-    pairs = [(v is None, v or 0.0) for v in (getattr(summary, key), getattr(summary, other))]
-    return (*pairs, summary.system_id)
-
-
-def rank(summaries, key: str = "pooled_eer") -> list[SystemSummary]:
-    """Ascending by key; ties broken by the other EER key, then system_id.
-
-    Systems without a pooled EER (gap rows) sort after all ranked systems.
-    The order is total, so permuting the input never changes the output.
-    """
-    if key not in RANK_KEYS:
-        raise ValueError(f"unknown ranking key {key!r}; expected one of {RANK_KEYS}")
-    if not summaries:
-        raise ValueError("rank() needs at least one summary")
-    return sorted(summaries, key=lambda s: _rank_tuple(s, key))
-
-
-def format_percent(rate: float) -> str:
-    """Rate in [0,1] as a percent string with 2 decimals (round-half-even)."""
-    return f"{rate * 100.0:.2f}"
-
-
-def _fmt_cell(value, fmt, best) -> str:
-    """Markdown cell: ``-`` for None, else the column's format, else a percent EER, bold if best."""
-    if value is None:
-        return "-"
-    if fmt is not None:
-        return fmt(value)
-    text = format_percent(value)
-    return f"**{text}**" if value == best else text
-
-
-def csv_text(rows) -> str:
-    """Rows as CSV text, lines ending in a newline, a cell quoted only where it must be.
-
-    The writer ends each row (written in one call) with CRLF, which makes it quote a
-    cell holding a carriage return too: before Python 3.13 it quotes only the
-    characters of its terminator. Each CRLF is then cut to a newline.
-    """
-    import csv
-    from types import SimpleNamespace
-
-    lines = []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
-    return "".join(line[:-2] + "\n" for line in lines)
-
-
-def emit(record: RunRecord, format: str, sort: str = "pooled_eer") -> str:
-    """Render a RunRecord as markdown, csv, or json.
-
-    Markdown shows the systems x datasets EER grid (percent, 2 decimals,
-    best per column bold) plus Average and Pooled columns; csv and json
-    carry full precision. Rows are ranked by ``sort``.
-    """
-    if format == "json":
-        return record.to_json() + "\n"
-    ranked = rank(record.summaries, key=sort)
-    if format not in EMIT_FORMATS:
-        raise ValueError(f"unknown report format {format!r}; expected one of {EMIT_FORMATS}")
-    # (csv header, markdown header, value of a summary, markdown format or None for an
-    # EER column); category and params appear only when some system has one
-    formats = {"category": lambda c: c or "-", "param_count_millions": "{:.2f}".format}
-    columns = [(name, md, attrgetter(name), formats[name]) for name, md in OPTIONAL_COLUMNS
-               if any(getattr(s, name) is not None for s in ranked)]
-    columns += [(d, d, lambda s, d=d: None if d in s.gap_datasets else s.per_dataset_eer.get(d), None)
-                for d in record.dataset_ids]
-    columns += [(name, md, attrgetter(name), None) for name, md in SUMMARY_COLUMNS]
-    table = [[get(s) for _, _, get, _ in columns] for s in ranked]
-
-    if format == "csv":
-        # str of a float is its repr, which reads back to the same float
-        return csv_text([[ID_COLUMN[0]] + [name for name, _, _, _ in columns]]
-                        + [[s.system_id] + ["" if v is None else str(v) for v in row]
-                           for s, row in zip(ranked, table)])
-
-    def md_row(cells):  # an escaped | does not split the row
-        return "| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |"
-
-    best = [min((v for v in col if v is not None), default=None) for col in zip(*table)]
-    header = [ID_COLUMN[1]] + [md for _, md, _, _ in columns]
-    lines = [md_row(header), md_row(["---"] * len(header))]
-    for s, row in zip(ranked, table):
-        cells = [_fmt_cell(v, fmt, b) for v, (_, _, _, fmt), b in zip(row, columns, best)]
-        lines.append(md_row([s.system_id + (GAP_MARK if s.gap_datasets else "")] + cells))
-    if any(s.gap_datasets for s in ranked):
-        lines.append("")
-        lines.append(
-            "\\* evaluated with dataset gaps; average covers its datasets only and pooled EER is omitted."
-        )
-    return "\n".join(lines) + "\n"
-
-
-def store_append(store_path: str | Path, record: RunRecord) -> None:
-    """Append one record to the run store as one fsynced line.
+def store_append(store_path: str | Path, record) -> None:
+    """Append one ``record.RunRecord`` to the run store as one fsynced line.
 
     Writes under an exclusive lock on the store file, which ``store_list`` shares.
     A torn last line left by a crash is closed first, so the new record reads back.
@@ -271,23 +101,10 @@ def store_append(store_path: str | Path, record: RunRecord) -> None:
         raise StoreError(f"cannot append to store {store_path}: {e}") from e
 
 
-@dataclass(frozen=True)
-class StoreIssue:
-    line_number: int
-    byte_offset: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class StoredRun:
-    """One run as ``history`` lists it: its record's header and table size."""
-
-    run_id: str
-    timestamp: str
-    manifest_digest: str
-    tool_version: str
-    n_systems: int
-    n_datasets: int
+# A line the schema refuses, by its 1-based line number and the byte offset it starts at.
+StoreIssue = namedtuple("StoreIssue", "line_number byte_offset reason")
+# One run as ``history`` lists it: its record's header and table size.
+StoredRun = namedtuple("StoredRun", _HEADER_FIELDS + ("n_systems", "n_datasets"))
 
 
 # json's parse_float hook: a float becomes None, which no _check_record check
@@ -334,8 +151,8 @@ def store_list(store_path: str | Path) -> tuple[list[StoredRun], list[StoreIssue
                 except (ValueError, KeyError, TypeError, RecursionError) as e:  # incl. JSON and UTF-8 errors
                     issues.append(StoreIssue(lineno, line_offset, f"{type(e).__name__}: {e}"))
                 else:
-                    runs.append(StoredRun(doc["run_id"], doc["timestamp"], doc["manifest_digest"],
-                                          doc["tool_version"], len(doc["summaries"]), len(doc["dataset_ids"])))
+                    runs.append(StoredRun(*(doc[key] for key in _HEADER_FIELDS),
+                                          len(doc["summaries"]), len(doc["dataset_ids"])))
     except FileNotFoundError:
         return [], []
     except OSError as e:

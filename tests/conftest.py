@@ -13,7 +13,8 @@ import pytest
 from hypothesis import settings
 
 import df_arena.errors
-from df_arena.store import RECORD_VERSION, RunRecord, SystemSummary
+from df_arena.record import RunRecord, SystemSummary
+from df_arena.store import RECORD_VERSION
 from df_arena.wavio import write_wav
 
 # Every property test runs without hypothesis's per-example deadline: it times an

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import functools
 import io
 import json
 import os
@@ -403,8 +404,8 @@ class TestHistory:
         def refuse(*args, **kwargs):
             raise AssertionError("history built a report or summary object")
 
-        monkeypatch.setattr("df_arena.store.EvalReport", refuse)
-        monkeypatch.setattr("df_arena.store.SystemSummary", refuse)
+        monkeypatch.setattr("df_arena.record.EvalReport", refuse)
+        monkeypatch.setattr("df_arena.record.SystemSummary", refuse)
         code, out, err = run_cli(capsys, ["history", "--store", str(store), "--format", "json"])
         assert code == 0, err
         doc = json.loads(out)
@@ -762,6 +763,15 @@ class TestScore:
         assert code == 0, err
         assert sorted(line.split()[0] for line in out.splitlines()) == ["x", "y"]
 
+    def test_first_trial_id_led_by_a_byte_order_mark_is_refused(self, capsys, tmp_path, echo_scorer):
+        # written as it is, the score file would read back with the first id "a1"
+        lst = write_text(tmp_path / "list.txt", "/x/\ufeffa1.wav\n/x/b.wav\n")
+        code, out, err = run_cli(capsys, ["score", "--cmd", shlex.join(echo_scorer), "--list", str(lst)])
+        assert (code, out) == (1, "")
+        record = json.loads(err)
+        assert record["error"] == "ScoreFileError"
+        assert "cannot be written as one content line" in record["message"]
+
     @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1", "1e308"])
     def test_bad_timeout_exits_two(self, tmp_path, echo_scorer, timeout):
         with pytest.raises(SystemExit) as exc:
@@ -839,6 +849,14 @@ _NUMERIC = {"numpy", "ctypes", "concurrent.futures"} | {
     f"df_arena.{m}" for m in ("protocol", "metrics", "leaderboard", "augment", "wavio", "stats", "scorer")}
 
 
+@functools.cache
+def _bare_modules() -> frozenset[str]:
+    """sys.modules of an interpreter that runs nothing: what site and any .pth file load."""
+    code = "import sys; sys.stdout.write(' '.join(sys.modules))"
+    return frozenset(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    check=True).stdout.split())
+
+
 class TestFrontDoor:
     @pytest.mark.parametrize("argv", [
         None,
@@ -887,7 +905,9 @@ class TestFrontDoor:
         assert code == expected_code
         if command.startswith("history"):
             assert len(out.splitlines()) == (command == "history-one-record")
-        unused = _NUMERIC | {"logging", "df_arena.spec"}
+        # the record classes and dataclasses (with inspect, about 9 ms) are for the commands that build records
+        unused = _NUMERIC | {"logging", "df_arena.spec", "df_arena.record"}
+        unused |= {"dataclasses", "inspect"} - _bare_modules()
         if not command.startswith("history"):
             unused.add("df_arena.store")
         assert loaded & unused == set()

@@ -12,22 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from df_arena import store
 from df_arena.errors import ManifestError, ProtocolError, StoreError
 from df_arena.leaderboard import evaluate_arena
+from df_arena.record import EvalReport, RunRecord, SystemSummary, emit, rank
 from df_arena.spec import load_manifest
-from df_arena.store import (
-    RECORD_VERSION,
-    EvalReport,
-    RunRecord,
-    StoredRun,
-    StoreIssue,
-    SystemSummary,
-    _check_record,
-    emit,
-    rank,
-    store_append,
-    store_list,
-)
+from df_arena.store import RECORD_VERSION, StoredRun, StoreIssue, _check_record, store_append, store_list
 
 from conftest import (
     ARENA_EXPECTED_EER,
@@ -334,6 +324,28 @@ class TestEmit:
         text = emit(record, "markdown")
         assert "sysA*" in text
         assert "dataset gaps" in text
+
+
+class TestLineSchema:
+    """The store's field-name tuples, which history checks a line by, against the record classes."""
+
+    def test_report_fields_are_eval_reports(self):
+        assert store._REPORT_FIELDS == tuple(f.name for f in dataclasses.fields(EvalReport))
+
+    def test_summary_fields_split_by_their_default(self):
+        fields = dataclasses.fields(SystemSummary)
+        required = tuple(f.name for f in fields
+                         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        assert store._SUMMARY_REQUIRED == required
+        assert store._SUMMARY_OPTIONAL == tuple(f.name for f in fields if f.name not in required)
+
+    def test_to_json_writes_the_schema_keys(self, arena_record):
+        for record in (_SCHEMA_RECORD, arena_record):
+            doc = json.loads(record.to_json())
+            assert doc.keys() == set(store._RECORD_FIELDS)
+            assert doc["reports"] and all(r.keys() == set(store._REPORT_FIELDS) for r in doc["reports"])
+            summary_fields = set(store._SUMMARY_REQUIRED + store._SUMMARY_OPTIONAL)
+            assert doc["summaries"] and all(s.keys() == summary_fields for s in doc["summaries"])
 
 
 class TestStore:

@@ -14,7 +14,7 @@ from df_arena.metrics import (
     roc,
 )
 from df_arena.protocol import ScoreSet, TrialSet, join
-from df_arena.store import format_percent
+from df_arena.record import format_percent
 
 from oracles import brute_force_auc, brute_force_eer, normal_cdf
 
