@@ -3,7 +3,7 @@
 Each line of the store is one run record, as ``record.RunRecord.to_json``
 writes it. The line schema is stated here once, by field names, so that
 ``history`` checks and lists a store without loading the record classes
-(``df_arena.record``), ``dataclasses`` or numpy.
+(``df_arena.record``) or numpy.
 """
 
 from __future__ import annotations

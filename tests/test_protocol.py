@@ -98,6 +98,7 @@ def _writable(ids) -> bool:
 
 
 @given(ids=st.lists(tokens, min_size=2, max_size=8, unique=True), n_bona=st.integers(1, 7))
+@example(ids=["\ufeff", "0"], n_bona=1)
 @settings(max_examples=150)
 def test_two_column_round_trip(tmp_path_factory, ids, n_bona):
     n_bona = min(n_bona, len(ids) - 1)
