@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AudioError, AugmentError, open_output
-from .spec import CLIP_POLICIES, AugmentSpec, _amplitude_ratio
+from .spec import AugmentSpec, _amplitude_ratio
+from .vocab import CLIP_POLICIES
 from .wavio import decode_wav, read_wav, rms, write_wav
 
 MANIFEST_NAME = "augment_manifest.jsonl"

@@ -209,7 +209,7 @@ def cmd_eval(args) -> int:
         report = evaluate(joined, system_id, dataset_id, decision_threshold=args.threshold)
     except ArenaError as e:
         raise type(e)(f"scores {args.scores}, protocol {args.protocol}: {e}") from e
-    _write_json(vars(report), args.out)
+    _write_json(report._asdict(), args.out)
     return 0
 
 

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import JoinError, ProtocolError, ScoreFileError, decode_input, read_input
-from .spec import (HIGHER_IS_BONAFIDE, HIGHER_IS_SPOOF, JOIN_MODES, POLARITIES, PROTOCOL_FORMATS,
-                   _preview, plain_number_text)
+from .spec import _preview, plain_number_text
+from .vocab import HIGHER_IS_BONAFIDE, HIGHER_IS_SPOOF, JOIN_MODES, POLARITIES, PROTOCOL_FORMATS
 
 BONAFIDE = "bonafide"
 SPOOF = "spoof"

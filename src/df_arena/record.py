@@ -3,88 +3,49 @@
 A RunRecord holds every (system, dataset) EvalReport of one arena run and
 one SystemSummary per system. It renders as markdown, csv or json, and its
 json is one line of the run store (``df_arena.store``), whose line schema
-``from_dict`` applies. Nothing here imports numpy.
+``from_dict`` applies. The three classes are named tuples built from the
+store's field names, which are written nowhere else. Nothing here imports
+numpy.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter
 
-from .store import _check_record
+from .store import _RECORD_FIELDS, _REPORT_FIELDS, _SUMMARY_OPTIONAL, _SUMMARY_REQUIRED, _check_record
 # the report's words live in the leaf module vocab; importing them here keeps
 # record.<name> valid for the documented ones
 from .vocab import EMIT_FORMATS, GAP_MARK, ID_COLUMN, OPTIONAL_COLUMNS, RANK_KEYS, SUMMARY_COLUMNS
 
+# Per-(system, dataset) metric bundle. EER/AUC/rates are in [0, 1].
+EvalReport = namedtuple("EvalReport", _REPORT_FIELDS)
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-(system, dataset) metric bundle. EER/AUC/rates are in [0, 1]."""
-
-    system_id: str
-    dataset_id: str
-    eer: float
-    eer_threshold: float
-    auc: float
-    accuracy: float
-    f1: float
-    decision_threshold: float
-    n_bonafide: int
-    n_spoof: int
+# One leaderboard row: per-dataset EERs plus the two aggregate EERs. ``pooled_eer``
+# is None for systems evaluated with dataset gaps: pooling over fewer datasets than
+# the others would not be comparable, so such systems are footnoted instead.
+SystemSummary = namedtuple("SystemSummary", _SUMMARY_REQUIRED + _SUMMARY_OPTIONAL,
+                           defaults=(None, None, None, ()))
 
 
-@dataclass(frozen=True)
-class SystemSummary:
-    """One leaderboard row: per-dataset EERs plus the two aggregate EERs.
-
-    ``pooled_eer`` is None for systems evaluated with dataset gaps: pooling
-    over fewer datasets than the others would not be comparable, so such
-    systems are footnoted instead.
-    """
-
-    system_id: str
-    average_eer: float
-    pooled_eer: float | None
-    per_dataset_eer: dict[str, float]
-    param_count_millions: float | None = None
-    average_auc: float | None = None
-    category: str | None = None
-    gap_datasets: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    run_id: str
-    timestamp: str
-    manifest_digest: str
-    tool_version: str
-    record_version: int
-    dataset_ids: tuple[str, ...]
-    reports: tuple[EvalReport, ...]
-    summaries: tuple[SystemSummary, ...]
+class RunRecord(namedtuple("RunRecord", _RECORD_FIELDS)):
+    __slots__ = ()
 
     def to_json(self) -> str:
-        # vars(), not asdict, which would deep-copy every float
-        doc = {**vars(self), "reports": [vars(r) for r in self.reports],
-               "summaries": [vars(s) for s in self.summaries]}
+        doc = {**self._asdict(), "reports": [r._asdict() for r in self.reports],
+               "summaries": [s._asdict() for s in self.summaries]}
         return json.dumps(doc, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunRecord":
         _check_record(doc)
-        return cls(
-            run_id=doc["run_id"],
-            timestamp=doc["timestamp"],
-            manifest_digest=doc["manifest_digest"],
-            tool_version=doc["tool_version"],
-            record_version=doc["record_version"],
+        record = cls._make(doc[key] for key in _RECORD_FIELDS)  # other top-level keys are ignored
+        return record._replace(
             dataset_ids=tuple(doc["dataset_ids"]),
             reports=tuple(EvalReport(**r) for r in doc["reports"]),
-            summaries=tuple(
-                SystemSummary(**{**s, "gap_datasets": tuple(s.get("gap_datasets", ()))})
-                for s in doc["summaries"]
-            ),
+            summaries=tuple(SystemSummary(**{**s, "gap_datasets": tuple(s.get("gap_datasets", ()))})
+                            for s in doc["summaries"]),
         )
 
     def eer_matrix(self):

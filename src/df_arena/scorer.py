@@ -8,7 +8,8 @@ from pathlib import Path
 
 from .errors import ScorerError, decode_input, read_input
 from .protocol import ScoreSet, _content_lines, _score_fields, _split_lines
-from .spec import MAX_SCORER_TIMEOUT_S, _preview
+from .spec import _preview
+from .vocab import MAX_SCORER_TIMEOUT_S
 
 
 def run_external_scorer(

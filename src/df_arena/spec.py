@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import AugmentError, ManifestError, decode_input, read_input
-# the manifest's and the recipe's words live in the leaf module vocab; importing them
-# here keeps spec.<name> valid for every one of them
-from .vocab import (ADDITIVE_CATEGORIES, CATEGORIES, CLIP_POLICIES, GAP_MARK, HIGHER_IS_BONAFIDE,
-                    HIGHER_IS_SPOOF, ID_COLUMN, JOIN_MODES, MANIFEST_VERSION, MAX_SCORER_TIMEOUT_S,
+# the manifest's and the recipe's words live in the leaf module vocab
+from .vocab import (CATEGORIES, CLIP_POLICIES, GAP_MARK, ID_COLUMN, JOIN_MODES, MANIFEST_VERSION,
                     OPTIONAL_COLUMNS, POLARITIES, PROTOCOL_FORMATS, SUMMARY_COLUMNS, _encodes_as_utf8,
                     text_fault)
 
@@ -79,7 +77,8 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     Ids and categories may hold no control or line-break character (Unicode
     Cc, Zl, Zp), and paths no NUL; neither may hold a lone surrogate, which
     does not encode as UTF-8. A dataset_id may not be a fixed report column
-    name, and a system_id may not end in the gap mark ``*``.
+    name, and a system_id may not end in the gap mark ``*``. No object may
+    repeat a key.
     """
     from hashlib import sha256  # here, so that --version and history start without it
 
@@ -87,8 +86,17 @@ def load_manifest(path: str | Path) -> ArenaManifest:
     raw = read_input(path, ManifestError)
     digest = sha256(raw).hexdigest()
     text = decode_input(raw, path, ManifestError)
+
+    def unique_keys(pairs):  # json.loads would keep the last of a repeated key
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ManifestError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, RecursionError) as e:
         raise ManifestError(f"{path}: not valid JSON: {e}")
     if not isinstance(doc, dict):

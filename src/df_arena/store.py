@@ -1,9 +1,9 @@
 """The run store: the line format of a finished run, appending a run and listing the store.
 
 Each line of the store is one run record, as ``record.RunRecord.to_json``
-writes it. The line schema is stated here once, by field names, so that
-``history`` checks and lists a store without loading the record classes
-(``df_arena.record``) or numpy.
+writes it. The line schema is stated here once, by field names, which
+``df_arena.record`` builds its record classes from; ``history`` checks and
+lists a store without loading those classes or numpy.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from pathlib import Path
 from .errors import StoreError
 from .vocab import RECORD_VERSION, text_fault
 
-# The line schema. A record holds the header strings, then its version, its
-# dataset ids, its reports and its summaries. A report holds exactly the report
-# fields (``record.EvalReport``); a summary every required summary field and any
-# of the optional ones (``record.SystemSummary``).
+# The line schema, and the fields of ``record``'s named tuples. A record holds the
+# header strings, then its version, its dataset ids, its reports and its summaries.
+# A report holds exactly the report fields (``record.EvalReport``); a summary every
+# required summary field and any of the optional ones (``record.SystemSummary``).
 _HEADER_FIELDS = ("run_id", "timestamp", "manifest_digest", "tool_version")
 _RECORD_FIELDS = _HEADER_FIELDS + ("record_version", "dataset_ids", "reports", "summaries")
 _REPORT_FIELDS = ("system_id", "dataset_id", "eer", "eer_threshold", "auc", "accuracy", "f1",

@@ -1,8 +1,9 @@
 """The words the command line and the files share: option values, format versions, report columns.
 
 A leaf module: it imports nothing, so the command line can build its parser
-and answer ``--version`` from these names alone. ``spec``, ``store`` and
-``record`` re-export them, and their documented import paths stay valid.
+and answer ``--version`` from these names alone. Every other module imports
+them from here; ``spec``, ``store`` and ``record`` keep the ones they use,
+so those documented import paths stay valid.
 """
 
 HIGHER_IS_BONAFIDE = "higher-is-bonafide"

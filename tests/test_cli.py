@@ -40,17 +40,13 @@ def perfect_pair(tmp_path):
 
 class TestEval:
     def test_perfect_separation(self, capsys, perfect_pair):
+        # byte for byte: the report's key order and float text
         protocol, scores = perfect_pair
         code, out, err = run_cli(capsys, ["eval", "--protocol", str(protocol), "--scores", str(scores)])
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["eer"] == 0.0
-        assert doc["auc"] == 1.0
-        assert doc["n_bonafide"] == 2 and doc["n_spoof"] == 2
-        assert set(doc) == {
-            "system_id", "dataset_id", "eer", "eer_threshold", "auc",
-            "accuracy", "f1", "decision_threshold", "n_bonafide", "n_spoof",
-        }
+        assert (code, err) == (0, "")
+        assert out == ('{\n  "system_id": "s",\n  "dataset_id": "p",\n  "eer": 0.0,\n  "eer_threshold": 1.5,\n'
+                       '  "auc": 1.0,\n  "accuracy": 1.0,\n  "f1": 1.0,\n  "decision_threshold": 1.5,\n'
+                       '  "n_bonafide": 2,\n  "n_spoof": 2\n}\n')
 
     def test_missing_score_file(self, capsys, perfect_pair, tmp_path):
         protocol, _ = perfect_pair
@@ -243,6 +239,18 @@ class TestLeaderboard:
         code, _, err = run_cli(capsys, ["leaderboard", "--manifest", str(tmp_path / "none.json")])
         assert code == 1
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ManifestError"
+
+    def test_repeated_score_key_is_a_manifest_error(self, capsys, tmp_path):
+        # json keeps the last of a repeated key, which would evaluate sysA_d2.txt as sysA's d1 scores
+        manifest = build_arena(tmp_path)
+        manifest.write_text(manifest.read_text().replace(
+            '"d1": "scores/sysA_d1.txt"', '"d1": "scores/sysA_d1.txt", "d1": "scores/sysA_d2.txt"'))
+        store = tmp_path / "runs.jsonl"
+        code, out, err = run_cli(capsys, ["leaderboard", "--manifest", str(manifest), "--store", str(store)])
+        assert (code, out) == (1, "")
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record == {"error": "ManifestError", "message": f"{manifest}: repeated key 'd1'"}
+        assert not store.exists()
 
     @pytest.mark.parametrize("output", ["markdown", "csv", "json", "store"])
     def test_nan_param_count_is_a_manifest_error(self, capsys, tmp_path, output):
@@ -882,8 +890,8 @@ class TestFrontDoor:
                 "pool": ["pool", "--pair", str(protocol), str(scores)],
                 "leaderboard": ["leaderboard", "--manifest", str(build_arena(tmp_path / "arena")),
                                 "--format", "json"]}[command]
-        loaded = _modules_after(argv + ["--out", str(out)])
-        assert json.loads(out.read_bytes())  # the command ran to its payload
+        code, _, loaded = _fresh_main(argv + ["--out", str(out)])
+        assert code == 0 and json.loads(out.read_bytes())  # the command ran to its payload
         assert "df_arena.metrics" in loaded and "numpy.ma" not in loaded
 
     def test_leaderboard_loads_no_augment_or_subprocess(self, tmp_path):

@@ -34,8 +34,7 @@ from conftest import (
 def _renamed(record, systems, datasets):
     """The record with its system ids, and the dataset ids in datasets, renamed."""
     summaries = tuple(
-        dataclasses.replace(
-            s,
+        s._replace(
             system_id=systems[s.system_id],
             per_dataset_eer={datasets.get(d, d): v for d, v in s.per_dataset_eer.items()},
             gap_datasets=tuple(datasets.get(d, d) for d in s.gap_datasets),
@@ -43,7 +42,7 @@ def _renamed(record, systems, datasets):
         for s in record.summaries
     )
     dataset_ids = tuple(datasets.get(d, d) for d in record.dataset_ids)
-    return dataclasses.replace(record, dataset_ids=dataset_ids, summaries=summaries)
+    return record._replace(dataset_ids=dataset_ids, summaries=summaries)
 
 
 @pytest.fixture
@@ -279,8 +278,8 @@ class TestEmit:
 
     def test_markdown_escapes_pipes_in_ids(self):
         record = _renamed(golden_record(), {"sysA": "A|a", "sysB": "B|x|", "sysC": "|C"}, {"d1": "d|1"})
-        record = dataclasses.replace(record, summaries=tuple(
-            dataclasses.replace(s, category="CNN|LSTM") if s.category else s for s in record.summaries
+        record = record._replace(summaries=tuple(
+            s._replace(category="CNN|LSTM") if s.category else s for s in record.summaries
         ))
         rows = [l for l in emit(record, "markdown").splitlines() if l.startswith("|")]
         cells = [re.split(r"(?<!\\)\|", row)[1:-1] for row in rows]
@@ -327,17 +326,7 @@ class TestEmit:
 
 
 class TestLineSchema:
-    """The store's field-name tuples, which history checks a line by, against the record classes."""
-
-    def test_report_fields_are_eval_reports(self):
-        assert store._REPORT_FIELDS == tuple(f.name for f in dataclasses.fields(EvalReport))
-
-    def test_summary_fields_split_by_their_default(self):
-        fields = dataclasses.fields(SystemSummary)
-        required = tuple(f.name for f in fields
-                         if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
-        assert store._SUMMARY_REQUIRED == required
-        assert store._SUMMARY_OPTIONAL == tuple(f.name for f in fields if f.name not in required)
+    """The keys a record writes are the store's field names, which history checks a line by."""
 
     def test_to_json_writes_the_schema_keys(self, arena_record):
         for record in (_SCHEMA_RECORD, arena_record):
@@ -346,6 +335,15 @@ class TestLineSchema:
             assert doc["reports"] and all(r.keys() == set(store._REPORT_FIELDS) for r in doc["reports"])
             summary_fields = set(store._SUMMARY_REQUIRED + store._SUMMARY_OPTIONAL)
             assert doc["summaries"] and all(s.keys() == summary_fields for s in doc["summaries"])
+
+
+def _deep_asdict(value):
+    """A record, field by field at every depth: named tuples as dicts, other tuples as lists."""
+    if hasattr(value, "_asdict"):
+        return {k: _deep_asdict(v) for k, v in value._asdict().items()}
+    if isinstance(value, tuple):
+        return [_deep_asdict(v) for v in value]
+    return value
 
 
 class TestStore:
@@ -359,14 +357,33 @@ class TestStore:
         (line,) = store.read_bytes().splitlines()
         assert RunRecord.from_dict(json.loads(line)) == arena_record
 
+    def test_golden_record_is_one_exact_store_line(self, tmp_path):
+        line = ('{"dataset_ids": ["d1", "d2"], '
+                '"manifest_digest": "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08", '
+                '"record_version": 1, "reports": [], "run_id": "0123456789ab", "summaries": ['
+                '{"average_auc": null, "average_eer": 0.15, "category": null, "gap_datasets": [], '
+                '"param_count_millions": 0.0, "per_dataset_eer": {"d1": 0.1, "d2": 0.2}, '
+                '"pooled_eer": 0.15, "system_id": "sysA"}, '
+                '{"average_auc": null, "average_eer": 0.2, "category": "", "gap_datasets": [], '
+                '"param_count_millions": 95.5, "per_dataset_eer": {"d1": 0.1, "d2": 0.3}, '
+                '"pooled_eer": 0.125, "system_id": "sysB"}, '
+                '{"average_auc": null, "average_eer": 0.3, "category": "CNN", "gap_datasets": ["d2"], '
+                '"param_count_millions": null, "per_dataset_eer": {"d1": 0.3}, '
+                '"pooled_eer": null, "system_id": "sysC"}], '
+                '"timestamp": "2025-01-01T00:00:00+00:00", "tool_version": "test"}')
+        assert golden_record().to_json() == line
+        store = tmp_path / "runs.jsonl"
+        store_append(store, golden_record())
+        assert store.read_bytes() == line.encode("utf-8") + b"\n"
+
     def test_to_json_equals_the_asdict_encoding(self, arena_record):
         # gaps, a None pooled EER, params and categories (None, "" and a name); a computed record
         for record in (_SCHEMA_RECORD, arena_record):
-            assert record.to_json() == json.dumps(dataclasses.asdict(record), sort_keys=True, allow_nan=False)
+            assert record.to_json() == json.dumps(_deep_asdict(record), sort_keys=True, allow_nan=False)
 
     def test_append_order_preserved(self, tmp_path, arena_record):
         store = tmp_path / "runs.jsonl"
-        second = dataclasses.replace(arena_record, run_id="second")
+        second = arena_record._replace(run_id="second")
         store_append(store, arena_record)
         store_append(store, second)
         records, _ = store_list(store)
@@ -377,7 +394,7 @@ class TestStore:
         store_append(store, arena_record)
         with open(store, "ab") as fh:
             fh.write(b"\n   \n\t\r\n")
-        store_append(store, dataclasses.replace(arena_record, run_id="second"))
+        store_append(store, arena_record._replace(run_id="second"))
         with open(store, "ab") as fh:
             fh.write(b" \n")
         runs, issues = store_list(store)
@@ -390,7 +407,7 @@ class TestStore:
         first_len = store.stat().st_size
         with open(store, "ab") as fh:
             fh.write(b"{this is garbage}\n")
-        store_append(store, dataclasses.replace(arena_record, run_id="after"))
+        store_append(store, arena_record._replace(run_id="after"))
         records, issues = store_list(store)
         assert [r.run_id for r in records] == [arena_record.run_id, "after"]
         assert len(issues) == 1
@@ -506,7 +523,7 @@ class TestStore:
         future = {**json.loads(arena_record.to_json()), "run_id": "future", "record_version": RECORD_VERSION + 98}
         with open(store, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(future) + "\n")
-        store_append(store, dataclasses.replace(arena_record, run_id="after"))
+        store_append(store, arena_record._replace(run_id="after"))
         records, issues = store_list(store)
         assert [r.run_id for r in records] == [arena_record.run_id, "after"]
         assert len(issues) == 1
@@ -521,7 +538,7 @@ class TestStore:
         store = tmp_path / "runs.jsonl"
         store_append(store, arena_record)
         before_bytes, before_ino = store.read_bytes(), store.stat().st_ino
-        second = dataclasses.replace(arena_record, run_id="second")
+        second = arena_record._replace(run_id="second")
         store_append(store, second)
         assert store.stat().st_ino == before_ino
         assert store.read_bytes() == before_bytes + (second.to_json() + "\n").encode("utf-8")
@@ -529,7 +546,7 @@ class TestStore:
     def test_append_leaves_no_sidecar_files(self, tmp_path, arena_record):
         store = tmp_path / "store" / "runs.jsonl"
         store_append(store, arena_record)
-        store_append(store, dataclasses.replace(arena_record, run_id="second"))
+        store_append(store, arena_record._replace(run_id="second"))
         assert os.listdir(store.parent) == ["runs.jsonl"]
 
     @given(data=st.data())
@@ -539,9 +556,9 @@ class TestStore:
         store.unlink(missing_ok=True)
         earlier = [f"run{i}" for i in range(data.draw(st.integers(0, 2), label="earlier runs"))]
         for run_id in earlier:
-            store_append(store, dataclasses.replace(arena_record, run_id=run_id))
+            store_append(store, arena_record._replace(run_id=run_id))
         torn_at = store.stat().st_size if earlier else 0
-        store_append(store, dataclasses.replace(arena_record, run_id="torn"))
+        store_append(store, arena_record._replace(run_id="torn"))
         size = store.stat().st_size
         # the last line is bytes [torn_at, size): its JSON text, then b"\n"
         cut = data.draw(st.integers(torn_at, size - 1) | st.just(size - 40), label="cut")
@@ -551,7 +568,7 @@ class TestStore:
         records, issues = store_list(store)
         assert [r.run_id for r in records] == listed
         assert [(i.line_number, i.byte_offset) for i in issues] == torn
-        store_append(store, dataclasses.replace(arena_record, run_id="new"))
+        store_append(store, arena_record._replace(run_id="new"))
         records, issues = store_list(store)
         assert [r.run_id for r in records] == listed + ["new"]
         assert [(i.line_number, i.byte_offset) for i in issues] == torn
@@ -570,7 +587,7 @@ class TestStore:
         store_append(store, arena_record)
         with open(store, "ab") as fh:
             fh.write(b"[" * 200_000 + b"\n")
-        store_append(store, dataclasses.replace(arena_record, run_id="after"))
+        store_append(store, arena_record._replace(run_id="after"))
         records, issues = store_list(store)
         assert [r.run_id for r in records] == [arena_record.run_id, "after"]
         assert [i.line_number for i in issues] == [2]
@@ -579,7 +596,7 @@ class TestStore:
     def test_reader_waits_for_an_append_in_progress(self, tmp_path, arena_record):
         store = tmp_path / "runs.jsonl"
         store_append(store, arena_record)
-        line = (dataclasses.replace(arena_record, run_id="second").to_json() + "\n").encode("utf-8")
+        line = (arena_record._replace(run_id="second").to_json() + "\n").encode("utf-8")
         result = {}
         with open(store, "ab") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
@@ -613,7 +630,7 @@ class TestStore:
 
 
 # golden_record() with two reports, so every part of the schema has fields to mutate
-_SCHEMA_RECORD = dataclasses.replace(golden_record(), reports=(
+_SCHEMA_RECORD = golden_record()._replace(reports=(
     EvalReport("sysA", "d1", 0.1, 0.5, 0.9, 0.9, 0.9, 0.5, 90, 210),
     EvalReport("sysC", "d1", 0.3, -0.5, 0.7, 0.7, 0.6, -0.5, 90, 210),
 ))
@@ -658,4 +675,4 @@ _json_values = st.one_of(
 
 def _append_five(store, record, worker):
     for i in range(5):
-        store_append(store, dataclasses.replace(record, run_id=f"w{worker}-{i}"))
+        store_append(store, record._replace(run_id=f"w{worker}-{i}"))

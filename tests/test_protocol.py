@@ -455,6 +455,24 @@ class TestManifest:
         with pytest.raises(ManifestError, match="duplicate system_id"):
             load_manifest(tmp_path / "bad.json")
 
+    @pytest.mark.parametrize("old, new, key", [
+        # a system's second score path for d1 would replace its first
+        pytest.param('"d1": "scores/sysA_d1.txt"', '"d1": "scores/sysA_d1.txt", "d1": "scores/sysA_d2.txt"',
+                     "d1", id="score-path"),
+        pytest.param('"manifest_version": 1', '"manifest_version": 1, "manifest_version": 1',
+                     "manifest_version", id="top-level-same-value"),
+        pytest.param('"default_polarity": "higher-is-bonafide"',
+                     '"default_polarity": "higher-is-spoof", "default_polarity": "higher-is-bonafide"',
+                     "default_polarity", id="option"),
+        pytest.param('"dataset_id": "d2"', '"dataset_id": "d2", "dataset_id": "d2"', "dataset_id", id="dataset-entry"),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, old, new, key):
+        text = build_arena(tmp_path).read_text()
+        assert text.count(old) == 1
+        bad = write_text(tmp_path / "bad.json", text.replace(old, new))
+        with pytest.raises(ManifestError, match=re.escape(f"{bad}: repeated key {key!r}")):
+            load_manifest(bad)
+
     def test_wrong_version_rejected(self, tmp_path):
         write_text(tmp_path / "bad.json", '{"manifest_version": 99}')
         with pytest.raises(ManifestError, match="manifest_version"):
